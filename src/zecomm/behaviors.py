@@ -22,7 +22,6 @@ from .numeric import (
     check_mode,
     is_positive,
     one,
-    prob_from_json,
     prob_to_json,
     require_same_mode,
     zero,
@@ -333,7 +332,7 @@ def behavior_from_json(data: dict) -> Behavior:
     scenario = Scenario(sc["x"], sc["y"], sc["a"], sc["b"])
     mode = check_mode(data["mode"])
     raw = data["p"]
-    beh = make_behavior(scenario, mode, lambda x, y, a, b: prob_from_json(raw[x][y][a][b], mode))
+    beh = make_behavior(scenario, mode, lambda x, y, a, b: raw[x][y][a][b])
     problems = validate_behavior(beh)
     if problems:
         raise ValueError("invalid behavior file: " + "; ".join(problems))

@@ -22,7 +22,6 @@ from .numeric import (
     as_prob,
     check_mode,
     is_positive,
-    prob_from_json,
     prob_to_json,
     require_same_mode,
     zero,
@@ -329,8 +328,7 @@ def channel_from_json(data: dict) -> Channel:
         return IndexSpace(tuple(d["factors"]), tuple(d.get("offsets", [0] * len(d["factors"]))))
 
     mode = check_mode(data["mode"])
-    matrix = [[prob_from_json(v, mode) for v in column] for column in data["matrix"]]
-    return make_channel(matrix, space(data["inputs"]), space(data["outputs"]), mode)
+    return make_channel(data["matrix"], space(data["inputs"]), space(data["outputs"]), mode)
 
 
 def save_channel(c: Channel, path: str) -> None:

@@ -230,9 +230,10 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def _add_channel_source(sub, require_family_default=None):
-    sub.add_argument("--channel", help="channel JSON file (overrides --family)")
-    sub.add_argument("--family", default=require_family_default, choices=["Nm", "Mm", "identity"])
+def _add_channel_source(sub):
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--channel", help="channel JSON file")
+    source.add_argument("--family", choices=["Nm", "Mm", "identity"])
     sub.add_argument("--m", type=int, default=3, help="family size parameter")
 
 
@@ -272,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", help="behavior JSON file (overrides --box-family)")
     p.add_argument("--box-family", default="pm", choices=["pm", "pr", "rtilde", "cglmp", "i3322", "i3322-float"])
     p.add_argument("--scheme", required=True, choices=["theorem2", "theorem3"])
-    p.add_argument("--exact", action="store_true", help="exact evaluation (default)")
     p.add_argument("--mc", type=int, help="Monte-Carlo trials instead of exact evaluation")
     p.add_argument("--seed", type=int)
     p.add_argument("--float", action="store_true", help="render values as decimals")

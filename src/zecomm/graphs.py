@@ -1,9 +1,9 @@
 """Confusability graphs, exact independence numbers, strong products and
 one-shot zero-error capacity.
 
-The independence-number solver prefers the compiled bitset kernel when the
-extension built; otherwise a pure-Python twin with the identical algorithm is
-used.  A subset-enumeration brute force is kept as an independent oracle.
+The independence number is decided by one exact solver: branch and bound for
+a maximum clique of the complement graph, with greedy coloring upper bounds.
+A subset-enumeration brute force is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ from typing import Optional, Sequence
 
 from .channels import Channel
 from .numeric import is_positive
-
-try:
-    from . import _miscore as _mis_kernel
-
-    KERNEL = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _mispure as _mis_kernel
-
-    KERNEL = "pure"
 
 #: exact-solver vertex limit (branch and bound)
 DEFAULT_VERTEX_LIMIT = 40
@@ -101,11 +92,60 @@ def confusability_graph(c: Channel) -> ConfusabilityGraph:
     return ConfusabilityGraph(n, tuple(adj), labels)
 
 
+def _max_clique_size(n: int, adj: list[int]) -> int:
+    """Size of a maximum clique; ``adj[v]`` is the neighbor bitmask of v."""
+    if n == 0:
+        return 0
+    best = 0
+
+    def color_bound(cand: int) -> tuple[list[int], list[int]]:
+        # Greedy coloring: vertices in one color class are pairwise
+        # non-adjacent, so a clique takes at most one per class.
+        order: list[int] = []
+        bounds: list[int] = []
+        color = 0
+        uncolored = cand
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~(adj[v] | (1 << v))
+                uncolored &= ~(1 << v)
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        order, bounds = color_bound(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if size + bounds[idx] <= best:
+                return
+            v = order[idx]
+            if size + 1 > best:
+                best = size + 1
+            nxt = cand & adj[v]
+            if nxt:
+                expand(nxt, size + 1)
+            cand &= ~(1 << v)
+
+    expand((1 << n) - 1, 0)
+    return best
+
+
+def _max_independent_set_size(n: int, adj: list[int]) -> int:
+    """Independence number via maximum clique of the complement."""
+    full = (1 << n) - 1
+    comp = [full & ~(adj[v] | (1 << v)) for v in range(n)]
+    return _max_clique_size(n, comp)
+
+
 def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> int:
     """Exact independence number via branch and bound with coloring bounds."""
     if g.vertex_count > limit:
         raise ValueError(f"graph has {g.vertex_count} vertices, limit is {limit}")
-    return _mis_kernel.max_independent_set_size(g.vertex_count, list(g.adjacency))
+    return _max_independent_set_size(g.vertex_count, list(g.adjacency))
 
 
 def independence_number_bruteforce(g: ConfusabilityGraph) -> int:

@@ -3,7 +3,7 @@ quantum-kernel output.
 
 Every probability table in the package is tagged with one of the two modes.
 Mixing modes in one arithmetic operation is forbidden; callers convert
-explicitly with :func:`to_float`.
+explicitly with ``float()``.
 """
 
 from __future__ import annotations
@@ -74,21 +74,11 @@ def is_positive(value, mode: str) -> bool:
     return value > POS_EPS
 
 
-def to_float(value) -> float:
-    return float(value)
-
-
 def prob_to_json(value, mode: str):
     if mode == RATIONAL:
         f = Fraction(value)
         return f"{f.numerator}/{f.denominator}"
     return float(value)
-
-
-def prob_from_json(raw, mode: str):
-    if mode == RATIONAL:
-        return as_prob(Fraction(raw), mode)
-    return as_prob(raw, mode)
 
 
 def format_value(value, mode: str, as_float: bool = False) -> str:

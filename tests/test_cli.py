@@ -132,6 +132,12 @@ def test_bad_usage(capsys):
     assert run(capsys, "nonsense")[0] == EXIT_USAGE
 
 
+def test_channel_source_is_required(capsys):
+    code, _, stderr = run(capsys, "capacity")
+    assert code == EXIT_USAGE
+    assert "--channel" in stderr and "--family" in stderr
+
+
 def test_roundtrip_channel_through_cli(tmp_path, capsys):
     out = tmp_path / "nm2.json"
     run(capsys, "channel", "--family", "Nm", "--m", "2", "--out", str(out))

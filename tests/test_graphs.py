@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecomm import _mispure
 from zecomm.channels import identity_channel, make_mm, make_nm, tensor_channels
 from zecomm.graphs import (
-    KERNEL,
+    DEFAULT_VERTEX_LIMIT,
     ConfusabilityGraph,
     complete_graph,
     confusability_graph,
@@ -27,10 +26,6 @@ from zecomm.graphs import (
 def random_graph(rng: random.Random, n: int, p: float) -> ConfusabilityGraph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph_from_edges(n, edges)
-
-
-def test_kernel_selected():
-    assert KERNEL in ("compiled", "pure")
 
 
 def test_graph_validation():
@@ -96,12 +91,14 @@ def test_solver_matches_bruteforce_on_200_random_graphs():
         assert independence_number(g) == independence_number_bruteforce(g)
 
 
-def test_pure_kernel_matches_selected_kernel():
-    rng = random.Random(7)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 18), rng.random())
-        expect = independence_number(g)
-        assert _mispure.max_independent_set_size(g.vertex_count, list(g.adjacency)) == expect
+def test_raised_limit_solves_graphs_above_default():
+    # alpha(C7 x C7) = floor(7 * 3 / 2) = 10 (Hales 1973); 49 vertices is
+    # above the default limit, so only a raised limit reaches the solver.
+    c7_squared = strong_product(cycle_graph(7), cycle_graph(7))
+    assert c7_squared.vertex_count == 49 > DEFAULT_VERTEX_LIMIT
+    assert independence_number(c7_squared, limit=49) == 10
+    with pytest.raises(ValueError):
+        independence_number(c7_squared)
 
 
 def test_strong_product_pentagon():

@@ -11,10 +11,8 @@ from zecomm.numeric import (
     format_value,
     is_positive,
     one,
-    prob_from_json,
     prob_to_json,
     require_same_mode,
-    to_float,
     zero,
 )
 
@@ -64,11 +62,11 @@ def test_is_positive_threshold():
 
 def test_json_roundtrip():
     assert prob_to_json(Fraction(1, 3), RATIONAL) == "1/3"
-    assert prob_from_json("1/3", RATIONAL) == Fraction(1, 3)
-    assert prob_from_json(0.25, FLOAT) == 0.25
+    assert as_prob("1/3", RATIONAL) == Fraction(1, 3)
+    assert as_prob(0.25, FLOAT) == 0.25
 
 
 def test_format_value():
     assert format_value(Fraction(6, 7), RATIONAL) == "6/7"
     assert format_value(Fraction(1, 2), RATIONAL, as_float=True) == "0.5"
-    assert to_float(Fraction(1, 4)) == 0.25
+    assert float(Fraction(1, 4)) == 0.25
