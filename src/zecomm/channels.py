@@ -2,29 +2,35 @@
 families whose confusability graphs are complete yet which become useful under
 extremal no-signaling assistance.
 
-A channel is column-stochastic: ``matrix[input][output]`` holds p(o|i) and each
-column (fixed input) sums to 1.  Alphabets are :class:`IndexSpace` objects that
-map between flat indices and display tuples; the first output factor of the
-structured families carries a +1 display offset (labels 1..m+1 resp.
-1..m(m-1)+1, stored 0-based).
+A channel is an integer table: ``weights[input][output]`` holds the numerator
+of p(o|i) over one common ``denominator`` (in lowest terms), and each column
+(fixed input) sums exactly to the denominator.  Float-mode channels hold float
+entries over denominator 1.  The families are built from their support rule:
+one output per (input, first output coordinate), each of numerator 1 over the
+layer count.  Alphabets are :class:`IndexSpace` objects that map between flat
+indices and display tuples; the first output factor of the structured families
+carries a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .numeric import (
+    FLOAT_TOL,
+    POS_EPS,
     RATIONAL,
     as_prob,
     check_mode,
-    is_positive,
     prob_to_json,
     require_same_mode,
-    zero,
 )
 
 
@@ -80,15 +86,45 @@ class IndexSpace:
 
 @dataclass(frozen=True)
 class Channel:
-    """Column-stochastic matrix with structured input/output alphabets."""
+    """Column-stochastic table with structured input/output alphabets.
+
+    ``weights[input_flat][output_flat]`` holds p(o|i) as an int numerator over
+    ``denominator`` (rational mode, reduced by the common gcd so that equal
+    channels compare equal) or as a float over denominator 1 (float mode).
+    Every channel is validated on construction, and each input's support is
+    computed once.
+    """
 
     input_space: IndexSpace
     output_space: IndexSpace
     mode: str
-    matrix: tuple  # matrix[input_flat][output_flat]
+    weights: tuple  # weights[input_flat][output_flat]
+    denominator: int = 1
+    supports: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_mode(self.mode)
+        weights = tuple(tuple(row) for row in self.weights)
+        object.__setattr__(self, "weights", weights)
+        problems = validate_channel(self)
+        if problems:
+            raise ValueError("invalid channel: " + "; ".join(problems))
+        if self.mode == RATIONAL:
+            g = self.denominator
+            for row in weights:
+                g = math.gcd(g, *row)
+            if g > 1:
+                weights = tuple(tuple(w // g for w in row) for row in weights)
+                object.__setattr__(self, "denominator", self.denominator // g)
+            nonzero = weights
+        else:
+            nonzero = tuple(tuple(w > POS_EPS for w in row) for row in weights)
+        n_out = self.n_outputs
+        object.__setattr__(self, "supports", tuple(tuple(compress(range(n_out), row)) for row in nonzero))
 
     def prob(self, output_flat: int, input_flat: int):
-        return self.matrix[input_flat][output_flat]
+        w = self.weights[input_flat][output_flat]
+        return Fraction(w, self.denominator) if self.mode == RATIONAL else w
 
     def prob_labels(self, output_label: Sequence[int], input_label: Sequence[int]):
         return self.prob(self.output_space.flatten(output_label), self.input_space.flatten(input_label))
@@ -102,26 +138,36 @@ class Channel:
         return self.output_space.size
 
     def support(self, input_flat: int) -> list[int]:
-        return [o for o in range(self.n_outputs) if is_positive(self.matrix[input_flat][o], self.mode)]
+        """Outputs of positive probability (float entries above 1e-12)."""
+        return list(self.supports[input_flat])
 
 
-def validate_channel(c: Channel, tol: float = 1e-9) -> list[str]:
+def validate_channel(c: Channel, tol: float = FLOAT_TOL) -> list[str]:
+    """Violated constraints of ``c``'s table: shape, non-negative entries, and
+    every column summing to the denominator, exactly in integers for rational
+    mode."""
+    weights = c.weights
     report = []
-    if len(c.matrix) != c.n_inputs:
+    if len(weights) != c.n_inputs:
         report.append("column count does not match input space")
         return report
-    for i, column in enumerate(c.matrix):
+    rational = c.mode == RATIONAL
+    if not (type(c.denominator) is int and c.denominator >= 1 and (rational or c.denominator == 1)):
+        report.append(f"denominator {c.denominator!r} is not a positive integer (1 in float mode)")
+        return report
+    for i, column in enumerate(weights):
         if len(column) != c.n_outputs:
             report.append(f"column {i} has wrong length")
             continue
-        total = zero(c.mode)
-        for o, v in enumerate(column):
-            if v < 0:
-                report.append(f"negative entry at output {o}, input {i}")
-            total += v
-        if c.mode == RATIONAL:
-            if total != 1:
-                report.append(f"column {i} sums to {total}, not 1")
+        if rational and not set(map(type, column)) <= {int}:
+            report.append(f"column {i} has a non-integer numerator")
+            continue
+        if min(column, default=0) < 0:
+            report.extend(f"negative entry at output {o}, input {i}" for o, v in enumerate(column) if v < 0)
+        total = sum(column)
+        if rational:
+            if total != c.denominator:
+                report.append(f"column {i} sums to {Fraction(total, c.denominator)}, not 1")
         elif abs(total - 1.0) > tol:
             report.append(f"column {i} sums to {total}, not 1")
     return report
@@ -134,27 +180,28 @@ def make_channel(
     mode: str = RATIONAL,
 ) -> Channel:
     """Build and validate a channel from a column-major matrix
-    (``matrix[input][output]``)."""
+    (``matrix[input][output]``) of outside entries: ints, Fractions, "num/den"
+    strings or floats, each coerced once."""
     check_mode(mode)
-    cols = tuple(tuple(as_prob(v, mode) for v in column) for column in matrix)
-    c = Channel(input_space, output_space, mode, cols)
-    problems = validate_channel(c)
-    if problems:
-        raise ValueError("invalid channel: " + "; ".join(problems))
-    return c
+    cols = [[as_prob(v, mode) for v in column] for column in matrix]
+    if mode != RATIONAL:
+        return Channel(input_space, output_space, mode, cols)
+    den = math.lcm(*(v.denominator for column in cols for v in column))
+    weights = [[v.numerator * (den // v.denominator) for v in column] for column in cols]
+    return Channel(input_space, output_space, mode, weights, den)
 
 
-def channel_from_rule(
-    input_space: IndexSpace,
-    output_space: IndexSpace,
-    entry: Callable[[tuple, tuple], object],
-    mode: str = RATIONAL,
-) -> Channel:
-    matrix = [
-        [entry(out_label, in_label) for out_label in output_space.labels()]
-        for in_label in input_space.labels()
-    ]
-    return make_channel(matrix, input_space, output_space, mode)
+def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, denominator: int) -> Channel:
+    """Rational channel whose column i has numerator 1 on each output of
+    ``supports[i]`` (an output listed twice gets 2) over ``denominator``."""
+    n_out = output_space.size
+    weights = []
+    for support in supports:
+        row = [0] * n_out
+        for o in support:
+            row[o] += 1
+        weights.append(row)
+    return Channel(input_space, output_space, RATIONAL, weights, denominator)
 
 
 # --- permutation algebra ----------------------------------------------------
@@ -181,6 +228,13 @@ def pi_hat(m: int, u: int) -> int:
 
 # --- channel families -------------------------------------------------------
 
+def _nm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
+    """Input and output alphabets of ``make_nm(m)``."""
+    if m < 2:
+        raise ValueError("require m >= 2")
+    return IndexSpace((2, m)), IndexSpace((m + 1, m), offsets=(1, 0))
+
+
 def make_nm(m: int) -> Channel:
     """Channel with inputs {0,1} x {0..m-1} and outputs {1..m+1} x {0..m-1}.
 
@@ -194,11 +248,7 @@ def make_nm(m: int) -> Channel:
     double-cover other pairs), so the graph is not complete; the one-bit
     assisted scheme still succeeds with certainty for every m.
     """
-    if m < 2:
-        raise ValueError("require m >= 2")
-    omega = Fraction(1, m + 1)
-    input_space = IndexSpace((2, m))
-    output_space = IndexSpace((m + 1, m), offsets=(1, 0))
+    input_space, output_space = _nm_spaces(m)
 
     def o2_of(o1: int, i1: int, i2: int) -> int:
         if o1 == 1:
@@ -207,11 +257,11 @@ def make_nm(m: int) -> Channel:
             return i2
         return (i1 + pi_perm(m, o1 - 3, i2)) % m
 
-    def entry(out_label, in_label):
-        (o1, o2), (i1, i2) = out_label, in_label
-        return omega if o2 == o2_of(o1, i1, i2) else 0
-
-    return channel_from_rule(input_space, output_space, entry)
+    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
+        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, m + 2)]
+        for i1 in range(2) for i2 in range(m)
+    ]
+    return _from_supports(input_space, output_space, supports, m + 1)
 
 
 def mm_block_anchor(m: int, j: int) -> int:
@@ -222,6 +272,13 @@ def mm_block_anchor(m: int, j: int) -> int:
 def mm_block_of(m: int, o1: int) -> int:
     """Block index j such that o1 lies in {(m-1)j+2 .. (m-1)j+m}; o1 >= 2."""
     return (o1 - 2) // (m - 1)
+
+
+def _mm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
+    """Input and output alphabets of ``make_mm(m)``."""
+    if m < 2:
+        raise ValueError("require m >= 2")
+    return IndexSpace((m, 2)), IndexSpace((m * (m - 1) + 1, m), offsets=(1, 0))
 
 
 def make_mm(m: int) -> Channel:
@@ -237,12 +294,8 @@ def make_mm(m: int) -> Channel:
     exactly two positive entries, and the confusability graph is complete on
     2m vertices.
     """
-    if m < 2:
-        raise ValueError("require m >= 2")
+    input_space, output_space = _mm_spaces(m)
     n_first = m * (m - 1) + 1
-    omega = Fraction(1, n_first)
-    input_space = IndexSpace((m, 2))
-    output_space = IndexSpace((n_first, m), offsets=(1, 0))
 
     def o2_of(o1: int, i1: int, i2: int) -> int:
         if o1 == 1:
@@ -252,20 +305,24 @@ def make_mm(m: int) -> Channel:
         flip = 1 if (j != 0 and i1 == j) else 0
         return (i1 + pi_perm(m, shift, i2 ^ flip)) % m
 
-    def entry(out_label, in_label):
-        (o1, o2), (i1, i2) = out_label, in_label
-        return omega if o2 == o2_of(o1, i1, i2) else 0
-
-    return channel_from_rule(input_space, output_space, entry)
+    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
+        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, n_first + 1)]
+        for i1 in range(m) for i2 in range(2)
+    ]
+    return _from_supports(input_space, output_space, supports, n_first)
 
 
 def identity_channel(n: int, mode: str = RATIONAL) -> Channel:
     space = IndexSpace((n,))
-    return channel_from_rule(space, space, lambda o, i: 1 if o == i else 0, mode)
+    weights = [[1 if o == i else 0 for o in range(n)] for i in range(n)]
+    if check_mode(mode) != RATIONAL:
+        weights = [[float(w) for w in row] for row in weights]
+    return Channel(space, space, mode, weights)
 
 
 def tensor_channels(c1: Channel, c2: Channel) -> Channel:
-    """Independent parallel use; entries multiply over the product alphabets."""
+    """Independent parallel use; numerators multiply over the product
+    alphabets, and so do denominators."""
     mode = require_same_mode(c1.mode, c2.mode)
     input_space = IndexSpace(
         c1.input_space.factors + c2.input_space.factors,
@@ -275,41 +332,69 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
         c1.output_space.factors + c2.output_space.factors,
         c1.output_space.offsets + c2.output_space.offsets,
     )
-    k1 = len(c1.output_space.factors)
-    ki = len(c1.input_space.factors)
-
-    def entry(out_label, in_label):
-        return c1.prob_labels(out_label[:k1], in_label[:ki]) * c2.prob_labels(out_label[k1:], in_label[ki:])
-
-    return channel_from_rule(input_space, output_space, entry, mode)
+    n_out2 = c2.n_outputs
+    zero = 0 if mode == RATIONAL else 0.0
+    weights = []
+    for row1, support1 in zip(c1.weights, c1.supports):
+        for row2, support2 in zip(c2.weights, c2.supports):
+            row = [zero] * output_space.size
+            for o1 in support1:
+                w1, base = row1[o1], o1 * n_out2
+                for o2 in support2:
+                    row[base + o2] = w1 * row2[o2]
+            weights.append(row)
+    return Channel(input_space, output_space, mode, weights, c1.denominator * c2.denominator)
 
 
 def sample_output(c: Channel, input_flat: int, seed: int) -> int:
-    """Draw one output for the given input; deterministic in the seed.
-
-    Rational columns are sampled by exact cumulative comparison against a
-    64-bit uniform draw, so no rounding enters the distribution.
-    """
+    """Draw one output for the given input; deterministic in the seed."""
     if not 0 <= input_flat < c.n_inputs:
         raise ValueError("input index out of range")
-    rng = random.Random(seed)
-    return _sample_column(c.matrix[input_flat], c.mode, rng)
+    table = _sampling_table(c.weights[input_flat], c.denominator if c.mode == RATIONAL else None)
+    return _sample_column(table, random.Random(seed))
 
 
-def _sample_column(column, mode, rng: random.Random) -> int:
-    if mode == RATIONAL:
-        u = Fraction(rng.getrandbits(64), 2**64)
-    else:
-        u = rng.random()
-    cumulative = zero(mode)
-    last = 0
-    for idx, v in enumerate(column):
-        if v > 0:
-            last = idx
-            cumulative += v
-            if u < cumulative:
-                return idx
-    return last  # guard against float round-off at the top end
+def _sampling_table(column, denominator=None) -> tuple:
+    """Cumulative table of one distribution for ``_sample_column``.
+
+    ``column`` is int numerators over ``denominator``, or floats when
+    ``denominator`` is None.  The table lists the indices of the positive
+    entries and their running totals (shifted left 64 bits in the integer
+    case); a column with no positive entry samples index 0.
+    """
+    indices, bounds, total = [], [], 0
+    for idx, w in enumerate(column):
+        if w > 0:
+            total += w
+            indices.append(idx)
+            bounds.append(total << 64 if denominator else total)
+    return indices or [0], bounds, denominator
+
+
+def _value_sampling_table(column, mode: str) -> tuple:
+    """``_sampling_table`` of a column of probabilities: rational ones
+    (Fractions or ints) over the least common denominator of the entries,
+    float ones as they are."""
+    if mode != RATIONAL:
+        return _sampling_table(column)
+    fracs = [Fraction(v) for v in column]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return _sampling_table([f.numerator * (den // f.denominator) for f in fracs], den)
+
+
+def _sample_column(table, rng: random.Random) -> int:
+    """Index drawn from a ``_sampling_table``.
+
+    An integer table draws a 64-bit r and returns the first positive entry
+    whose running numerator N has r * denominator < N << 64, which is exactly
+    r / 2**64 < N / denominator.  The draw lies on a 2**-64 grid, so an entry
+    such as 1/3 is sampled with an error below 2**-64, not exactly.  A float
+    table compares ``rng.random()`` with the running float sums.  A draw
+    beyond the last total (float round-off) returns the last positive entry.
+    """
+    indices, bounds, denominator = table
+    key = rng.getrandbits(64) * denominator if denominator else rng.random()
+    return indices[min(bisect_right(bounds, key), len(indices) - 1)]
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -319,7 +404,7 @@ def channel_to_json(c: Channel) -> dict:
         "inputs": {"factors": list(c.input_space.factors), "offsets": list(c.input_space.offsets)},
         "outputs": {"factors": list(c.output_space.factors), "offsets": list(c.output_space.offsets)},
         "mode": c.mode,
-        "matrix": [[prob_to_json(v, c.mode) for v in column] for column in c.matrix],
+        "matrix": [[prob_to_json(c.prob(o, i), c.mode) for o in range(c.n_outputs)] for i in range(c.n_inputs)],
     }
 
 

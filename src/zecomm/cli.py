@@ -1,7 +1,8 @@
 """Command-line surface: build channels and behaviors, compute capacities and
 assisted success probabilities, run searches, and verify the published claims.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
+4 search budget exhausted (``search-assisted`` reached ``--max-branches``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_BUDGET = 4
 
 
 class CliError(Exception):
@@ -134,18 +136,18 @@ def cmd_behavior(args) -> int:
 
 def cmd_capacity(args) -> int:
     c = _load_channel_arg(args)
-    g = graphs.confusability_graph(c)
     alpha, capacity, exact_bits = graphs.zero_error_capacity_oneshot(c)
+    complete = alpha == 1  # a graph on at least one vertex is complete iff alpha is 1
     payload = {
         "alpha": alpha,
         "capacity_bits": capacity,
         "exact_bits": exact_bits,
-        "complete_graph": g.is_complete(),
+        "complete_graph": complete,
     }
     _emit(
         payload,
         args,
-        f"alpha = {alpha}, one-shot zero-error capacity = {capacity:.6g} bits, complete graph: {g.is_complete()}",
+        f"alpha = {alpha}, one-shot zero-error capacity = {capacity:.6g} bits, complete graph: {complete}",
     )
     return EXIT_OK
 
@@ -169,6 +171,17 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
+def _check_scheme_alphabets(c: channels.Channel, scheme: str, m: int) -> None:
+    """Refuse a channel whose alphabet sizes differ from those the scheme
+    for ``--m`` is written for."""
+    inputs, outputs = {"theorem2": channels._nm_spaces, "theorem3": channels._mm_spaces}[scheme](m)
+    if (c.n_inputs, c.n_outputs) != (inputs.size, outputs.size):
+        raise CliError(
+            f"--m {m} gives the {scheme} scheme {inputs.size} channel inputs and {outputs.size} outputs, "
+            f"but the channel has {c.n_inputs} inputs and {c.n_outputs} outputs"
+        )
+
+
 def _scheme_protocol(scheme: str, m: int) -> protocols.AssistedProtocol:
     if scheme == "theorem2":
         return protocols.make_theorem2_protocol(m)
@@ -179,6 +192,7 @@ def _scheme_protocol(scheme: str, m: int) -> protocols.AssistedProtocol:
 
 def cmd_success(args) -> int:
     c = _load_channel_arg(args)
+    _check_scheme_alphabets(c, args.scheme, args.m)
     box = _load_box_arg(args)
     p = _scheme_protocol(args.scheme, args.m)
     if args.mc:
@@ -213,7 +227,11 @@ def cmd_search_classical(args) -> int:
 def cmd_search_assisted(args) -> int:
     c = _load_channel_arg(args)
     box = _load_box_arg(args)
-    found, protocol = protocols.exhaustive_assisted_search(c, box, args.messages, args.max_branches)
+    try:
+        found, protocol = protocols.exhaustive_assisted_search(c, box, args.messages, args.max_branches)
+    except protocols.SearchLimitExceeded:
+        raise CliError(f"search budget exhausted: reached --max-branches {args.max_branches} before the search ended",
+                       EXIT_BUDGET)
     payload = {"found": found}
     if found:
         payload["protocol"] = protocols.protocol_to_json(protocol)

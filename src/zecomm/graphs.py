@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channels import Channel
-from .numeric import is_positive
 
 #: exact-solver vertex limit (branch and bound)
 DEFAULT_VERTEX_LIMIT = 40
@@ -75,13 +74,12 @@ def confusability_graph(c: Channel) -> ConfusabilityGraph:
     """Edge between two inputs iff some output is positively probable under
     both (float entries below 1e-12 count as zero)."""
     n = c.n_inputs
-    supports = [0] * n
-    for i in range(n):
+    supports = []
+    for support in c.supports:
         mask = 0
-        for o, v in enumerate(c.matrix[i]):
-            if is_positive(v, c.mode):
-                mask |= 1 << o
-        supports[i] = mask
+        for o in support:
+            mask |= 1 << o
+        supports.append(mask)
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):

@@ -11,6 +11,7 @@ both the box and the channel are rational mode.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,11 +20,13 @@ from typing import Optional
 from .behaviors import Behavior, marginal_alice
 from .channels import (
     Channel,
+    _mm_spaces,
+    _nm_spaces,
     _sample_column,
+    _sampling_table,
+    _value_sampling_table,
     mm_block_anchor,
     mm_block_of,
-    make_mm,
-    make_nm,
     pi_hat,
     pi_perm,
 )
@@ -94,11 +97,7 @@ def make_theorem2_protocol(m: int) -> AssistedProtocol:
     queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Raw guesses >= 2
     fold to message 0, which is only reachable for non-extremal boxes.
     """
-    if m < 2:
-        raise ValueError("require m >= 2")
-    channel = make_nm(m)
-    out_space = channel.output_space
-    in_space = channel.input_space
+    in_space, out_space = _nm_spaces(m)
 
     enc_channel = {(g, a): in_space.flatten((g, a)) for g in range(2) for a in range(m)}
     dec_box = []
@@ -128,11 +127,7 @@ def make_theorem3_protocol(m: int) -> AssistedProtocol:
     block j queries the box at y=j and guesses
     o2 + pi_hat(pi_perm(o1 - anchor(j), b)).
     """
-    if m < 2:
-        raise ValueError("require m >= 2")
-    channel = make_mm(m)
-    out_space = channel.output_space
-    in_space = channel.input_space
+    in_space, out_space = _mm_spaces(m)
 
     enc_channel = {(g, a): in_space.flatten((g, a)) for g in range(m) for a in range(2)}
     dec_box = []
@@ -216,7 +211,9 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
     """Success probability conditioned on each message, as a list.
 
     Exact when both the box and the channel are rational mode; float
-    otherwise (the mixed case multiplies values as floats).
+    otherwise (the mixed case multiplies values as floats).  The channel's
+    integer numerators are summed per message and divided by its denominator
+    once.
     """
     _check_compatible(c, box, p)
     mixed = box.mode != c.mode
@@ -235,19 +232,17 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
             if not is_positive(pa, box.mode):
                 continue
             cin = p.enc_channel_input[(g, a)]
-            for out in c.support(cin):
-                pout = c.prob(out, cin)
+            row = c.weights[cin]
+            for out in c.supports[cin]:
                 y = p.dec_box_input[out]
                 if y is SKIP:
                     if p.remap(p.dec_guess[(out, SKIP)]) == g:
-                        total += val(pa) * val(pout)
+                        total += val(pa) * row[out]
                 else:
                     for b in range(s.b_card):
-                        if p.remap(p.dec_guess[(out, b)]) != g:
-                            continue
-                        pb = box.prob(x, y, a, b) / pa  # p(b|a,x,y); box must be NS
-                        total += val(pb) * val(pa) * val(pout)
-        results.append(total)
+                        if p.remap(p.dec_guess[(out, b)]) == g:
+                            total += val(box.prob(x, y, a, b)) * row[out]  # = p(b|a,x,y) p(a|x): box must be NS
+        results.append(total / c.denominator)
     return results
 
 
@@ -276,31 +271,42 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
 
     Deterministic given the seed.  Box outcomes are sampled sequentially:
     Alice's marginal first, then Bob's conditional given (a, x, y); this is
-    faithful for no-signaling boxes.
+    faithful for no-signaling boxes.  The prior, marginal, conditional and
+    channel sampling tables are built once per call.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     _check_compatible(c, box, p)
     if prior is None:
         prior = uniform_prior(p.message_count)
-    rng = random.Random(seed)
     s = box.scenario
-    hits = 0
     prior_col = list(prior.weights)
-    for _ in range(trials):
-        g = _sample_column(prior_col, _mode_of(prior_col), rng)
-        x = p.enc_box_input[g]
+    prior_table = _value_sampling_table(prior_col, _mode_of(prior_col))
+    alice = {}
+    bob = {}
+    for x in set(p.enc_box_input):
         alice_col = [marginal_alice(box, x, a, 0) for a in range(s.a_card)]
-        a = _sample_column(alice_col, box.mode, rng)
-        cin = p.enc_channel_input[(g, a)]
-        out = _sample_column(c.matrix[cin], c.mode, rng)
+        alice[x] = _value_sampling_table(alice_col, box.mode)
+        for y in set(p.dec_box_input) - {SKIP}:
+            for a, pa in enumerate(alice_col):
+                if pa > 0:
+                    bob[(x, y, a)] = _value_sampling_table([box.prob(x, y, a, b) / pa for b in range(s.b_card)],
+                                                           box.mode)
+    den = c.denominator if c.mode == RATIONAL else None
+    channel = {cin: _sampling_table(c.weights[cin], den) for cin in set(p.enc_channel_input.values())}
+
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(trials):
+        g = _sample_column(prior_table, rng)
+        x = p.enc_box_input[g]
+        a = _sample_column(alice[x], rng)
+        out = _sample_column(channel[p.enc_channel_input[(g, a)]], rng)
         y = p.dec_box_input[out]
         if y is SKIP:
             guess = p.remap(p.dec_guess[(out, SKIP)])
         else:
-            pa = alice_col[a]
-            bob_col = [box.prob(x, y, a, b) / pa for b in range(s.b_card)]
-            b = _sample_column(bob_col, box.mode, rng)
+            b = _sample_column(bob[(x, y, a)], rng)
             guess = p.remap(p.dec_guess[(out, b)])
         hits += guess == g
     estimate = hits / trials
@@ -322,7 +328,8 @@ def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = 
     toward the smallest message.  Shared randomness cannot beat this value
     (a mixture of deterministic codes is bounded by the best one).
     Returns ``(success, encoder)`` with the first optimal encoder in
-    canonical order.
+    canonical order.  Encoders are compared in integers: the prior is scaled
+    to integer weights and multiplies the channel's numerators.
     """
     if c.mode != RATIONAL:
         raise ValueError("unassisted search requires a rational-mode channel")
@@ -331,15 +338,19 @@ def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = 
     n = c.n_inputs
     if n**k > limit:
         raise ValueError(f"encoder count {n}^{k} exceeds limit {limit}")
+    weights = [Fraction(w) for w in prior.weights]
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [
+        [[w.numerator * (scale // w.denominator) * v for v in row] for row in c.weights]
+        for w in weights
+    ]
     best = None
     best_encoder = None
     for encoder in itertools.product(range(n), repeat=k):
-        success = Fraction(0)
-        for out in range(c.n_outputs):
-            success += max(prior.weights[g] * c.prob(out, encoder[g]) for g in range(k))
+        success = sum(map(max, zip(*(scaled[g][encoder[g]] for g in range(k)))))
         if best is None or success > best:
             best, best_encoder = success, encoder
-    return best, best_encoder
+    return Fraction(best, scale * c.denominator), best_encoder
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -362,7 +373,7 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     n_in, n_out = c.n_inputs, c.n_outputs
     branches = 0
 
-    support = [frozenset(c.support(i)) for i in range(n_in)]
+    support = [frozenset(support) for support in c.supports]
     alice_support = {
         x: [a for a in range(s.a_card) if marginal_alice(box, x, a, 0) > 0] for x in range(s.x_card)
     }

@@ -24,6 +24,102 @@ from zecomm.channels import (
 from zecomm.numeric import RATIONAL
 
 
+# --- reference: the per-entry rule builder -------------------------------------
+# Every entry is computed by a callback on (output label, input label), as the
+# package built its channels before the integer tables; the tests below compare
+# the builders with it entry by entry.
+
+def rule_matrix(input_space, output_space, entry):
+    return [[Fraction(entry(o, i)) for o in output_space.labels()] for i in input_space.labels()]
+
+
+def reference_nm(m):
+    omega = Fraction(1, m + 1)
+
+    def o2_of(o1, i1, i2):
+        if o1 == 1:
+            return i1
+        if o1 == 2:
+            return i2
+        return (i1 + pi_perm(m, o1 - 3, i2)) % m
+
+    def entry(out_label, in_label):
+        (o1, o2), (i1, i2) = out_label, in_label
+        return omega if o2 == o2_of(o1, i1, i2) else 0
+
+    return rule_matrix(IndexSpace((2, m)), IndexSpace((m + 1, m), offsets=(1, 0)), entry)
+
+
+def reference_mm(m):
+    n_first = m * (m - 1) + 1
+    omega = Fraction(1, n_first)
+
+    def o2_of(o1, i1, i2):
+        if o1 == 1:
+            return i1
+        j = mm_block_of(m, o1)
+        shift = o1 - mm_block_anchor(m, j)
+        flip = 1 if (j != 0 and i1 == j) else 0
+        return (i1 + pi_perm(m, shift, i2 ^ flip)) % m
+
+    def entry(out_label, in_label):
+        (o1, o2), (i1, i2) = out_label, in_label
+        return omega if o2 == o2_of(o1, i1, i2) else 0
+
+    return rule_matrix(IndexSpace((m, 2)), IndexSpace((n_first, m), offsets=(1, 0)), entry)
+
+
+def reference_tensor(c1, ref1, c2, ref2):
+    """Tensor product of channels ``c1``, ``c2`` (alphabets only) whose
+    entries are the reference matrices ``ref1``, ``ref2``."""
+    def space(s1, s2):
+        return IndexSpace(s1.factors + s2.factors, s1.offsets + s2.offsets)
+
+    k_out, k_in = len(c1.output_space.factors), len(c1.input_space.factors)
+
+    def entry(out_label, in_label):
+        i1, i2 = c1.input_space.flatten(in_label[:k_in]), c2.input_space.flatten(in_label[k_in:])
+        o1, o2 = c1.output_space.flatten(out_label[:k_out]), c2.output_space.flatten(out_label[k_out:])
+        return ref1[i1][o1] * ref2[i2][o2]
+
+    return rule_matrix(space(c1.input_space, c2.input_space), space(c1.output_space, c2.output_space), entry)
+
+
+def table(c):
+    return [[c.prob(o, i) for o in range(c.n_outputs)] for i in range(c.n_inputs)]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_nm_matches_rule_reference(m):
+    c = make_nm(m)
+    assert c.input_space == IndexSpace((2, m))
+    assert c.output_space == IndexSpace((m + 1, m), offsets=(1, 0))
+    assert table(c) == reference_nm(m)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_mm_matches_rule_reference(m):
+    c = make_mm(m)
+    assert c.input_space == IndexSpace((m, 2))
+    assert c.output_space == IndexSpace((m * (m - 1) + 1, m), offsets=(1, 0))
+    assert table(c) == reference_mm(m)
+
+
+def test_identity_matches_rule_reference():
+    for n in (1, 2, 5):
+        space = IndexSpace((n,))
+        assert table(identity_channel(n)) == rule_matrix(space, space, lambda o, i: 1 if o == i else 0)
+
+
+@pytest.mark.parametrize("family, reference_of", [(make_nm, reference_nm), (make_mm, reference_mm)])
+def test_tensor_matches_rule_reference(family, reference_of):
+    m = 2 if family is make_nm else 3
+    c = family(m)
+    prod = tensor_channels(c, c)
+    assert prod.n_inputs == c.n_inputs**2 and prod.n_outputs == c.n_outputs**2
+    assert table(prod) == reference_tensor(c, reference_of(m), c, reference_of(m))
+
+
 def test_index_space_roundtrip():
     space = IndexSpace((4, 3), offsets=(1, 0))
     assert space.size == 12
@@ -85,7 +181,7 @@ def test_nm_column_structure(m):
     assert c.n_inputs == 2 * m
     assert c.n_outputs == (m + 1) * m
     for i in range(c.n_inputs):
-        nonzero = [v for v in c.matrix[i] if v]
+        nonzero = [v for v in (c.prob(o, i) for o in range(c.n_outputs)) if v]
         assert len(nonzero) == m + 1
         assert all(v == Fraction(1, m + 1) for v in nonzero)
 
@@ -95,7 +191,7 @@ def test_mm_column_and_row_structure(m):
     c = make_mm(m)
     n_first = m * (m - 1) + 1
     for i in range(c.n_inputs):
-        nonzero = [v for v in c.matrix[i] if v]
+        nonzero = [v for v in (c.prob(o, i) for o in range(c.n_outputs)) if v]
         assert len(nonzero) == n_first
         assert all(v == Fraction(1, n_first) for v in nonzero)
     for o in range(c.n_outputs):
@@ -144,6 +240,10 @@ def test_sample_output_identity_and_determinism():
     c = make_nm(3)
     draws = [sample_output(c, 0, seed=s) for s in range(50)]
     assert draws == [sample_output(c, 0, seed=s) for s in range(50)]
+    # literal draws pin the sampler's use of the seeded stream
+    assert draws[:20] == [3, 6, 9, 6, 3, 3, 6, 9, 3, 6, 0, 9, 3, 3, 6, 0, 3, 3, 0, 0]
+    assert [sample_output(make_mm(4), 5, seed=s) for s in range(20)] == [
+        20, 30, 44, 30, 13, 13, 30, 49, 19, 30, 2, 44, 13, 13, 34, 8, 25, 20, 7, 2]
     with pytest.raises(ValueError):
         sample_output(eye, 8, seed=0)
 
@@ -170,5 +270,5 @@ def test_channel_json_roundtrip():
 @given(m=st.integers(2, 7))
 def test_nm_column_stochastic_property(m):
     c = make_nm(m)
-    for column in c.matrix:
-        assert sum(column) == 1
+    for i in range(c.n_inputs):
+        assert sum(c.prob(o, i) for o in range(c.n_outputs)) == 1

@@ -144,3 +144,44 @@ def test_roundtrip_channel_through_cli(tmp_path, capsys):
     code, stdout, _ = run(capsys, "capacity", "--channel", str(out), "--json")
     assert code == EXIT_OK
     assert json.loads(stdout)["alpha"] == 1
+
+
+def test_capacity_builds_confusability_graph_once(monkeypatch, capsys):
+    from zecomm import graphs
+
+    calls = []
+    original = graphs.confusability_graph
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(graphs, "confusability_graph", counted)
+    for family, m, complete in (("Mm", 3, True), ("Nm", 4, False)):
+        calls.clear()
+        code, stdout, _ = run(capsys, "capacity", "--family", family, "--m", str(m), "--json")
+        assert code == EXIT_OK
+        assert json.loads(stdout)["complete_graph"] is complete
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m, sizes", [
+    ("4", "8 channel inputs and 52 outputs"),
+    ("2", "4 channel inputs and 6 outputs"),
+])
+def test_success_rejects_m_that_does_not_match_channel_file(tmp_path, capsys, m, sizes):
+    path = tmp_path / "mm3.json"
+    run(capsys, "channel", "--family", "Mm", "--m", "3", "--out", str(path))
+    code, _, stderr = run(capsys, "success", "--channel", str(path), "--m", m, "--scheme", "theorem3")
+    assert code == EXIT_USAGE
+    assert f"--m {m}" in stderr and sizes in stderr and "6 inputs and 21 outputs" in stderr
+
+
+def test_capped_search_assisted_reports_budget(capsys):
+    code, stdout, stderr = run(
+        capsys, "search-assisted", "--family", "Mm", "--m", "3", "--box-family", "rtilde", "-K", "3",
+        "--max-branches", "10",
+    )
+    assert code == 4  # documented exit code: search budget exhausted
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and "--max-branches 10" in stderr

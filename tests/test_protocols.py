@@ -95,6 +95,28 @@ def test_monte_carlo_tracks_exact_value():
     assert abs(est - float(exact)) < 5 * max(err, 1e-3)
 
 
+@pytest.mark.parametrize("family, m, box_family, scheme, expected", [
+    ("Mm", 3, "i3322", "theorem3", {11: (0.849, 0.01132249972400088), 2024: (0.861, 0.010939789760319894)}),
+    ("Nm", 3, "pm", "theorem2", {11: (1.0, 0.0), 2024: (1.0, 0.0)}),
+    ("Mm", 5, "rtilde", "theorem3", {11: (1.0, 0.0), 2024: (1.0, 0.0)}),
+    ("Nm", 3, "cglmp", "theorem2", {11: (0.88, 0.010276186062932104), 2024: (0.903, 0.009359006357514668)}),
+])
+def test_monte_carlo_seeded_estimates(family, m, box_family, scheme, expected):
+    # literal estimates pin the whole sampling path: prior, box marginal and
+    # conditional, and channel draws, in rational and float mode
+    from zecomm.cli import _build_behavior, _build_channel, _scheme_protocol
+
+    channel, box, protocol = _build_channel(family, m), _build_behavior(box_family, m), _scheme_protocol(scheme, m)
+    for seed, estimate in expected.items():
+        assert monte_carlo_success(channel, box, protocol, None, 1000, seed) == estimate
+
+
+def test_monte_carlo_seeded_estimate_with_prior():
+    prior = MessagePrior((Fraction(1, 3), Fraction(2, 3), Fraction(0)))
+    channel, box, protocol = make_mm(3), make_i3322_rational_table(), make_theorem3_protocol(3)
+    assert monte_carlo_success(channel, box, protocol, prior, 1000, 5) == (0.87, 0.010634848376916336)
+
+
 def test_best_unassisted_optima():
     value, encoder = best_unassisted_success(make_nm(3), 2)
     assert value == Fraction(7, 8)
