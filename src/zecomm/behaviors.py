@@ -1,30 +1,31 @@
 """Bipartite input/output behaviors p(a,b|x,y) and the extremal no-signaling
 families used by the assisted-coding protocols.
 
-Conventions: inputs x, y and outputs a, b are 0-based.  A behavior table is
-stored as nested tuples indexed ``p[x][y][a][b]``.  Tensor products flatten
-tuples row-major with the first factor most significant.
+Conventions: inputs x, y and outputs a, b are 0-based.  A behavior is one
+integer table, as a channel is (see :class:`Behavior`); the families are built
+from their support rule.  Tensor products flatten indices row-major with the
+first factor most significant.  Signaling tables are valid behaviors, which
+the protocol entry points refuse.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .numeric import (
     FLOAT_TOL,
+    POS_EPS,
     RATIONAL,
     ZeroConditioningError,
     as_prob,
     check_mode,
-    is_positive,
-    one,
+    integer_rows,
     prob_to_json,
     require_same_mode,
-    zero,
 )
 
 
@@ -47,16 +48,39 @@ class Scenario:
 class Behavior:
     """Joint conditional distribution over a two-party scenario.
 
-    Immutable; ``p`` is a nested tuple indexed (x, y, a, b) whose entries all
-    share the numeric ``mode``.
+    ``weights[x][y][a][b]`` holds p(a,b|x,y) as an int numerator over
+    ``denominator`` (rational mode; brought to lowest terms by
+    ``integer_rows``, so equal behaviors compare equal) or as a float over
+    denominator 1.  Validated on construction, where ``alice[x][a]``, the
+    numerator of p(a|x) at y = 0, is computed once.
     """
 
     scenario: Scenario
     mode: str
-    p: tuple
+    weights: tuple  # weights[x][y][a][b]
+    denominator: int = 1
+    alice: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_mode(self.mode)
+        problems = validate_behavior(self)
+        if problems:
+            raise ValueError("invalid behavior: " + "; ".join(problems))
+        rows = [tuple(row) for xs in self.weights for block in xs for row in block]
+        if self.mode == RATIONAL:
+            rows, denominator = integer_rows(rows, self.denominator)
+            object.__setattr__(self, "denominator", denominator)
+        rows = iter(rows)
+        weights = tuple(tuple(tuple(next(rows) for _ in block) for block in xs) for xs in self.weights)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "alice", tuple(tuple(map(sum, xs[0])) for xs in weights))
+
+    def _value(self, numerator):
+        return Fraction(numerator, self.denominator) if self.mode == RATIONAL else numerator
 
     def prob(self, x: int, y: int, a: int, b: int):
-        return self.p[x][y][a][b]
+        """p(a,b|x,y) for display, I/O and tests; evaluators read ``weights``."""
+        return self._value(self.weights[x][y][a][b])
 
     def inputs(self):
         return itertools.product(range(self.scenario.x_card), range(self.scenario.y_card))
@@ -76,19 +100,14 @@ class BellFunctional:
         return self.coefficients[x][y][a][b]
 
 
-def make_behavior(scenario: Scenario, mode: str, entry: Callable[[int, int, int, int], object]) -> Behavior:
+def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
+    """Build and validate a behavior from a nested table ``values[x][y][a][b]``
+    of outside entries: ints, Fractions, "num/den" strings or floats, each
+    coerced once."""
     check_mode(mode)
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(as_prob(entry(x, y, a, b), mode) for b in range(scenario.b_card))
-                for a in range(scenario.a_card)
-            )
-            for y in range(scenario.y_card)
-        )
-        for x in range(scenario.x_card)
-    )
-    return Behavior(scenario, mode, table)
+    return Behavior(scenario, mode, [
+        [[[as_prob(v, mode) for v in row] for row in block] for block in xs] for xs in values
+    ])
 
 
 def make_bell_functional(scenario: Scenario, coeff: Callable[[int, int, int, int], object]) -> BellFunctional:
@@ -106,19 +125,26 @@ def make_bell_functional(scenario: Scenario, coeff: Callable[[int, int, int, int
 
 
 def validate_behavior(b: Behavior, tol: float = FLOAT_TOL) -> list[str]:
-    """Return the list of violated constraints (empty iff the behavior is valid)."""
-    report = []
+    """Violated constraints of ``b``'s table (empty iff it is valid): shape,
+    non-negative entries, and each (x, y) block summing to the denominator,
+    exactly for rational mode (int or Fraction numerators)."""
     s = b.scenario
-    for x, y in b.inputs():
-        total = zero(b.mode)
-        for a, bo in b.outputs():
-            v = b.prob(x, y, a, bo)
-            if v < 0:
-                report.append(f"negative entry at (x={x},y={y},a={a},b={bo})")
-            total += v
-        if b.mode == RATIONAL:
-            if total != 1:
-                report.append(f"normalization violated at (x={x},y={y}): sum={total}")
+    rational = b.mode == RATIONAL
+    if not (type(b.denominator) is int and b.denominator >= 1 and (rational or b.denominator == 1)):
+        return [f"denominator {b.denominator!r} is not a positive integer (1 in float mode)"]
+    if [[list(map(len, block)) for block in xs] for xs in b.weights] != [[[s.b_card] * s.a_card] * s.y_card] * s.x_card:
+        return ["table shape does not match the scenario"]
+    report = []
+    for (x, y), block in zip(b.inputs(), (block for xs in b.weights for block in xs)):
+        if rational and not all(set(map(type, row)) <= {int, Fraction} for row in block):
+            report.append(f"non-rational numerator at (x={x},y={y})")
+            continue
+        report.extend(f"negative entry at (x={x},y={y},a={a},b={bo})"
+                      for a, row in enumerate(block) for bo, v in enumerate(row) if v < 0)
+        total = sum(v for row in block for v in row)
+        if rational:
+            if total != b.denominator:
+                report.append(f"normalization violated at (x={x},y={y}): sum={Fraction(total, b.denominator)}")
         elif abs(total - 1.0) > tol:
             report.append(f"normalization violated at (x={x},y={y}): sum={total}")
     return report
@@ -129,7 +155,7 @@ def marginal_alice(b: Behavior, x: int, a: int, y: int = 0):
     s = b.scenario
     if not (0 <= x < s.x_card and 0 <= a < s.a_card and 0 <= y < s.y_card):
         raise IndexError("index out of range")
-    return sum((b.prob(x, y, a, bo) for bo in range(s.b_card)), zero(b.mode))
+    return b._value(sum(b.weights[x][y][a]))
 
 
 def marginal_bob(b: Behavior, y: int, b_out: int, x: int = 0):
@@ -137,41 +163,40 @@ def marginal_bob(b: Behavior, y: int, b_out: int, x: int = 0):
     s = b.scenario
     if not (0 <= y < s.y_card and 0 <= b_out < s.b_card and 0 <= x < s.x_card):
         raise IndexError("index out of range")
-    return sum((b.prob(x, y, a, b_out) for a in range(s.a_card)), zero(b.mode))
+    return b._value(sum(row[b_out] for row in b.weights[x][y]))
 
 
 def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
     """Check that each party's marginal is independent of the other's input.
 
-    Returns ``(ok, max_violation)``; comparison is exact in rational mode.
+    Returns ``(ok, max_violation)``; comparison is exact (in integers) in
+    rational mode and within ``tol`` in float mode.
     """
-    s = b.scenario
-    max_violation = zero(b.mode)
-    for x in range(s.x_card):
-        for a in range(s.a_card):
-            ref = marginal_alice(b, x, a, 0)
-            for y in range(1, s.y_card):
-                max_violation = max(max_violation, abs(marginal_alice(b, x, a, y) - ref))
-    for y in range(s.y_card):
-        for bo in range(s.b_card):
-            ref = marginal_bob(b, y, bo, 0)
-            for x in range(1, s.x_card):
-                max_violation = max(max_violation, abs(marginal_bob(b, y, bo, x) - ref))
+    s, w = b.scenario, b.weights
+    deviations = [abs(sum(w[x][y][a]) - b.alice[x][a])
+                  for x in range(s.x_card) for a in range(s.a_card) for y in range(1, s.y_card)]
+    bob = [[[sum(row[bo] for row in w[x][y]) for bo in range(s.b_card)] for y in range(s.y_card)]
+           for x in range(s.x_card)]
+    deviations += [abs(bob[x][y][bo] - bob[0][y][bo])
+                   for y in range(s.y_card) for bo in range(s.b_card) for x in range(1, s.x_card)]
+    worst = max(deviations, default=0)
     if b.mode == RATIONAL:
-        return max_violation == 0, max_violation
-    return max_violation <= tol, max_violation
+        return worst == 0, Fraction(worst, b.denominator)
+    return worst <= tol, float(worst)
 
 
 def conditional_bob(b: Behavior, y: int, b_out: int, x: int, a: int):
     """p(b|a,x,y) = p(a,b|x,y) / p(a|x,y).
 
     Well-defined independently of y for no-signaling behaviors.  Raises
-    :class:`ZeroConditioningError` when p(a|x,y) = 0.
+    :class:`ZeroConditioningError` when p(a|x,y) = 0 (below 1e-12 in float
+    mode).
     """
-    pa = marginal_alice(b, x, a, y)
-    if not is_positive(pa, b.mode):
+    pa = sum(b.weights[x][y][a])
+    if pa <= POS_EPS:  # numerators are ints in rational mode, so this is pa = 0
         raise ZeroConditioningError(f"conditioning on p(a={a}|x={x}) = 0")
-    return b.prob(x, y, a, b_out) / pa
+    w = b.weights[x][y][a][b_out]
+    return Fraction(w, pa) if b.mode == RATIONAL else w / pa
 
 
 def make_extremal_box(m: int, k: int) -> Behavior:
@@ -182,14 +207,18 @@ def make_extremal_box(m: int, k: int) -> Behavior:
     """
     if not 2 <= k <= m:
         raise ValueError("require 2 <= k <= m")
-    w = Fraction(1, k)
+    blocks = [[[int(a < k and b == (a + xy) % k) for b in range(m)] for a in range(m)] for xy in (0, 1)]
+    return Behavior(Scenario(2, 2, m, m), RATIONAL, [blocks[:1] * 2, blocks], k)
 
-    def entry(x, y, a, b):
-        if a < k and b < k and (b - a) % k == x * y:
-            return w
-        return 0
 
-    return make_behavior(Scenario(2, 2, m, m), RATIONAL, entry)
+#: the (a, b) block of numerators over 2 with a xor b = parity, for parity 0, 1
+_PARITY_BLOCKS = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
+
+
+def _parity_box(parity) -> Behavior:
+    """Two-outcome box with p(a,b|x,y) = 1/2 when a xor b = parity[x][y]."""
+    return Behavior(Scenario(len(parity), len(parity[0]), 2, 2), RATIONAL,
+                    [[_PARITY_BLOCKS[t] for t in row] for row in parity], 2)
 
 
 def make_rtilde_box(m: int) -> Behavior:
@@ -199,12 +228,7 @@ def make_rtilde_box(m: int) -> Behavior:
     """
     if m < 2:
         raise ValueError("require m >= 2")
-
-    def entry(x, y, a, b):
-        target = 1 if (x == y and x != 0) else 0
-        return Fraction(1, 2) if (a ^ b) == target else 0
-
-    return make_behavior(Scenario(m, m, 2, 2), RATIONAL, entry)
+    return _parity_box([[int(x == y != 0) for y in range(m)] for x in range(m)])
 
 
 def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Behavior:
@@ -217,12 +241,7 @@ def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Beha
     for i, j in q:
         if (i, j) == (1, 1) or not (1 <= i < m1 and 1 <= j < m2):
             raise ValueError(f"invalid Q pair {(i, j)}")
-
-    def entry(x, y, a, b):
-        parity = (1 if (x == 1 and y == 1) else 0) + sum(1 for (i, j) in q if x == i and y == j)
-        return Fraction(1, 2) if (a ^ b) == parity % 2 else 0
-
-    return make_behavior(Scenario(m1, m2, 2, 2), RATIONAL, entry)
+    return _parity_box([[int(x == y == 1 or (x, y) in q) for y in range(m2)] for x in range(m1)])
 
 
 def make_local_deterministic(
@@ -231,15 +250,15 @@ def make_local_deterministic(
     """Product behavior of two deterministic single-party strategies."""
     if len(f_alice) != scenario.x_card or len(f_bob) != scenario.y_card:
         raise ValueError("strategy maps must be total on the input sets")
-
-    def entry(x, y, a, b):
-        return 1 if (a == f_alice[x] and b == f_bob[y]) else 0
-
-    return make_behavior(scenario, RATIONAL, entry)
+    a_range, b_range = range(scenario.a_card), range(scenario.b_card)
+    return Behavior(scenario, RATIONAL, [
+        [[[int(a == fa and b == fb) for b in b_range] for a in a_range] for fb in f_bob] for fa in f_alice
+    ])
 
 
 def mix_behaviors(weighted: Sequence[tuple[object, Behavior]]) -> Behavior:
-    """Convex mixture of behaviors over a common scenario and mode."""
+    """Convex mixture of behaviors over a common scenario and mode: each
+    table's numerators are scaled by its weight over its denominator."""
     if not weighted:
         raise ValueError("empty mixture")
     first = weighted[0][1]
@@ -249,50 +268,54 @@ def mix_behaviors(weighted: Sequence[tuple[object, Behavior]]) -> Behavior:
         if b.scenario != first.scenario:
             raise ValueError("scenario mismatch in mixture")
     weights = [as_prob(w, mode) for w, _ in weighted]
-    if mode == RATIONAL:
-        if sum(weights) != 1:
-            raise ValueError("mixture weights must sum to 1")
-    return make_behavior(
-        first.scenario,
-        mode,
-        lambda x, y, a, b: sum(w * beh.prob(x, y, a, b) for w, (_, beh) in zip(weights, weighted)),
-    )
+    if mode == RATIONAL and sum(weights) != 1:
+        raise ValueError("mixture weights must sum to 1")
+    scaled = [(w / b.denominator, b.weights) for w, (_, b) in zip(weights, weighted)]
+    s = first.scenario
+    return Behavior(s, mode, [
+        [[[sum(f * t[x][y][a][b] for f, t in scaled) for b in range(s.b_card)] for a in range(s.a_card)]
+         for y in range(s.y_card)]
+        for x in range(s.x_card)
+    ])
 
 
 def uniform_behavior(scenario: Scenario, mode: str = RATIONAL) -> Behavior:
-    w = one(mode) / (scenario.a_card * scenario.b_card)
-    return make_behavior(scenario, mode, lambda x, y, a, b: w)
+    n = scenario.a_card * scenario.b_card
+    w, denominator = (1, n) if check_mode(mode) == RATIONAL else (1.0 / n, 1)
+    block = [[w] * scenario.b_card] * scenario.a_card
+    return Behavior(scenario, mode, [[block] * scenario.y_card] * scenario.x_card, denominator)
 
 
 def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:
-    """Product behavior on the product scenario; tuple indices flatten
-    row-major with the first factor most significant.
+    """Product behavior on the product scenario; indices flatten row-major
+    with the first factor most significant, and numerators and denominators
+    multiply.
     """
     mode = require_same_mode(b1.mode, b2.mode)
     s1, s2 = b1.scenario, b2.scenario
     s = Scenario(s1.x_card * s2.x_card, s1.y_card * s2.y_card, s1.a_card * s2.a_card, s1.b_card * s2.b_card)
-
-    def entry(x, y, a, b):
-        x1, x2 = divmod(x, s2.x_card)
-        y1, y2 = divmod(y, s2.y_card)
-        a1, a2 = divmod(a, s2.a_card)
-        b1_, b2_ = divmod(b, s2.b_card)
-        return b1.prob(x1, y1, a1, b1_) * b2.prob(x2, y2, a2, b2_)
-
-    return make_behavior(s, mode, entry)
+    weights = [
+        [
+            [[p * q for p in row1 for q in row2] for row1 in block1 for row2 in block2]
+            for block1 in xs1 for block2 in xs2
+        ]
+        for xs1 in b1.weights for xs2 in b2.weights
+    ]
+    return Behavior(s, mode, weights, b1.denominator * b2.denominator)
 
 
 def bell_value(b: Behavior, f: BellFunctional):
     """sum over (x,y,a,b) of coefficient * p(a,b|x,y)."""
     if b.scenario != f.scenario:
         raise ValueError("scenario mismatch between behavior and functional")
-    total = zero(b.mode)
+    rational = b.mode == RATIONAL
+    total = 0
     for x, y in b.inputs():
         for a, bo in b.outputs():
             c = f.coeff(x, y, a, bo)
             if c:
-                total += (c if b.mode == RATIONAL else float(c)) * b.prob(x, y, a, bo)
-    return total
+                total += (c if rational else float(c)) * b.weights[x][y][a][bo]
+    return (Fraction(total) if rational else total) / b.denominator
 
 
 def local_bound(f: BellFunctional, limit: int = 10**8) -> Fraction:
@@ -330,13 +353,7 @@ def behavior_to_json(b: Behavior) -> dict:
 def behavior_from_json(data: dict) -> Behavior:
     sc = data["scenario"]
     scenario = Scenario(sc["x"], sc["y"], sc["a"], sc["b"])
-    mode = check_mode(data["mode"])
-    raw = data["p"]
-    beh = make_behavior(scenario, mode, lambda x, y, a, b: raw[x][y][a][b])
-    problems = validate_behavior(beh)
-    if problems:
-        raise ValueError("invalid behavior file: " + "; ".join(problems))
-    return beh
+    return make_behavior(scenario, check_mode(data["mode"]), data["p"])
 
 
 def save_behavior(b: Behavior, path: str) -> None:

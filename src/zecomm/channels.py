@@ -15,7 +15,6 @@ carries a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
 from __future__ import annotations
 
 import json
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .numeric import (
     RATIONAL,
     as_prob,
     check_mode,
+    integer_rows,
     prob_to_json,
     require_same_mode,
 )
@@ -89,10 +89,11 @@ class Channel:
     """Column-stochastic table with structured input/output alphabets.
 
     ``weights[input_flat][output_flat]`` holds p(o|i) as an int numerator over
-    ``denominator`` (rational mode, reduced by the common gcd so that equal
-    channels compare equal) or as a float over denominator 1 (float mode).
-    Every channel is validated on construction, and each input's support is
-    computed once.
+    ``denominator`` (rational mode, in lowest terms by ``integer_rows`` so
+    that equal channels compare equal; Fraction numerators given on
+    construction are converted) or as a float over denominator 1 (float
+    mode).  Every channel is validated on construction, and each input's
+    support is computed once.
     """
 
     input_space: IndexSpace
@@ -110,12 +111,9 @@ class Channel:
         if problems:
             raise ValueError("invalid channel: " + "; ".join(problems))
         if self.mode == RATIONAL:
-            g = self.denominator
-            for row in weights:
-                g = math.gcd(g, *row)
-            if g > 1:
-                weights = tuple(tuple(w // g for w in row) for row in weights)
-                object.__setattr__(self, "denominator", self.denominator // g)
+            weights, denominator = integer_rows(weights, self.denominator)
+            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "denominator", denominator)
             nonzero = weights
         else:
             nonzero = tuple(tuple(w > POS_EPS for w in row) for row in weights)
@@ -144,8 +142,8 @@ class Channel:
 
 def validate_channel(c: Channel, tol: float = FLOAT_TOL) -> list[str]:
     """Violated constraints of ``c``'s table: shape, non-negative entries, and
-    every column summing to the denominator, exactly in integers for rational
-    mode."""
+    every column summing to the denominator, exactly for rational mode (whose
+    entries are int or Fraction numerators)."""
     weights = c.weights
     report = []
     if len(weights) != c.n_inputs:
@@ -159,8 +157,8 @@ def validate_channel(c: Channel, tol: float = FLOAT_TOL) -> list[str]:
         if len(column) != c.n_outputs:
             report.append(f"column {i} has wrong length")
             continue
-        if rational and not set(map(type, column)) <= {int}:
-            report.append(f"column {i} has a non-integer numerator")
+        if rational and not set(map(type, column)) <= {int, Fraction}:
+            report.append(f"column {i} has a non-rational numerator")
             continue
         if min(column, default=0) < 0:
             report.extend(f"negative entry at output {o}, input {i}" for o, v in enumerate(column) if v < 0)
@@ -183,12 +181,7 @@ def make_channel(
     (``matrix[input][output]``) of outside entries: ints, Fractions, "num/den"
     strings or floats, each coerced once."""
     check_mode(mode)
-    cols = [[as_prob(v, mode) for v in column] for column in matrix]
-    if mode != RATIONAL:
-        return Channel(input_space, output_space, mode, cols)
-    den = math.lcm(*(v.denominator for column in cols for v in column))
-    weights = [[v.numerator * (den // v.denominator) for v in column] for column in cols]
-    return Channel(input_space, output_space, mode, weights, den)
+    return Channel(input_space, output_space, mode, [[as_prob(v, mode) for v in column] for column in matrix])
 
 
 def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, denominator: int) -> Channel:
@@ -369,17 +362,6 @@ def _sampling_table(column, denominator=None) -> tuple:
             indices.append(idx)
             bounds.append(total << 64 if denominator else total)
     return indices or [0], bounds, denominator
-
-
-def _value_sampling_table(column, mode: str) -> tuple:
-    """``_sampling_table`` of a column of probabilities: rational ones
-    (Fractions or ints) over the least common denominator of the entries,
-    float ones as they are."""
-    if mode != RATIONAL:
-        return _sampling_table(column)
-    fracs = [Fraction(v) for v in column]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return _sampling_table([f.numerator * (den // f.denominator) for f in fracs], den)
 
 
 def _sample_column(table, rng: random.Random) -> int:

@@ -129,7 +129,7 @@ def cmd_behavior(args) -> int:
     _emit(
         {"scenario": [s.x_card, s.y_card, s.a_card, s.b_card], "mode": b.mode, "path": args.out},
         args,
-        f"wrote {args.out}: scenario {s.x_card}-{s.y_card}-{s.a_card}-{s.b_card}, mode {b.mode}",
+        f"wrote {args.out}: scenario {_scenario_label(s)}, mode {b.mode}",
     )
     return EXIT_OK
 
@@ -171,15 +171,23 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _check_scheme_alphabets(c: channels.Channel, scheme: str, m: int) -> None:
-    """Refuse a channel whose alphabet sizes differ from those the scheme
-    for ``--m`` is written for."""
+def _scenario_label(s: behaviors.Scenario) -> str:
+    return f"{s.x_card}-{s.y_card}-{s.a_card}-{s.b_card}"
+
+
+def _check_scheme_alphabets(c: channels.Channel, box: behaviors.Behavior, scheme: str, m: int) -> None:
+    """Refuse a channel whose alphabet sizes, or a box whose scenario,
+    differ from those the scheme for ``--m`` is written for."""
     inputs, outputs = {"theorem2": channels._nm_spaces, "theorem3": channels._mm_spaces}[scheme](m)
     if (c.n_inputs, c.n_outputs) != (inputs.size, outputs.size):
         raise CliError(
             f"--m {m} gives the {scheme} scheme {inputs.size} channel inputs and {outputs.size} outputs, "
             f"but the channel has {c.n_inputs} inputs and {c.n_outputs} outputs"
         )
+    scenario = behaviors.Scenario(2, 2, m, m) if scheme == "theorem2" else behaviors.Scenario(m, m, 2, 2)
+    if box.scenario != scenario:
+        raise CliError(f"--m {m} gives the {scheme} scheme box scenario {_scenario_label(scenario)} (x-y-a-b), "
+                       f"but the box has scenario {_scenario_label(box.scenario)}")
 
 
 def _scheme_protocol(scheme: str, m: int) -> protocols.AssistedProtocol:
@@ -192,8 +200,8 @@ def _scheme_protocol(scheme: str, m: int) -> protocols.AssistedProtocol:
 
 def cmd_success(args) -> int:
     c = _load_channel_arg(args)
-    _check_scheme_alphabets(c, args.scheme, args.m)
     box = _load_box_arg(args)
+    _check_scheme_alphabets(c, box, args.scheme, args.m)
     p = _scheme_protocol(args.scheme, args.m)
     if args.mc:
         if args.seed is None:

@@ -1,13 +1,14 @@
 """Dual numeric backend: exact rationals for zero-error claims, floats for
 quantum-kernel output.
 
-Every probability table in the package is tagged with one of the two modes.
-Mixing modes in one arithmetic operation is forbidden; callers convert
-explicitly with ``float()``.
+Every probability table (channel or box) is tagged with one of the two modes:
+a rational table holds int numerators over one denominator in lowest terms
+(:func:`integer_rows`), a float table holds floats over denominator 1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 RATIONAL = "rational"
@@ -59,19 +60,21 @@ def as_prob(value, mode: str):
     return min(1.0, max(0.0, v))
 
 
-def zero(mode: str):
-    return Fraction(0) if mode == RATIONAL else 0.0
-
-
-def one(mode: str):
-    return Fraction(1) if mode == RATIONAL else 1.0
-
-
-def is_positive(value, mode: str) -> bool:
-    """Strict positivity; float mode uses the POS_EPS threshold."""
-    if mode == RATIONAL:
-        return value > 0
-    return value > POS_EPS
+def integer_rows(rows, denominator: int = 1) -> tuple[tuple, int]:
+    """The rationals ``rows[i][j] / denominator`` (int or Fraction entries)
+    as rows of int numerators over one denominator in lowest terms: Fractions
+    are scaled to the lcm of their denominators, then everything is divided
+    by the common gcd, so equal tables get one representation."""
+    try:
+        g = math.gcd(denominator, *(math.gcd(*row) for row in rows))
+    except TypeError:  # a Fraction entry: bring all entries to one denominator first
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+        denominator *= scale
+        g = math.gcd(denominator, *(math.gcd(*row) for row in rows))
+    if g > 1:
+        rows = [[v // g for v in row] for row in rows]
+    return tuple(map(tuple, rows)), denominator // g
 
 
 def prob_to_json(value, mode: str):

@@ -5,32 +5,31 @@ shared bipartite box: the sender queries the box with an input derived from
 the message, feeds (message, box outcome) into the channel; the receiver picks
 a box input from the channel output (or skips the box), then guesses from the
 output and the box outcome.  Success probabilities are exact rationals when
-both the box and the channel are rational mode.
+both the box and the channel are rational mode.  Evaluators read the integer
+tables directly and refuse signaling boxes, which are outside the model.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .behaviors import Behavior, marginal_alice
+from .behaviors import Behavior, is_no_signaling
 from .channels import (
     Channel,
     _mm_spaces,
     _nm_spaces,
     _sample_column,
     _sampling_table,
-    _value_sampling_table,
     mm_block_anchor,
     mm_block_of,
     pi_hat,
     pi_perm,
 )
-from .numeric import FLOAT, RATIONAL, is_positive, zero
+from .numeric import POS_EPS, RATIONAL, integer_rows
 
 #: decoder marker for "do not use the box on this channel output"
 SKIP = None
@@ -190,7 +189,16 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
 
 # --- evaluation -------------------------------------------------------------
 
+def _check_no_signaling(box: Behavior) -> None:
+    """Refuse a signaling box: exactly in rational mode, within FLOAT_TOL in float mode."""
+    ok, violation = is_no_signaling(box)
+    if not ok:
+        raise ValueError(f"signaling box: a marginal depends on the other party's input (by up to {violation}); "
+                         "only no-signaling boxes belong to the model")
+
+
 def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
+    _check_no_signaling(box)
     s = box.scenario
     for g in range(p.message_count):
         if not 0 <= p.enc_box_input[g] < s.x_card:
@@ -211,25 +219,19 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
     """Success probability conditioned on each message, as a list.
 
     Exact when both the box and the channel are rational mode; float
-    otherwise (the mixed case multiplies values as floats).  The channel's
-    integer numerators are summed per message and divided by its denominator
-    once.
+    otherwise.  Per message, the box numerators times the channel numerators
+    are summed and divided once, by ``box.denominator * c.denominator``.
+    Raises ValueError for a signaling box.
     """
     _check_compatible(c, box, p)
-    mixed = box.mode != c.mode
-    mode = FLOAT if mixed else box.mode
-
-    def val(v):
-        return float(v) if mixed else v
-
-    s = box.scenario
+    exact = box.mode == RATIONAL and c.mode == RATIONAL
+    denominator = box.denominator * c.denominator
     results = []
     for g in range(p.message_count):
         x = p.enc_box_input[g]
-        total = zero(mode)
-        for a in range(s.a_card):
-            pa = marginal_alice(box, x, a, 0)
-            if not is_positive(pa, box.mode):
+        total = 0
+        for a, pa in enumerate(box.alice[x]):
+            if pa <= POS_EPS:  # numerators are ints in rational mode, so this is pa = 0
                 continue
             cin = p.enc_channel_input[(g, a)]
             row = c.weights[cin]
@@ -237,12 +239,12 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
                 y = p.dec_box_input[out]
                 if y is SKIP:
                     if p.remap(p.dec_guess[(out, SKIP)]) == g:
-                        total += val(pa) * row[out]
+                        total += pa * row[out]
                 else:
-                    for b in range(s.b_card):
+                    for b, w in enumerate(box.weights[x][y][a]):  # p(a,b|x,y) = p(b|a,x,y) p(a|x) for NS boxes
                         if p.remap(p.dec_guess[(out, b)]) == g:
-                            total += val(box.prob(x, y, a, b)) * row[out]  # = p(b|a,x,y) p(a|x): box must be NS
-        results.append(total / c.denominator)
+                            total += w * row[out]
+        results.append(Fraction(total, denominator) if exact else total / denominator)
     return results
 
 
@@ -270,28 +272,28 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
     """Frequency estimate of the success probability with its standard error.
 
     Deterministic given the seed.  Box outcomes are sampled sequentially:
-    Alice's marginal first, then Bob's conditional given (a, x, y); this is
-    faithful for no-signaling boxes.  The prior, marginal, conditional and
-    channel sampling tables are built once per call.
+    Alice's marginal ``alice[x]`` first, then Bob's conditional
+    ``weights[x][y][a]`` over ``alice[x][a]``; a signaling box raises
+    ValueError.  The prior (taken as exact rationals), marginal, conditional
+    and channel sampling tables are built once per call.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     _check_compatible(c, box, p)
     if prior is None:
         prior = uniform_prior(p.message_count)
-    s = box.scenario
-    prior_col = list(prior.weights)
-    prior_table = _value_sampling_table(prior_col, _mode_of(prior_col))
+    (prior_weights,), prior_den = integer_rows([[Fraction(w) for w in prior.weights]])
+    prior_table = _sampling_table(prior_weights, prior_den)
+    rational = box.mode == RATIONAL
     alice = {}
     bob = {}
     for x in set(p.enc_box_input):
-        alice_col = [marginal_alice(box, x, a, 0) for a in range(s.a_card)]
-        alice[x] = _value_sampling_table(alice_col, box.mode)
+        alice[x] = _sampling_table(box.alice[x], box.denominator if rational else None)
         for y in set(p.dec_box_input) - {SKIP}:
-            for a, pa in enumerate(alice_col):
+            for a, pa in enumerate(box.alice[x]):
                 if pa > 0:
-                    bob[(x, y, a)] = _value_sampling_table([box.prob(x, y, a, b) / pa for b in range(s.b_card)],
-                                                           box.mode)
+                    cell = box.weights[x][y][a]
+                    bob[(x, y, a)] = _sampling_table(cell, pa) if rational else _sampling_table([w / pa for w in cell])
     den = c.denominator if c.mode == RATIONAL else None
     channel = {cin: _sampling_table(c.weights[cin], den) for cin in set(p.enc_channel_input.values())}
 
@@ -314,10 +316,6 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
     return estimate, stderr
 
 
-def _mode_of(column) -> str:
-    return RATIONAL if isinstance(column[0], (int, Fraction)) else FLOAT
-
-
 # --- unassisted and exhaustive searches -------------------------------------
 
 def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = None,
@@ -328,8 +326,8 @@ def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = 
     toward the smallest message.  Shared randomness cannot beat this value
     (a mixture of deterministic codes is bounded by the best one).
     Returns ``(success, encoder)`` with the first optimal encoder in
-    canonical order.  Encoders are compared in integers: the prior is scaled
-    to integer weights and multiplies the channel's numerators.
+    canonical order.  Encoders are compared in integers: the prior, taken as
+    exact rationals, is scaled to int weights times the channel numerators.
     """
     if c.mode != RATIONAL:
         raise ValueError("unassisted search requires a rational-mode channel")
@@ -338,12 +336,8 @@ def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = 
     n = c.n_inputs
     if n**k > limit:
         raise ValueError(f"encoder count {n}^{k} exceeds limit {limit}")
-    weights = [Fraction(w) for w in prior.weights]
-    scale = math.lcm(*(w.denominator for w in weights))
-    scaled = [
-        [[w.numerator * (scale // w.denominator) * v for v in row] for row in c.weights]
-        for w in weights
-    ]
+    (weights,), scale = integer_rows([[Fraction(w) for w in prior.weights]])
+    scaled = [[[w * v for v in row] for row in c.weights] for w in weights]
     best = None
     best_encoder = None
     for encoder in itertools.product(range(n), repeat=k):
@@ -366,17 +360,17 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     every reachable channel output admits a box input (or a skip) whose
     outcome cells are pure in the message; the decoder is then forced.  The
     search enumerates encoders in canonical order and returns the first hit.
+    Raises ValueError for a signaling box.
     """
     if c.mode != RATIONAL or box.mode != RATIONAL:
         raise ValueError("exhaustive search requires rational mode")
+    _check_no_signaling(box)
     s = box.scenario
     n_in, n_out = c.n_inputs, c.n_outputs
     branches = 0
 
     support = [frozenset(support) for support in c.supports]
-    alice_support = {
-        x: [a for a in range(s.a_card) if marginal_alice(box, x, a, 0) > 0] for x in range(s.x_card)
-    }
+    alice_support = [[a for a, pa in enumerate(alice) if pa] for alice in box.alice]
 
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         for enc_channel_flat in itertools.product(range(n_in), repeat=k * s.a_card):
@@ -421,8 +415,8 @@ def _complete_decoder(box: Behavior, enc_box, reach, n_out):
             cells = {}
             ok = True
             for g, a in hitters:
-                for b in range(s.b_card):
-                    if box.prob(enc_box[g], y, a, b) > 0:
+                for b, w in enumerate(box.weights[enc_box[g]][y][a]):
+                    if w:
                         if cells.setdefault(b, g) != g:
                             ok = False
                             break

@@ -8,6 +8,7 @@ exact-rational twin for zero-error bookkeeping.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -91,15 +92,13 @@ class QuantumModel:
 def behavior_from_quantum(q: QuantumModel) -> Behavior:
     """p(a,b|x,y) = Re Tr[(A_x^a kron B_y^b) rho], float mode."""
     s = q.scenario
-
-    def entry(x, y, a, b):
-        op = np.kron(q.alice_meas[x][a], q.bob_meas[y][b])
-        value = np.trace(op @ q.state)
+    table = [[[[0.0] * s.b_card for _ in range(s.a_card)] for _ in range(s.y_card)] for _ in range(s.x_card)]
+    for x, y, a, b in itertools.product(range(s.x_card), range(s.y_card), range(s.a_card), range(s.b_card)):
+        value = np.trace(np.kron(q.alice_meas[x][a], q.bob_meas[y][b]) @ q.state)
         if abs(value.imag) > PSD_TOL:
             raise QuantumValidationError(f"non-real probability at ({x},{y},{a},{b})")
-        return value.real
-
-    return make_behavior(s, FLOAT, entry)
+        table[x][y][a][b] = value.real
+    return make_behavior(s, FLOAT, table)
 
 
 def make_max_entangled(d: int) -> np.ndarray:
@@ -162,11 +161,8 @@ def make_i3322_rational_table() -> Behavior:
         (Fraction(1, 2), Fraction(1, 8), Fraction(3, 8)),
         (Fraction(3, 8), Fraction(1, 2), Fraction(1, 8)),
     )
-
-    def entry(x, y, a, b):
-        return p00[x][y] if a == b else Fraction(1, 2) - p00[x][y]
-
-    return make_behavior(Scenario(3, 3, 2, 2), RATIONAL, entry)
+    return make_behavior(Scenario(3, 3, 2, 2), RATIONAL,
+                         [[((p, Fraction(1, 2) - p), (Fraction(1, 2) - p, p)) for p in row] for row in p00])
 
 
 #: cosecant-squared angle pattern of the optimal two-qutrit correlation,
@@ -188,12 +184,11 @@ def make_cglmp_behavior() -> Behavior:
     csc^2(pi/12) + csc^2(pi/4) + csc^2(5pi/12) = 18.
     """
     eta = 1 / 54
-
-    def entry(x, y, a, b):
-        k = _CGLMP_ANGLE[(x, y)][(b - a) % 3]
-        return eta / math.sin(k * math.pi / 12) ** 2
-
-    return make_behavior(Scenario(2, 2, 3, 3), FLOAT, entry)
+    return make_behavior(Scenario(2, 2, 3, 3), FLOAT, [
+        [[[eta / math.sin(_CGLMP_ANGLE[(x, y)][(b - a) % 3] * math.pi / 12) ** 2 for b in range(3)] for a in range(3)]
+         for y in range(2)]
+        for x in range(2)
+    ])
 
 
 def cglmp_assisted_success_closed_form() -> float:

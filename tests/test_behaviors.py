@@ -1,3 +1,7 @@
+import itertools
+import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +30,148 @@ from zecomm.behaviors import (
     uniform_behavior,
     validate_behavior,
 )
-from zecomm.numeric import RATIONAL, ZeroConditioningError
+from zecomm.numeric import FLOAT, RATIONAL, ZeroConditioningError, as_prob
+from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
+
+
+# --- reference: the per-entry callback builder ---------------------------------
+# Every entry is computed by a callback on (x, y, a, b) and coerced on its own,
+# as the package built its boxes before the integer tables; the tests below
+# compare the builders with it entry by entry.
+
+def entry_table(scenario, mode, entry):
+    return [[[[as_prob(entry(x, y, a, b), mode) for b in range(scenario.b_card)] for a in range(scenario.a_card)]
+             for y in range(scenario.y_card)] for x in range(scenario.x_card)]
+
+
+def reference_extremal(m, k):
+    w = Fraction(1, k)
+    return entry_table(Scenario(2, 2, m, m), RATIONAL,
+                       lambda x, y, a, b: w if a < k and b < k and (b - a) % k == x * y else 0)
+
+
+def reference_jones(m1, m2, q):
+    def entry(x, y, a, b):
+        parity = (1 if (x == 1 and y == 1) else 0) + sum(1 for (i, j) in q if x == i and y == j)
+        return Fraction(1, 2) if (a ^ b) == parity % 2 else 0
+
+    return entry_table(Scenario(m1, m2, 2, 2), RATIONAL, entry)
+
+
+def reference_rtilde(m):
+    return entry_table(Scenario(m, m, 2, 2), RATIONAL,
+                       lambda x, y, a, b: Fraction(1, 2) if (a ^ b) == (1 if (x == y and x != 0) else 0) else 0)
+
+
+def reference_mix(weighted, mode):
+    """``weighted`` is a list of (weight, reference table) over one scenario."""
+    first = weighted[0][1]
+    s = Scenario(len(first), len(first[0]), len(first[0][0]), len(first[0][0][0]))
+    weights = [as_prob(w, mode) for w, _ in weighted]
+    return entry_table(s, mode, lambda x, y, a, b: sum(w * t[x][y][a][b] for w, (_, t) in zip(weights, weighted)))
+
+
+def reference_tensor(s1, ref1, s2, ref2):
+    s = Scenario(s1.x_card * s2.x_card, s1.y_card * s2.y_card, s1.a_card * s2.a_card, s1.b_card * s2.b_card)
+
+    def entry(x, y, a, b):
+        (x1, x2), (y1, y2) = divmod(x, s2.x_card), divmod(y, s2.y_card)
+        (a1, a2), (b1, b2) = divmod(a, s2.a_card), divmod(b, s2.b_card)
+        return ref1[x1][y1][a1][b1] * ref2[x2][y2][a2][b2]
+
+    return entry_table(s, RATIONAL, entry)
+
+
+def table_of(box):
+    """The box's entries through ``prob``, after checking that its stored
+    numerators are ints in lowest terms (rational mode) and that ``alice``
+    holds its y = 0 marginals."""
+    s = box.scenario
+    rational = box.mode == RATIONAL
+    if rational:
+        numerators = [w for xs in box.weights for block in xs for row in block for w in row]
+        assert {type(w) for w in numerators} == {int}
+        assert math.gcd(box.denominator, *numerators) == 1
+    for x, a in itertools.product(range(s.x_card), range(s.a_card)):
+        alice = Fraction(box.alice[x][a], box.denominator) if rational else box.alice[x][a]
+        assert alice == marginal_alice(box, x, a, 0)
+    return [[[[box.prob(x, y, a, b) for b in range(s.b_card)] for a in range(s.a_card)] for y in range(s.y_card)]
+            for x in range(s.x_card)]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_extremal_box_matches_reference(m):
+    for k in range(2, m + 1):
+        box = make_extremal_box(m, k)
+        assert box.scenario == Scenario(2, 2, m, m)
+        assert table_of(box) == reference_extremal(m, k)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_rtilde_box_matches_reference(m):
+    box = make_rtilde_box(m)
+    assert box.scenario == Scenario(m, m, 2, 2)
+    assert table_of(box) == reference_rtilde(m)
+
+
+def test_jones_box_matches_reference():
+    rng = random.Random(20240)
+    for m1, m2 in itertools.product(range(2, 6), repeat=2):
+        pairs = [(i, j) for i in range(1, m1) for j in range(1, m2) if (i, j) != (1, 1)]
+        for _ in range(3):
+            q = rng.sample(pairs, rng.randint(0, len(pairs)))
+            assert table_of(make_jones_box(m1, m2, q)) == reference_jones(m1, m2, q)
+
+
+def test_local_uniform_and_mixed_boxes_match_reference():
+    s = Scenario(3, 2, 2, 3)
+    f_alice, f_bob = [1, 0, 1], [2, 0]
+    local = make_local_deterministic(f_alice, f_bob, s)
+    ref_local = entry_table(s, RATIONAL, lambda x, y, a, b: 1 if (a == f_alice[x] and b == f_bob[y]) else 0)
+    assert table_of(local) == ref_local
+    ref_uniform = entry_table(s, RATIONAL, lambda x, y, a, b: Fraction(1, 6))
+    assert table_of(uniform_behavior(s)) == ref_uniform
+    assert table_of(uniform_behavior(s, FLOAT)) == entry_table(s, FLOAT, lambda x, y, a, b: 1.0 / 6)
+    weights = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]
+    other = make_local_deterministic([0, 0, 1], [1, 1], s)
+    ref_other = entry_table(s, RATIONAL, lambda x, y, a, b: 1 if (a == [0, 0, 1][x] and b == 1) else 0)
+    mixed = mix_behaviors(list(zip(weights, (local, uniform_behavior(s), other))))
+    assert table_of(mixed) == reference_mix(list(zip(weights, (ref_local, ref_uniform, ref_other))), RATIONAL)
+    pr = make_extremal_box(2, 2)
+    assert table_of(mix_behaviors([(1, pr)])) == reference_extremal(2, 2)
+    cglmp, flat = make_cglmp_behavior(), uniform_behavior(Scenario(2, 2, 3, 3), FLOAT)
+    mixed = mix_behaviors([(0.25, cglmp), (0.75, flat)])
+    assert table_of(mixed) == reference_mix([(0.25, table_of(cglmp)), (0.75, table_of(flat))], FLOAT)
+
+
+def test_tensor_boxes_match_reference():
+    pr, rtilde = make_extremal_box(2, 2), make_rtilde_box(3)
+    assert table_of(tensor_behaviors(pr, pr)) == reference_tensor(pr.scenario, reference_extremal(2, 2),
+                                                                  pr.scenario, reference_extremal(2, 2))
+    assert table_of(tensor_behaviors(rtilde, rtilde)) == reference_tensor(rtilde.scenario, reference_rtilde(3),
+                                                                          rtilde.scenario, reference_rtilde(3))
+
+
+# behavior_to_json output recorded before the integer tables
+PM3_JSON = (
+    '{"scenario": {"x": 2, "y": 2, "a": 3, "b": 3}, "mode": "rational", "p": '
+    '[[[["1/3", "0/1", "0/1"], ["0/1", "1/3", "0/1"], ["0/1", "0/1", "1/3"]], '
+    '[["1/3", "0/1", "0/1"], ["0/1", "1/3", "0/1"], ["0/1", "0/1", "1/3"]]], '
+    '[[["1/3", "0/1", "0/1"], ["0/1", "1/3", "0/1"], ["0/1", "0/1", "1/3"]], '
+    '[["0/1", "1/3", "0/1"], ["0/1", "0/1", "1/3"], ["1/3", "0/1", "0/1"]]]]}'
+)
+I3322_JSON = (
+    '{"scenario": {"x": 3, "y": 3, "a": 2, "b": 2}, "mode": "rational", "p": '
+    '[[[["3/8", "1/8"], ["1/8", "3/8"]], [["3/8", "1/8"], ["1/8", "3/8"]], [["1/2", "0/1"], ["0/1", "1/2"]]], '
+    '[[["1/2", "0/1"], ["0/1", "1/2"]], [["1/8", "3/8"], ["3/8", "1/8"]], [["3/8", "1/8"], ["1/8", "3/8"]]], '
+    '[[["3/8", "1/8"], ["1/8", "3/8"]], [["1/2", "0/1"], ["0/1", "1/2"]], [["1/8", "3/8"], ["3/8", "1/8"]]]]}'
+)
+
+
+def test_behavior_json_matches_recorded_output():
+    assert json.dumps(behavior_to_json(make_extremal_box(3, 3))) == PM3_JSON
+    assert json.dumps(behavior_to_json(make_i3322_rational_table())) == I3322_JSON
+    assert behavior_from_json(json.loads(I3322_JSON)) == make_i3322_rational_table()
 
 
 def test_scenario_validation():
@@ -75,7 +220,7 @@ def test_jones_box_generalizes_rtilde():
     q = [(i, i) for i in range(2, 4)]
     jones = make_jones_box(4, 4, q)
     rtilde = make_rtilde_box(4)
-    assert jones.p == rtilde.p
+    assert jones == rtilde
 
 
 def test_jones_box_invalid_q():
@@ -98,7 +243,8 @@ def test_local_deterministic_and_marginals():
 def test_signaling_detected():
     # Alice's outcome copies Bob's input: maximally signaling
     beh = make_behavior(
-        Scenario(2, 2, 2, 2), RATIONAL, lambda x, y, a, b: 1 if (a == y and b == 0) else 0
+        Scenario(2, 2, 2, 2), RATIONAL, [[[[1 if (a == y and b == 0) else 0 for b in range(2)] for a in range(2)]
+                                          for y in range(2)] for x in range(2)]
     )
     ok, violation = is_no_signaling(beh)
     assert not ok and violation == 1
@@ -149,13 +295,12 @@ def test_local_bound_limit():
 
 
 def test_validate_behavior_reports():
-    bad = Behavior(
-        Scenario(1, 1, 1, 2),
-        RATIONAL,
-        ((((Fraction(1, 2), Fraction(1, 4)),),),),
-    )
-    report = validate_behavior(bad)
-    assert any("normalization" in line for line in report)
+    with pytest.raises(ValueError, match="normalization"):
+        Behavior(
+            Scenario(1, 1, 1, 2),
+            RATIONAL,
+            ((((Fraction(1, 2), Fraction(1, 4)),),),),
+        )
 
 
 def test_json_roundtrip(tmp_path):

@@ -185,3 +185,26 @@ def test_capped_search_assisted_reports_budget(capsys):
     assert code == 4  # documented exit code: search budget exhausted
     assert stdout == ""
     assert stderr.count("\n") == 1 and "--max-branches 10" in stderr
+
+
+def test_success_rejects_signaling_box_file(tmp_path, capsys):
+    box = tmp_path / "signaling.json"  # a is uniform and b = x
+    table = [[[["1/2", "0/1"], ["1/2", "0/1"]]] * 2, [[["0/1", "1/2"], ["0/1", "1/2"]]] * 2]
+    box.write_text(json.dumps({"scenario": {"x": 2, "y": 2, "a": 2, "b": 2}, "mode": "rational", "p": table}))
+    code, stdout, err = run(capsys, "success", "--family", "Nm", "--m", "2", "--box", str(box), "--scheme", "theorem2")
+    assert code == EXIT_USAGE and stdout == ""
+    assert "signaling box" in err
+
+
+@pytest.mark.parametrize("argv, scenarios", [
+    (["--family", "Mm", "--m", "3", "--box", "{rtilde2}", "--scheme", "theorem3"], ("3-3-2-2", "2-2-2-2")),
+    (["--family", "Nm", "--m", "3", "--box-family", "pr", "--scheme", "theorem2"], ("2-2-3-3", "2-2-2-2")),
+    (["--family", "Nm", "--m", "3", "--box-family", "rtilde", "--scheme", "theorem2"], ("2-2-3-3", "3-3-2-2")),
+])
+def test_success_rejects_box_that_does_not_fit_scheme(tmp_path, capsys, argv, scenarios):
+    rtilde2 = tmp_path / "rtilde2.json"
+    assert run(capsys, "behavior", "--family", "rtilde", "--m", "2", "--out", str(rtilde2))[0] == EXIT_OK
+    argv = [arg.format(rtilde2=rtilde2) for arg in argv]
+    code, stdout, err = run(capsys, "success", *argv)
+    assert code == EXIT_USAGE and stdout == ""
+    assert "--m 3" in err and all(f"scenario {s}" in err for s in scenarios)

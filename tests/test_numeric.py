@@ -9,11 +9,8 @@ from zecomm.numeric import (
     as_prob,
     check_mode,
     format_value,
-    is_positive,
-    one,
     prob_to_json,
     require_same_mode,
-    zero,
 )
 
 
@@ -47,17 +44,6 @@ def test_as_prob_float_clamps_noise():
         as_prob(-1e-6, FLOAT)
     with pytest.raises(ValueError):
         as_prob(1.1, FLOAT)
-
-
-def test_zero_one_types():
-    assert zero(RATIONAL) == 0 and isinstance(zero(RATIONAL), Fraction)
-    assert one(FLOAT) == 1.0 and isinstance(one(FLOAT), float)
-
-
-def test_is_positive_threshold():
-    assert is_positive(Fraction(1, 10**30), RATIONAL)
-    assert not is_positive(1e-13, FLOAT)
-    assert is_positive(1e-6, FLOAT)
 
 
 def test_json_roundtrip():

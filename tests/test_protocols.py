@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from zecomm.behaviors import Scenario, make_extremal_box, make_rtilde_box, tensor_behaviors, uniform_behavior
+from zecomm.behaviors import (
+    Behavior,
+    Scenario,
+    make_extremal_box,
+    make_rtilde_box,
+    tensor_behaviors,
+    uniform_behavior,
+)
 from zecomm.channels import identity_channel, make_mm, make_nm, tensor_channels
 from zecomm.protocols import (
     SKIP,
@@ -23,7 +30,16 @@ from zecomm.protocols import (
     tensor_protocols,
     uniform_prior,
 )
+from zecomm.numeric import FLOAT, RATIONAL
 from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
+
+
+def bob_copies_x(mode):
+    """Signaling 2-2-2-2 box: a is uniform and b = x, so Bob's marginal
+    reveals Alice's input."""
+    half = Fraction(1, 2) if mode == RATIONAL else 0.5
+    block = {0: ((half, 0), (half, 0)), 1: ((0, half), (0, half))}
+    return Behavior(Scenario(2, 2, 2, 2), mode, [[block[x]] * 2 for x in range(2)])
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -68,6 +84,7 @@ def test_exact_success_with_prior():
 def test_mixed_mode_promotes_to_float():
     value = exact_success(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
     assert isinstance(value, float)
+    assert value.hex() == "0x1.cd337c1dabbb6p-1"  # the float recorded before the integer box tables
     with pytest.raises(ValueError):
         is_zero_error(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
 
@@ -75,6 +92,34 @@ def test_mixed_mode_promotes_to_float():
 def test_incompatible_protocol_rejected():
     with pytest.raises(ValueError):
         per_message_success(make_mm(3), make_extremal_box(3, 3), make_theorem3_protocol(3))
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_signaling_box_rejected_at_every_entry_point(mode):
+    box, channel, protocol = bob_copies_x(mode), make_nm(2), make_theorem2_protocol(2)
+    with pytest.raises(ValueError, match="signaling"):
+        per_message_success(channel, box, protocol)
+    with pytest.raises(ValueError, match="signaling"):
+        exact_success(channel, box, protocol)
+    with pytest.raises(ValueError, match="signaling"):
+        monte_carlo_success(channel, box, protocol, None, 100, seed=1)
+    if mode == RATIONAL:
+        with pytest.raises(ValueError, match="signaling"):
+            is_zero_error(channel, box, protocol)
+        with pytest.raises(ValueError, match="signaling"):
+            exhaustive_assisted_search(channel, box, 2)
+
+
+def test_float_signaling_check_has_tolerance():
+    channel, protocol = make_nm(2), make_theorem2_protocol(2)
+    for nudge in (1e-12, 1e-6):  # a PR box whose Alice marginal moves by nudge
+        same = ((0.5 + nudge, 0.0), (0.0, 0.5 - nudge))
+        box = Behavior(Scenario(2, 2, 2, 2), FLOAT, [[same, same], [same, ((0.0, 0.5), (0.5, 0.0))]])
+        if nudge < 1e-9:
+            assert per_message_success(channel, box, protocol) == pytest.approx([1.0, 1.0])
+        else:
+            with pytest.raises(ValueError, match="signaling"):
+                per_message_success(channel, box, protocol)
 
 
 def test_monte_carlo_reproducible_and_consistent():
