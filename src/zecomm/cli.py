@@ -3,12 +3,18 @@ assisted success probabilities, run searches, and verify the published claims.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 search budget exhausted (``search-assisted`` reached ``--max-branches``).
+
+The argument parser is built once, on the first ``main`` call, and reused by
+later calls in the same process.  It holds no handler: ``main`` resolves
+``cmd_<command>`` by name in this module when it runs, so a handler rebound
+on the module is the one called.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -210,9 +216,10 @@ def cmd_success(args) -> int:
         payload = {"success": estimate, "stderr": stderr, "trials": args.mc, "seed": args.seed}
         _emit(payload, args, f"success ~= {estimate:.6f} +/- {stderr:.6f} ({args.mc} trials, seed {args.seed})")
         return EXIT_OK
-    value = protocols.exact_success(c, box, p)
+    per_message = protocols.per_message_success(c, box, p)
+    value = protocols.average_success(per_message)
     exact_mode = box.mode == RATIONAL and c.mode == RATIONAL
-    zero_error = exact_mode and protocols.is_zero_error(c, box, p)
+    zero_error = exact_mode and all(v == 1 for v in per_message)
     rendered = format_value(value, RATIONAL if exact_mode else FLOAT, as_float=args.float)
     payload = {
         "success": rendered,
@@ -264,7 +271,8 @@ def _add_channel_source(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zecomm", description=__doc__)
+    # --help shows the module docstring without its last paragraph, which is about the code
+    parser = argparse.ArgumentParser(prog="zecomm", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channel", help="construct a channel and write its JSON file")
@@ -273,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export the stochastic matrix as CSV")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("behavior", help="construct a behavior and write its JSON file")
     p.add_argument("--family", required=True, choices=["pm", "pr", "rtilde", "cglmp", "i3322", "i3322-float"])
@@ -281,18 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export the table as CSV")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_behavior)
 
     p = sub.add_parser("capacity", help="one-shot zero-error capacity of a channel")
     _add_channel_source(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("graph", help="export the confusability graph")
     _add_channel_source(p)
     p.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("success", help="success probability of an assisted scheme")
     _add_channel_source(p)
@@ -303,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--float", action="store_true", help="render values as decimals")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_success)
 
     p = sub.add_parser("search-classical", help="optimal deterministic unassisted encoder")
     _add_channel_source(p)
     p.add_argument("--messages", "-K", type=int, required=True)
     p.add_argument("--float", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search_classical)
 
     p = sub.add_parser("search-assisted", help="exhaustive search for a zero-error assisted protocol")
     _add_channel_source(p)
@@ -319,23 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--messages", "-K", type=int, required=True)
     p.add_argument("--max-branches", type=int, default=10**9)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search_assisted)
 
     p = sub.add_parser("verify-paper", help="recompute and check every published value")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

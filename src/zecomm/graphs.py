@@ -1,6 +1,14 @@
 """Confusability graphs, exact independence numbers, strong products and
 one-shot zero-error capacity.
 
+A graph is one bitmask row per vertex, and every graph is validated when it
+is constructed: the row count, no bit beyond the last vertex, no self-loop
+and symmetry, checked on the whole n x n bit matrix at once.  The builders
+work on whole rows too: the confusability graph ORs, per input, the masks of
+the inputs that reach each of its outputs, and a strong product row is one
+product of a row of the second factor with a spread neighbourhood of the
+first.
+
 The independence number is decided by one exact solver: branch and bound for
 a maximum clique of the complement graph, with greedy coloring upper bounds.
 A subset-enumeration brute force is kept as an independent oracle.
@@ -10,7 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .channels import Channel
 
@@ -29,16 +39,19 @@ class ConfusabilityGraph:
     labels: Optional[tuple] = None  # vertex labels carried from the input space
 
     def __post_init__(self):
-        if len(self.adjacency) != self.vertex_count:
+        n = self.vertex_count
+        if len(self.adjacency) != n:
             raise ValueError("adjacency length mismatch")
-        for v, row in enumerate(self.adjacency):
-            if row >> self.vertex_count:
-                raise ValueError("adjacency bits beyond vertex range")
-            if row & (1 << v):
-                raise ValueError(f"self-loop at vertex {v}")
-            for u in range(self.vertex_count):
-                if (row >> u) & 1 and not (self.adjacency[u] >> v) & 1:
-                    raise ValueError("adjacency not symmetric")
+        if any(row >> n for row in self.adjacency):  # a negative row included
+            raise ValueError("adjacency bits beyond vertex range")
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.adjacency), np.uint8)
+        matrix = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+        loops = np.flatnonzero(matrix.diagonal())
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {loops[0]}")
+        if not np.array_equal(matrix, matrix.T):
+            raise ValueError("adjacency not symmetric")
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adjacency[u] >> v) & 1)
@@ -70,24 +83,29 @@ def cycle_graph(n: int) -> ConfusabilityGraph:
     return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def confusability_graph(c: Channel) -> ConfusabilityGraph:
     """Edge between two inputs iff some output is positively probable under
     both (float entries below 1e-12 count as zero)."""
-    n = c.n_inputs
-    supports = []
-    for support in c.supports:
-        mask = 0
+    reached_by = [0] * c.n_outputs  # reached_by[o] = mask of the inputs that reach o
+    for i, support in enumerate(c.supports):
         for o in support:
-            mask |= 1 << o
-        supports.append(mask)
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if supports[u] & supports[v]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+            reached_by[o] |= 1 << i
+    adj = []
+    for i, support in enumerate(c.supports):
+        row = 0
+        for o in support:
+            row |= reached_by[o]
+        adj.append(row & ~(1 << i))
     labels = tuple(c.input_space.labels())
-    return ConfusabilityGraph(n, tuple(adj), labels)
+    return ConfusabilityGraph(c.n_inputs, tuple(adj), labels)
 
 
 def _max_clique_size(n: int, adj: list[int]) -> int:
@@ -174,24 +192,18 @@ def strong_product(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> Confusabil
     """(u1,u2) ~ (v1,v2) iff both coordinates are equal-or-adjacent and the
     pairs differ.  Pair (i, j) maps to vertex i * n2 + j."""
     n1, n2 = g1.vertex_count, g2.vertex_count
-    n = n1 * n2
-    adj = [0] * n
-    for u1 in range(n1):
-        for u2 in range(n2):
-            u = u1 * n2 + u2
-            for v1 in range(n1):
-                if v1 != u1 and not g1.has_edge(u1, v1):
-                    continue
-                for v2 in range(n2):
-                    if v2 != u2 and not g2.has_edge(u2, v2):
-                        continue
-                    v = v1 * n2 + v2
-                    if v != u:
-                        adj[u] |= 1 << v
+    closed2 = [row | 1 << u2 for u2, row in enumerate(g2.adjacency)]
+    adj = []
+    for u1, row1 in enumerate(g1.adjacency):
+        # One bit at v1 * n2 for each v1 in the closed neighbourhood of u1.
+        # A closed row of g2 is at most n2 bits wide, so times this it lands
+        # in disjoint blocks: the product is the OR of the row << v1 * n2.
+        spread = sum(1 << v1 * n2 for v1 in _members(row1 | 1 << u1))
+        adj.extend(closed * spread & ~(1 << u1 * n2 + u2) for u2, closed in enumerate(closed2))
     labels = None
     if g1.labels is not None and g2.labels is not None:
         labels = tuple((l1, l2) for l1 in g1.labels for l2 in g2.labels)
-    return ConfusabilityGraph(n, tuple(adj), labels)
+    return ConfusabilityGraph(n1 * n2, tuple(adj), labels)
 
 
 def zero_error_capacity_oneshot(c: Channel, limit: int = DEFAULT_VERTEX_LIMIT):

@@ -251,12 +251,17 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
 def exact_success(c: Channel, box: Behavior, p: AssistedProtocol,
                   prior: Optional[MessagePrior] = None):
     """Average success probability under the message prior (default uniform)."""
-    per = per_message_success(c, box, p)
+    return average_success(per_message_success(c, box, p), prior)
+
+
+def average_success(per_message: list, prior: Optional[MessagePrior] = None):
+    """Average of the per-message success probabilities under the message
+    prior (default uniform)."""
     if prior is None:
-        prior = uniform_prior(p.message_count)
-    if len(prior.weights) != p.message_count:
+        prior = uniform_prior(len(per_message))
+    if len(prior.weights) != len(per_message):
         raise ValueError("prior size mismatch")
-    return sum(w * v for w, v in zip(prior.weights, per))
+    return sum(w * v for w, v in zip(prior.weights, per_message))
 
 
 def is_zero_error(c: Channel, box: Behavior, p: AssistedProtocol) -> bool:

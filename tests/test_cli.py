@@ -208,3 +208,53 @@ def test_success_rejects_box_that_does_not_fit_scheme(tmp_path, capsys, argv, sc
     code, stdout, err = run(capsys, "success", *argv)
     assert code == EXIT_USAGE and stdout == ""
     assert "--m 3" in err and all(f"scenario {s}" in err for s in scenarios)
+
+
+def test_success_evaluates_the_scheme_once(monkeypatch, capsys):
+    from zecomm import protocols
+
+    calls = []
+    original = protocols.per_message_success
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(protocols, "per_message_success", counted)
+    code, stdout, _ = run(capsys, "success", "--family", "Mm", "--m", "3", "--box-family", "rtilde",
+                          "--scheme", "theorem3", "--json")
+    assert code == EXIT_OK
+    assert json.loads(stdout) == {"success": "1/1", "zero_error": True, "mode": "exact"}
+    assert len(calls) == 1
+
+
+def test_main_reuses_one_parser_without_leaking_options(monkeypatch, capsys):
+    from zecomm import cli
+
+    built = []
+    original = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return original()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        success = ["success", "--family", "Mm", "--m", "3", "--box-family", "i3322", "--scheme", "theorem3"]
+        assert run(capsys, *success, "--float")[:2] == (EXIT_OK, "success = 0.857142857143, zero_error = False\n")
+        assert run(capsys, *success)[:2] == (EXIT_OK, "success = 6/7, zero_error = False\n")
+        code, stdout, _ = run(capsys, "capacity", "--family", "Nm", "--m", "2", "--json")
+        assert code == EXIT_OK and json.loads(stdout)["alpha"] == 1
+        code, stdout, _ = run(capsys, "graph", "--family", "Nm", "--m", "2")
+        assert code == EXIT_OK and stdout.startswith("p edge 4 6")
+        assert run(capsys, "capacity")[0] == EXIT_USAGE
+        assert run(capsys, "capacity", "--family", "Nm", "--m", "2")[1].startswith("alpha = 1,")
+
+        handled = []
+        monkeypatch.setattr(cli, "cmd_capacity", lambda args: handled.append(args) or EXIT_OK)
+        assert run(capsys, "capacity", "--family", "Mm", "--m", "4") == (EXIT_OK, "", "")
+        assert [(a.family, a.m, a.json) for a in handled] == [("Mm", 4, False)]
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zecomm.channels import identity_channel, make_mm, make_nm, tensor_channels
+from zecomm.channels import IndexSpace, identity_channel, make_channel, make_mm, make_nm, tensor_channels
 from zecomm.graphs import (
     DEFAULT_VERTEX_LIMIT,
     ConfusabilityGraph,
@@ -28,14 +29,132 @@ def random_graph(rng: random.Random, n: int, p: float) -> ConfusabilityGraph:
     return graph_from_edges(n, edges)
 
 
+# --- pair-loop references: the definitions, checked one vertex pair at a time
+
+
+def strong_product_pairs(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> tuple[tuple[int, ...], tuple]:
+    n1, n2 = g1.vertex_count, g2.vertex_count
+    adj = [0] * (n1 * n2)
+    for u1 in range(n1):
+        for u2 in range(n2):
+            u = u1 * n2 + u2
+            for v1 in range(n1):
+                if v1 != u1 and not g1.has_edge(u1, v1):
+                    continue
+                for v2 in range(n2):
+                    if v2 != u2 and not g2.has_edge(u2, v2):
+                        continue
+                    v = v1 * n2 + v2
+                    if v != u:
+                        adj[u] |= 1 << v
+    labels = None
+    if g1.labels is not None and g2.labels is not None:
+        labels = tuple((l1, l2) for l1 in g1.labels for l2 in g2.labels)
+    return tuple(adj), labels
+
+
+def confusability_pairs(c) -> tuple[tuple[int, ...], tuple]:
+    n = c.n_inputs
+    supports = [sum(1 << o for o in support) for support in c.supports]
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if supports[u] & supports[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return tuple(adj), tuple(c.input_space.labels())
+
+
+def assert_same_graph(g: ConfusabilityGraph, reference: tuple[tuple[int, ...], tuple]) -> None:
+    adjacency, labels = reference
+    assert g.vertex_count == len(adjacency)
+    for u, (row, expected) in enumerate(zip(g.adjacency, adjacency)):
+        assert row == expected, f"row {u}"
+    assert g.labels == labels
+
+
+def nm_graph(m: int) -> ConfusabilityGraph:
+    return confusability_graph(make_nm(m))
+
+
+@pytest.mark.parametrize("g1, g2", [
+    (cycle_graph(5), cycle_graph(5)),
+    (cycle_graph(5), cycle_graph(9)),
+    (nm_graph(4), cycle_graph(7)),
+    (cycle_graph(7), nm_graph(4)),
+], ids=["C5xC5", "C5xC9", "Nm4xC7", "C7xNm4"])
+def test_strong_product_matches_pair_loop(g1, g2):
+    assert_same_graph(strong_product(g1, g2), strong_product_pairs(g1, g2))
+
+
+def test_strong_product_cube_matches_pair_loop_at_every_step():
+    nm4 = nm_graph(4)
+    square = strong_product(nm4, nm4)
+    assert_same_graph(square, strong_product_pairs(nm4, nm4))
+    cube = strong_product(square, nm4)
+    assert cube.vertex_count == 512 and cube.labels[1] == ((nm4.labels[0], nm4.labels[0]), nm4.labels[1])
+    assert_same_graph(cube, strong_product_pairs(square, nm4))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("family", [make_nm, make_mm], ids=["Nm", "Mm"])
+def test_confusability_graph_matches_pair_loop(family, m):
+    c = family(m)
+    assert_same_graph(confusability_graph(c), confusability_pairs(c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_strong_product_matches_pair_loop_on_random_graphs(data):
+    factors = []
+    for _ in range(2):
+        n = data.draw(st.integers(0, 7))
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        factors.append(graph_from_edges(n, edges, tuple(range(n))))
+    assert_same_graph(strong_product(*factors), strong_product_pairs(*factors))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_confusability_graph_matches_pair_loop_on_random_channels(data):
+    n_in, n_out = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    columns = [data.draw(st.lists(st.integers(0, 3), min_size=n_out, max_size=n_out).filter(any))
+               for _ in range(n_in)]
+    c = make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
+                     IndexSpace((n_in,)), IndexSpace((n_out,)))
+    assert_same_graph(confusability_graph(c), confusability_pairs(c))
+
+
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        ConfusabilityGraph(2, (0b10,))  # wrong length
-    with pytest.raises(ValueError):
-        ConfusabilityGraph(1, (0b1,))  # self-loop
-    with pytest.raises(ValueError):
-        ConfusabilityGraph(2, (0b10, 0b00))  # asymmetric
-    with pytest.raises(ValueError):
+    def rejects(n, rows, message):
+        with pytest.raises(ValueError) as info:
+            ConfusabilityGraph(n, tuple(rows))
+        assert str(info.value) == message
+
+    for n in (1, 8, 9, 64, 65, 512):  # across byte and word boundaries of the packed rows
+        full = (1 << n) - 1
+        complete = [full & ~(1 << v) for v in range(n)]
+        assert ConfusabilityGraph(n, tuple(complete)).is_complete()
+        assert ConfusabilityGraph(n, (0,) * n).edge_count() == 0
+        rejects(n, complete[:-1], "adjacency length mismatch")
+        rejects(n, complete + [0], "adjacency length mismatch")
+        last = n - 1
+        for rows in ([0] * last + [1 << n], complete[:last] + [complete[last] | 1 << n], [-1] + [0] * last,
+                     complete[:last] + [-1]):
+            rejects(n, rows, "adjacency bits beyond vertex range")
+        for v in {0, n // 2, last}:
+            rows = list(complete)
+            rows[v] |= 1 << v
+            rejects(n, rows, f"self-loop at vertex {v}")
+        if n > 1:
+            rows = list(complete)
+            rows[last] &= ~1  # vertex 0 still lists vertex n - 1
+            rejects(n, rows, "adjacency not symmetric")
+            rows = [0] * n
+            rows[n // 2] = 1 << last
+            rejects(n, rows, "adjacency not symmetric")
+    with pytest.raises(ValueError, match="self-loops not allowed"):
         graph_from_edges(2, [(0, 0)])
 
 
