@@ -3,18 +3,12 @@ classical channels."""
 
 from .behaviors import (
     Behavior,
-    BellFunctional,
     Scenario,
-    bell_value,
-    conditional_bob,
     is_no_signaling,
-    local_bound,
     make_extremal_box,
     make_jones_box,
     make_local_deterministic,
     make_rtilde_box,
-    marginal_alice,
-    marginal_bob,
     tensor_behaviors,
     validate_behavior,
 )

@@ -2,10 +2,12 @@
 families used by the assisted-coding protocols.
 
 Conventions: inputs x, y and outputs a, b are 0-based.  A behavior is one
-integer table, as a channel is (see :class:`Behavior`); the families are built
-from their support rule.  Tensor products flatten indices row-major with the
-first factor most significant.  Signaling tables are valid behaviors, which
-the protocol entry points refuse.
+table (see :class:`Behavior`): int numerators over one denominator, as a
+channel is, or floats for the quantum correlations.  Evaluators read that
+table and Alice's marginal numerators ``Behavior.alice`` directly.  The
+families are built from their support rule.  Tensor products flatten indices
+row-major with the first factor most significant.  Signaling tables are valid
+behaviors, which the protocol entry points refuse.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .numeric import (
     FLOAT_TOL,
-    POS_EPS,
     RATIONAL,
-    ZeroConditioningError,
     as_prob,
     check_mode,
     integer_rows,
@@ -75,29 +75,16 @@ class Behavior:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "alice", tuple(tuple(map(sum, xs[0])) for xs in weights))
 
-    def _value(self, numerator):
-        return Fraction(numerator, self.denominator) if self.mode == RATIONAL else numerator
-
     def prob(self, x: int, y: int, a: int, b: int):
         """p(a,b|x,y) for display, I/O and tests; evaluators read ``weights``."""
-        return self._value(self.weights[x][y][a][b])
+        w = self.weights[x][y][a][b]
+        return Fraction(w, self.denominator) if self.mode == RATIONAL else w
 
     def inputs(self):
         return itertools.product(range(self.scenario.x_card), range(self.scenario.y_card))
 
     def outputs(self):
         return itertools.product(range(self.scenario.a_card), range(self.scenario.b_card))
-
-
-@dataclass(frozen=True)
-class BellFunctional:
-    """Signed rational coefficient table matching a scenario's index shape."""
-
-    scenario: Scenario
-    coefficients: tuple  # nested (x, y, a, b) of Fraction
-
-    def coeff(self, x: int, y: int, a: int, b: int) -> Fraction:
-        return self.coefficients[x][y][a][b]
 
 
 def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
@@ -108,20 +95,6 @@ def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
     return Behavior(scenario, mode, [
         [[[as_prob(v, mode) for v in row] for row in block] for block in xs] for xs in values
     ])
-
-
-def make_bell_functional(scenario: Scenario, coeff: Callable[[int, int, int, int], object]) -> BellFunctional:
-    table = tuple(
-        tuple(
-            tuple(
-                tuple(Fraction(coeff(x, y, a, b)) for b in range(scenario.b_card))
-                for a in range(scenario.a_card)
-            )
-            for y in range(scenario.y_card)
-        )
-        for x in range(scenario.x_card)
-    )
-    return BellFunctional(scenario, table)
 
 
 def validate_behavior(b: Behavior, tol: float = FLOAT_TOL) -> list[str]:
@@ -150,22 +123,6 @@ def validate_behavior(b: Behavior, tol: float = FLOAT_TOL) -> list[str]:
     return report
 
 
-def marginal_alice(b: Behavior, x: int, a: int, y: int = 0):
-    """p(a|x,y) = sum_b p(a,b|x,y)."""
-    s = b.scenario
-    if not (0 <= x < s.x_card and 0 <= a < s.a_card and 0 <= y < s.y_card):
-        raise IndexError("index out of range")
-    return b._value(sum(b.weights[x][y][a]))
-
-
-def marginal_bob(b: Behavior, y: int, b_out: int, x: int = 0):
-    """p(b|x,y) = sum_a p(a,b|x,y)."""
-    s = b.scenario
-    if not (0 <= y < s.y_card and 0 <= b_out < s.b_card and 0 <= x < s.x_card):
-        raise IndexError("index out of range")
-    return b._value(sum(row[b_out] for row in b.weights[x][y]))
-
-
 def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
     """Check that each party's marginal is independent of the other's input.
 
@@ -183,20 +140,6 @@ def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
     if b.mode == RATIONAL:
         return worst == 0, Fraction(worst, b.denominator)
     return worst <= tol, float(worst)
-
-
-def conditional_bob(b: Behavior, y: int, b_out: int, x: int, a: int):
-    """p(b|a,x,y) = p(a,b|x,y) / p(a|x,y).
-
-    Well-defined independently of y for no-signaling behaviors.  Raises
-    :class:`ZeroConditioningError` when p(a|x,y) = 0 (below 1e-12 in float
-    mode).
-    """
-    pa = sum(b.weights[x][y][a])
-    if pa <= POS_EPS:  # numerators are ints in rational mode, so this is pa = 0
-        raise ZeroConditioningError(f"conditioning on p(a={a}|x={x}) = 0")
-    w = b.weights[x][y][a][b_out]
-    return Fraction(w, pa) if b.mode == RATIONAL else w / pa
 
 
 def make_extremal_box(m: int, k: int) -> Behavior:
@@ -256,29 +199,6 @@ def make_local_deterministic(
     ])
 
 
-def mix_behaviors(weighted: Sequence[tuple[object, Behavior]]) -> Behavior:
-    """Convex mixture of behaviors over a common scenario and mode: each
-    table's numerators are scaled by its weight over its denominator."""
-    if not weighted:
-        raise ValueError("empty mixture")
-    first = weighted[0][1]
-    mode = first.mode
-    for _, b in weighted[1:]:
-        require_same_mode(mode, b.mode)
-        if b.scenario != first.scenario:
-            raise ValueError("scenario mismatch in mixture")
-    weights = [as_prob(w, mode) for w, _ in weighted]
-    if mode == RATIONAL and sum(weights) != 1:
-        raise ValueError("mixture weights must sum to 1")
-    scaled = [(w / b.denominator, b.weights) for w, (_, b) in zip(weights, weighted)]
-    s = first.scenario
-    return Behavior(s, mode, [
-        [[[sum(f * t[x][y][a][b] for f, t in scaled) for b in range(s.b_card)] for a in range(s.a_card)]
-         for y in range(s.y_card)]
-        for x in range(s.x_card)
-    ])
-
-
 def uniform_behavior(scenario: Scenario, mode: str = RATIONAL) -> Behavior:
     n = scenario.a_card * scenario.b_card
     w, denominator = (1, n) if check_mode(mode) == RATIONAL else (1.0 / n, 1)
@@ -302,35 +222,6 @@ def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:
         for xs1 in b1.weights for xs2 in b2.weights
     ]
     return Behavior(s, mode, weights, b1.denominator * b2.denominator)
-
-
-def bell_value(b: Behavior, f: BellFunctional):
-    """sum over (x,y,a,b) of coefficient * p(a,b|x,y)."""
-    if b.scenario != f.scenario:
-        raise ValueError("scenario mismatch between behavior and functional")
-    rational = b.mode == RATIONAL
-    total = 0
-    for x, y in b.inputs():
-        for a, bo in b.outputs():
-            c = f.coeff(x, y, a, bo)
-            if c:
-                total += (c if rational else float(c)) * b.weights[x][y][a][bo]
-    return (Fraction(total) if rational else total) / b.denominator
-
-
-def local_bound(f: BellFunctional, limit: int = 10**8) -> Fraction:
-    """Maximum of the functional over all deterministic local strategies."""
-    s = f.scenario
-    count = s.a_card**s.x_card * s.b_card**s.y_card
-    if count > limit:
-        raise ValueError(f"deterministic strategy count {count} exceeds limit {limit}")
-    best = None
-    for fa in itertools.product(range(s.a_card), repeat=s.x_card):
-        for fb in itertools.product(range(s.b_card), repeat=s.y_card):
-            value = sum(f.coeff(x, y, fa[x], fb[y]) for x in range(s.x_card) for y in range(s.y_card))
-            if best is None or value > best:
-                best = value
-    return best
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -4,12 +4,13 @@ extremal no-signaling assistance.
 
 A channel is an integer table: ``weights[input][output]`` holds the numerator
 of p(o|i) over one common ``denominator`` (in lowest terms), and each column
-(fixed input) sums exactly to the denominator.  Float-mode channels hold float
-entries over denominator 1.  The families are built from their support rule:
-one output per (input, first output coordinate), each of numerator 1 over the
-layer count.  Alphabets are :class:`IndexSpace` objects that map between flat
-indices and display tuples; the first output factor of the structured families
-carries a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
+(fixed input) sums exactly to the denominator.  Channels are always exact;
+only boxes (:mod:`zecomm.behaviors`) may hold floats.  The families are built
+from their support rule: one output per (input, first output coordinate), each
+of numerator 1 over the layer count.  Alphabets are :class:`IndexSpace`
+objects that map between flat indices and display tuples; the first output
+factor of the structured families carries a +1 display offset (labels 1..m+1
+resp. 1..m(m-1)+1, stored 0-based).
 """
 
 from __future__ import annotations
@@ -22,16 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .numeric import (
-    FLOAT_TOL,
-    POS_EPS,
-    RATIONAL,
-    as_prob,
-    check_mode,
-    integer_rows,
-    prob_to_json,
-    require_same_mode,
-)
+from .numeric import RATIONAL, as_prob, integer_rows, prob_to_json
 
 
 @dataclass(frozen=True)
@@ -89,40 +81,32 @@ class Channel:
     """Column-stochastic table with structured input/output alphabets.
 
     ``weights[input_flat][output_flat]`` holds p(o|i) as an int numerator over
-    ``denominator`` (rational mode, in lowest terms by ``integer_rows`` so
-    that equal channels compare equal; Fraction numerators given on
-    construction are converted) or as a float over denominator 1 (float
-    mode).  Every channel is validated on construction, and each input's
+    ``denominator``, in lowest terms by ``integer_rows`` so that equal
+    channels compare equal; Fraction numerators given on construction are
+    converted.  Every channel is validated on construction, and each input's
     support is computed once.
     """
 
     input_space: IndexSpace
     output_space: IndexSpace
-    mode: str
     weights: tuple  # weights[input_flat][output_flat]
     denominator: int = 1
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_mode(self.mode)
         weights = tuple(tuple(row) for row in self.weights)
         object.__setattr__(self, "weights", weights)
         problems = validate_channel(self)
         if problems:
             raise ValueError("invalid channel: " + "; ".join(problems))
-        if self.mode == RATIONAL:
-            weights, denominator = integer_rows(weights, self.denominator)
-            object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "denominator", denominator)
-            nonzero = weights
-        else:
-            nonzero = tuple(tuple(w > POS_EPS for w in row) for row in weights)
+        weights, denominator = integer_rows(weights, self.denominator)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "denominator", denominator)
         n_out = self.n_outputs
-        object.__setattr__(self, "supports", tuple(tuple(compress(range(n_out), row)) for row in nonzero))
+        object.__setattr__(self, "supports", tuple(tuple(compress(range(n_out), row)) for row in weights))
 
-    def prob(self, output_flat: int, input_flat: int):
-        w = self.weights[input_flat][output_flat]
-        return Fraction(w, self.denominator) if self.mode == RATIONAL else w
+    def prob(self, output_flat: int, input_flat: int) -> Fraction:
+        return Fraction(self.weights[input_flat][output_flat], self.denominator)
 
     def prob_labels(self, output_label: Sequence[int], input_label: Sequence[int]):
         return self.prob(self.output_space.flatten(output_label), self.input_space.flatten(input_label))
@@ -135,39 +119,31 @@ class Channel:
     def n_outputs(self) -> int:
         return self.output_space.size
 
-    def support(self, input_flat: int) -> list[int]:
-        """Outputs of positive probability (float entries above 1e-12)."""
-        return list(self.supports[input_flat])
 
-
-def validate_channel(c: Channel, tol: float = FLOAT_TOL) -> list[str]:
-    """Violated constraints of ``c``'s table: shape, non-negative entries, and
-    every column summing to the denominator, exactly for rational mode (whose
-    entries are int or Fraction numerators)."""
+def validate_channel(c: Channel) -> list[str]:
+    """Violated constraints of ``c``'s table: shape, int or Fraction
+    numerators, non-negative entries, and every column summing exactly to the
+    denominator."""
     weights = c.weights
     report = []
     if len(weights) != c.n_inputs:
         report.append("column count does not match input space")
         return report
-    rational = c.mode == RATIONAL
-    if not (type(c.denominator) is int and c.denominator >= 1 and (rational or c.denominator == 1)):
-        report.append(f"denominator {c.denominator!r} is not a positive integer (1 in float mode)")
+    if not (type(c.denominator) is int and c.denominator >= 1):
+        report.append(f"denominator {c.denominator!r} is not a positive integer")
         return report
     for i, column in enumerate(weights):
         if len(column) != c.n_outputs:
             report.append(f"column {i} has wrong length")
             continue
-        if rational and not set(map(type, column)) <= {int, Fraction}:
+        if not set(map(type, column)) <= {int, Fraction}:
             report.append(f"column {i} has a non-rational numerator")
             continue
         if min(column, default=0) < 0:
             report.extend(f"negative entry at output {o}, input {i}" for o, v in enumerate(column) if v < 0)
         total = sum(column)
-        if rational:
-            if total != c.denominator:
-                report.append(f"column {i} sums to {Fraction(total, c.denominator)}, not 1")
-        elif abs(total - 1.0) > tol:
-            report.append(f"column {i} sums to {total}, not 1")
+        if total != c.denominator:
+            report.append(f"column {i} sums to {Fraction(total, c.denominator)}, not 1")
     return report
 
 
@@ -175,13 +151,11 @@ def make_channel(
     matrix: Sequence[Sequence[object]],
     input_space: IndexSpace,
     output_space: IndexSpace,
-    mode: str = RATIONAL,
 ) -> Channel:
     """Build and validate a channel from a column-major matrix
     (``matrix[input][output]``) of outside entries: ints, Fractions, "num/den"
-    strings or floats, each coerced once."""
-    check_mode(mode)
-    return Channel(input_space, output_space, mode, [[as_prob(v, mode) for v in column] for column in matrix])
+    strings or floats, each coerced once to an exact rational."""
+    return Channel(input_space, output_space, [[as_prob(v, RATIONAL) for v in column] for column in matrix])
 
 
 def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, denominator: int) -> Channel:
@@ -194,7 +168,7 @@ def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, 
         for o in support:
             row[o] += 1
         weights.append(row)
-    return Channel(input_space, output_space, RATIONAL, weights, denominator)
+    return Channel(input_space, output_space, weights, denominator)
 
 
 # --- permutation algebra ----------------------------------------------------
@@ -305,18 +279,14 @@ def make_mm(m: int) -> Channel:
     return _from_supports(input_space, output_space, supports, n_first)
 
 
-def identity_channel(n: int, mode: str = RATIONAL) -> Channel:
+def identity_channel(n: int) -> Channel:
     space = IndexSpace((n,))
-    weights = [[1 if o == i else 0 for o in range(n)] for i in range(n)]
-    if check_mode(mode) != RATIONAL:
-        weights = [[float(w) for w in row] for row in weights]
-    return Channel(space, space, mode, weights)
+    return Channel(space, space, [[1 if o == i else 0 for o in range(n)] for i in range(n)])
 
 
 def tensor_channels(c1: Channel, c2: Channel) -> Channel:
     """Independent parallel use; numerators multiply over the product
     alphabets, and so do denominators."""
-    mode = require_same_mode(c1.mode, c2.mode)
     input_space = IndexSpace(
         c1.input_space.factors + c2.input_space.factors,
         c1.input_space.offsets + c2.input_space.offsets,
@@ -326,24 +296,23 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
         c1.output_space.offsets + c2.output_space.offsets,
     )
     n_out2 = c2.n_outputs
-    zero = 0 if mode == RATIONAL else 0.0
     weights = []
     for row1, support1 in zip(c1.weights, c1.supports):
         for row2, support2 in zip(c2.weights, c2.supports):
-            row = [zero] * output_space.size
+            row = [0] * output_space.size
             for o1 in support1:
                 w1, base = row1[o1], o1 * n_out2
                 for o2 in support2:
                     row[base + o2] = w1 * row2[o2]
             weights.append(row)
-    return Channel(input_space, output_space, mode, weights, c1.denominator * c2.denominator)
+    return Channel(input_space, output_space, weights, c1.denominator * c2.denominator)
 
 
 def sample_output(c: Channel, input_flat: int, seed: int) -> int:
     """Draw one output for the given input; deterministic in the seed."""
     if not 0 <= input_flat < c.n_inputs:
         raise ValueError("input index out of range")
-    table = _sampling_table(c.weights[input_flat], c.denominator if c.mode == RATIONAL else None)
+    table = _sampling_table(c.weights[input_flat], c.denominator)
     return _sample_column(table, random.Random(seed))
 
 
@@ -385,8 +354,8 @@ def channel_to_json(c: Channel) -> dict:
     return {
         "inputs": {"factors": list(c.input_space.factors), "offsets": list(c.input_space.offsets)},
         "outputs": {"factors": list(c.output_space.factors), "offsets": list(c.output_space.offsets)},
-        "mode": c.mode,
-        "matrix": [[prob_to_json(c.prob(o, i), c.mode) for o in range(c.n_outputs)] for i in range(c.n_inputs)],
+        "mode": RATIONAL,
+        "matrix": [[prob_to_json(c.prob(o, i), RATIONAL) for o in range(c.n_outputs)] for i in range(c.n_inputs)],
     }
 
 
@@ -394,8 +363,9 @@ def channel_from_json(data: dict) -> Channel:
     def space(d):
         return IndexSpace(tuple(d["factors"]), tuple(d.get("offsets", [0] * len(d["factors"]))))
 
-    mode = check_mode(data["mode"])
-    return make_channel(data["matrix"], space(data["inputs"]), space(data["outputs"]), mode)
+    if data["mode"] != RATIONAL:
+        raise ValueError(f"channel mode {data['mode']!r} is not supported: channels are {RATIONAL!r}")
+    return make_channel(data["matrix"], space(data["inputs"]), space(data["outputs"]))
 
 
 def save_channel(c: Channel, path: str) -> None:

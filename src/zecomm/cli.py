@@ -89,12 +89,20 @@ def _emit(payload: dict, args, text: str) -> None:
         print(text)
 
 
+def _write(path: str, write, obj) -> None:
+    """``write(obj, path)``, with an unwritable path reported as an I/O error."""
+    try:
+        write(obj, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
+
+
 def _write_csv_channel(c: channels.Channel, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["output"] + [str(l) for l in c.input_space.labels()])
         for o, out_label in enumerate(c.output_space.labels()):
-            writer.writerow([str(out_label)] + [format_value(c.prob(o, i), c.mode) for i in range(c.n_inputs)])
+            writer.writerow([str(out_label)] + [format_value(c.prob(o, i), RATIONAL) for i in range(c.n_inputs)])
 
 
 def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
@@ -109,12 +117,9 @@ def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
 
 def cmd_channel(args) -> int:
     c = _build_channel(args.family, args.m)
-    try:
-        channels.save_channel(c, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+    _write(args.out, channels.save_channel, c)
     if args.csv:
-        _write_csv_channel(c, args.csv)
+        _write(args.csv, _write_csv_channel, c)
     _emit(
         {"inputs": c.n_inputs, "outputs": c.n_outputs, "path": args.out},
         args,
@@ -125,12 +130,9 @@ def cmd_channel(args) -> int:
 
 def cmd_behavior(args) -> int:
     b = _build_behavior(args.family, args.m)
-    try:
-        behaviors.save_behavior(b, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+    _write(args.out, behaviors.save_behavior, b)
     if args.csv:
-        _write_csv_behavior(b, args.csv)
+        _write(args.csv, _write_csv_behavior, b)
     s = b.scenario
     _emit(
         {"scenario": [s.x_card, s.y_card, s.a_card, s.b_card], "mode": b.mode, "path": args.out},
@@ -209,7 +211,9 @@ def cmd_success(args) -> int:
     box = _load_box_arg(args)
     _check_scheme_alphabets(c, box, args.scheme, args.m)
     p = _scheme_protocol(args.scheme, args.m)
-    if args.mc:
+    if args.mc is not None:
+        if args.mc < 1:
+            raise CliError(f"--mc must be at least 1 trial, got {args.mc}")
         if args.seed is None:
             raise CliError("--mc requires an explicit --seed")
         estimate, stderr = protocols.monte_carlo_success(c, box, p, None, args.mc, args.seed)
@@ -218,7 +222,7 @@ def cmd_success(args) -> int:
         return EXIT_OK
     per_message = protocols.per_message_success(c, box, p)
     value = protocols.average_success(per_message)
-    exact_mode = box.mode == RATIONAL and c.mode == RATIONAL
+    exact_mode = box.mode == RATIONAL
     zero_error = exact_mode and all(v == 1 for v in per_message)
     rendered = format_value(value, RATIONAL if exact_mode else FLOAT, as_float=args.float)
     payload = {

@@ -93,7 +93,7 @@ def _members(mask: int) -> Iterator[int]:
 
 def confusability_graph(c: Channel) -> ConfusabilityGraph:
     """Edge between two inputs iff some output is positively probable under
-    both (float entries below 1e-12 count as zero)."""
+    both."""
     reached_by = [0] * c.n_outputs  # reached_by[o] = mask of the inputs that reach o
     for i, support in enumerate(c.supports):
         for o in support:
@@ -239,9 +239,3 @@ def graph_to_json(g: ConfusabilityGraph) -> dict:
         ],
     }
 
-
-def graph_from_json(data: dict) -> ConfusabilityGraph:
-    n = data["vertex_count"]
-    edges = [(u, v) for u, nbrs in enumerate(data["adjacency"]) for v in nbrs if u < v]
-    labels = tuple(tuple(l) if isinstance(l, list) else l for l in data["labels"]) if data.get("labels") else None
-    return graph_from_edges(n, edges, labels)

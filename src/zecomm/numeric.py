@@ -1,9 +1,9 @@
-"""Dual numeric backend: exact rationals for zero-error claims, floats for
-quantum-kernel output.
+"""Numeric helpers: exact rationals for channels and zero-error claims, floats
+for quantum-kernel boxes only.
 
-Every probability table (channel or box) is tagged with one of the two modes:
-a rational table holds int numerators over one denominator in lowest terms
-(:func:`integer_rows`), a float table holds floats over denominator 1.
+A rational table (every channel, and the rational boxes) holds int numerators
+over one denominator in lowest terms (:func:`integer_rows`).  A box may
+instead be tagged float mode and hold floats over denominator 1.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ FLOAT = "float"
 #: default tolerance for float-mode comparisons
 FLOAT_TOL = 1e-9
 
-#: entries below this threshold count as zero for support/confusability purposes
+#: float box entries at or below this count as zero in evaluation; as_prob
+#: clamps float noise this close to [0, 1]
 POS_EPS = 1e-12
 
 
 class ModeMismatchError(ValueError):
     """Raised when rational-mode and float-mode objects are combined."""
-
-
-class ZeroConditioningError(ValueError):
-    """Raised when conditioning on an outcome of probability zero."""
 
 
 def check_mode(mode: str) -> str:

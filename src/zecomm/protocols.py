@@ -5,7 +5,7 @@ shared bipartite box: the sender queries the box with an input derived from
 the message, feeds (message, box outcome) into the channel; the receiver picks
 a box input from the channel output (or skips the box), then guesses from the
 output and the box outcome.  Success probabilities are exact rationals when
-both the box and the channel are rational mode.  Evaluators read the integer
+the box is rational mode, as every channel is.  Evaluators read the integer
 tables directly and refuse signaling boxes, which are outside the model.
 """
 
@@ -79,10 +79,6 @@ class MessagePrior:
 
 def uniform_prior(k: int) -> MessagePrior:
     return MessagePrior(tuple(Fraction(1, k) for _ in range(k)))
-
-
-def point_prior(k: int, message: int) -> MessagePrior:
-    return MessagePrior(tuple(Fraction(1 if g == message else 0) for g in range(k)))
 
 
 # --- the two protocol families ---------------------------------------------
@@ -218,13 +214,13 @@ def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
 def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
     """Success probability conditioned on each message, as a list.
 
-    Exact when both the box and the channel are rational mode; float
-    otherwise.  Per message, the box numerators times the channel numerators
-    are summed and divided once, by ``box.denominator * c.denominator``.
+    Exact when the box is rational mode; float otherwise.  Per message, the
+    box numerators times the channel numerators are summed and divided once,
+    by ``box.denominator * c.denominator``.
     Raises ValueError for a signaling box.
     """
     _check_compatible(c, box, p)
-    exact = box.mode == RATIONAL and c.mode == RATIONAL
+    exact = box.mode == RATIONAL
     denominator = box.denominator * c.denominator
     results = []
     for g in range(p.message_count):
@@ -266,8 +262,8 @@ def average_success(per_message: list, prior: Optional[MessagePrior] = None):
 
 def is_zero_error(c: Channel, box: Behavior, p: AssistedProtocol) -> bool:
     """True iff every message decodes with certainty (so success is 1 under
-    any prior).  Requires rational mode on both resources."""
-    if c.mode != RATIONAL or box.mode != RATIONAL:
+    any prior).  Requires a rational-mode box."""
+    if box.mode != RATIONAL:
         raise ValueError("zero-error decision requires rational mode")
     return all(v == 1 for v in per_message_success(c, box, p))
 
@@ -299,8 +295,7 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
                 if pa > 0:
                     cell = box.weights[x][y][a]
                     bob[(x, y, a)] = _sampling_table(cell, pa) if rational else _sampling_table([w / pa for w in cell])
-    den = c.denominator if c.mode == RATIONAL else None
-    channel = {cin: _sampling_table(c.weights[cin], den) for cin in set(p.enc_channel_input.values())}
+    channel = {cin: _sampling_table(c.weights[cin], c.denominator) for cin in set(p.enc_channel_input.values())}
 
     rng = random.Random(seed)
     hits = 0
@@ -334,8 +329,8 @@ def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = 
     canonical order.  Encoders are compared in integers: the prior, taken as
     exact rationals, is scaled to int weights times the channel numerators.
     """
-    if c.mode != RATIONAL:
-        raise ValueError("unassisted search requires a rational-mode channel")
+    if k < 1:
+        raise ValueError(f"message count K = {k} must be at least 1")
     if prior is None:
         prior = uniform_prior(k)
     n = c.n_inputs
@@ -365,9 +360,11 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     every reachable channel output admits a box input (or a skip) whose
     outcome cells are pure in the message; the decoder is then forced.  The
     search enumerates encoders in canonical order and returns the first hit.
-    Raises ValueError for a signaling box.
+    Raises ValueError for a signaling box or for k < 1.
     """
-    if c.mode != RATIONAL or box.mode != RATIONAL:
+    if k < 1:
+        raise ValueError(f"message count K = {k} must be at least 1")
+    if box.mode != RATIONAL:
         raise ValueError("exhaustive search requires rational mode")
     _check_no_signaling(box)
     s = box.scenario

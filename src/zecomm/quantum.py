@@ -9,7 +9,6 @@ exact-rational twin for zero-error bookkeeping.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,40 +197,3 @@ def cglmp_assisted_success_closed_form() -> float:
     csc2 = lambda t: 1 / math.sin(t) ** 2
     return (1 + csc2(math.pi / 4) / 36 + csc2(5 * math.pi / 12) / 18 + csc2(math.pi / 12) / 6) / 4
 
-
-# --- JSON interchange -------------------------------------------------------
-
-def _matrix_to_json(m: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def _matrix_from_json(raw) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in raw])
-
-
-def quantum_model_to_json(q: QuantumModel) -> dict:
-    return {
-        "dim_alice": q.alice_meas[0][0].shape[0],
-        "dim_bob": q.bob_meas[0][0].shape[0],
-        "state": _matrix_to_json(q.state),
-        "alice_measurements": [[_matrix_to_json(e) for e in meas] for meas in q.alice_meas],
-        "bob_measurements": [[_matrix_to_json(e) for e in meas] for meas in q.bob_meas],
-    }
-
-
-def quantum_model_from_json(data: dict) -> QuantumModel:
-    return QuantumModel(
-        _matrix_from_json(data["state"]),
-        tuple(tuple(_matrix_from_json(e) for e in meas) for meas in data["alice_measurements"]),
-        tuple(tuple(_matrix_from_json(e) for e in meas) for meas in data["bob_measurements"]),
-    )
-
-
-def save_quantum_model(q: QuantumModel, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(quantum_model_to_json(q), fh)
-
-
-def load_quantum_model(path: str) -> QuantumModel:
-    with open(path) as fh:
-        return quantum_model_from_json(json.load(fh))

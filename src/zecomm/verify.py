@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import reference
 from .behaviors import is_no_signaling, make_extremal_box, make_rtilde_box, tensor_behaviors, validate_behavior
-from .channels import make_mm, make_nm, tensor_channels
+from .channels import Channel, make_mm, make_nm, tensor_channels
 from .graphs import confusability_graph, independence_number
 from .numeric import FLOAT, RATIONAL, format_value
 from .protocols import (
@@ -80,34 +80,27 @@ def _run(report: VerificationReport, name: str, provenance: str, mode: str, fn) 
     report.checks.append(Check(name, provenance, str(expected), str(computed), mode, passed, time.perf_counter() - start))
 
 
+def _check_matrix(c: Channel, support: dict, weight: Fraction):
+    """Compare every entry of ``c`` with a published matrix given as output
+    label -> inputs of weight ``weight`` (all other entries 0)."""
+    mismatches = 0
+    for out_label in c.output_space.labels():
+        ref_inputs = set(map(tuple, support.get(out_label, [])))
+        for in_label in c.input_space.labels():
+            expect = weight if in_label in ref_inputs else Fraction(0)
+            if c.prob_labels(out_label, in_label) != expect:
+                mismatches += 1
+    entries = c.n_inputs * c.n_outputs
+    return f"0 mismatches in {entries} entries", f"{mismatches} mismatches", mismatches == 0
+
+
 def run_verification() -> VerificationReport:
     report = VerificationReport()
 
-    def check_nm3_matrix():
-        c = make_nm(3)
-        mismatches = 0
-        for out_label in c.output_space.labels():
-            ref_inputs = set(map(tuple, reference.NM3_SUPPORT.get(out_label, [])))
-            for in_label in c.input_space.labels():
-                expect = reference.NM3_WEIGHT if in_label in ref_inputs else Fraction(0)
-                if c.prob_labels(out_label, in_label) != expect:
-                    mismatches += 1
-        return "0 mismatches in 72 entries", f"{mismatches} mismatches", mismatches == 0
-
-    _run(report, "nm3-matrix", "published 12x6 stochastic matrix of the m=3 two-layer channel", RATIONAL, check_nm3_matrix)
-
-    def check_mm3_matrix():
-        c = make_mm(3)
-        mismatches = 0
-        for out_label in c.output_space.labels():
-            ref_inputs = set(map(tuple, reference.MM3_SUPPORT.get(out_label, [])))
-            for in_label in c.input_space.labels():
-                expect = reference.MM3_WEIGHT if in_label in ref_inputs else Fraction(0)
-                if c.prob_labels(out_label, in_label) != expect:
-                    mismatches += 1
-        return "0 mismatches in 126 entries", f"{mismatches} mismatches", mismatches == 0
-
-    _run(report, "mm3-matrix", "published 21x6 stochastic matrix of the m=3 block channel", RATIONAL, check_mm3_matrix)
+    _run(report, "nm3-matrix", "published 12x6 stochastic matrix of the m=3 two-layer channel", RATIONAL,
+         lambda: _check_matrix(make_nm(3), reference.NM3_SUPPORT, reference.NM3_WEIGHT))
+    _run(report, "mm3-matrix", "published 21x6 stochastic matrix of the m=3 block channel", RATIONAL,
+         lambda: _check_matrix(make_mm(3), reference.MM3_SUPPORT, reference.MM3_WEIGHT))
 
     def check_capacity_zero():
         alphas = []

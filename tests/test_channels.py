@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -250,7 +251,7 @@ def test_sample_output_identity_and_determinism():
 
 def test_sample_output_frequencies():
     c = make_nm(3)
-    support = set(c.support(0))
+    support = set(c.supports[0])
     assert len(support) == 4
     counts = {o: 0 for o in support}
     trials = 4000
@@ -264,6 +265,28 @@ def test_channel_json_roundtrip():
     c = make_mm(3)
     again = channel_from_json(channel_to_json(c))
     assert again == c
+
+
+# channel_to_json output recorded while channels still carried a mode field
+NM2_JSON = (
+    '{"inputs": {"factors": [2, 2], "offsets": [0, 0]}, "outputs": {"factors": [3, 2], "offsets": [1, 0]}, '
+    '"mode": "rational", "matrix": [["1/3", "0/1", "1/3", "0/1", "1/3", "0/1"], '
+    '["1/3", "0/1", "0/1", "1/3", "0/1", "1/3"], ["0/1", "1/3", "1/3", "0/1", "0/1", "1/3"], '
+    '["0/1", "1/3", "0/1", "1/3", "1/3", "0/1"]]}'
+)
+
+
+def test_channel_json_matches_recorded_output():
+    assert json.dumps(channel_to_json(make_nm(2))) == NM2_JSON
+    assert channel_from_json(json.loads(NM2_JSON)) == make_nm(2)
+
+
+def test_channel_json_refuses_other_modes():
+    data = channel_to_json(identity_channel(2))
+    data["mode"] = "float"
+    data["matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="channel mode 'float'"):
+        channel_from_json(data)
 
 
 @settings(max_examples=25, deadline=None)

@@ -258,3 +258,37 @@ def test_main_reuses_one_parser_without_leaking_options(monkeypatch, capsys):
         assert len(built) == 1
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_success_refuses_fewer_than_one_mc_trial(capsys, trials):
+    code, stdout, stderr = run(capsys, "success", "--family", "Nm", "--m", "3", "--box-family", "pm",
+                               "--scheme", "theorem2", "--mc", trials, "--seed", "1")
+    assert code == EXIT_USAGE and stdout == ""
+    assert f"--mc must be at least 1 trial, got {trials}" in stderr
+
+
+@pytest.mark.parametrize("command", ["search-assisted", "search-classical"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_searches_refuse_fewer_than_one_message(capsys, command, k):
+    code, stdout, stderr = run(capsys, command, "--family", "Nm", "--m", "2", "-K", k)
+    assert code == EXIT_USAGE and stdout == ""
+    assert f"message count K = {k} must be at least 1" in stderr
+
+
+@pytest.mark.parametrize("command, family", [("channel", "Nm"), ("behavior", "pm")])
+def test_unwritable_csv_is_io_error(tmp_path, capsys, command, family):
+    csv_path = tmp_path / "absent" / "x.csv"
+    code, stdout, stderr = run(capsys, command, "--family", family, "--m", "3",
+                               "--out", str(tmp_path / "x.json"), "--csv", str(csv_path))
+    assert code == EXIT_IO and stdout == ""
+    assert f"cannot write {csv_path}" in stderr
+
+
+def test_float_mode_channel_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "float.json"
+    space = {"factors": [2], "offsets": [0]}
+    path.write_text(json.dumps({"inputs": space, "outputs": space, "mode": "float", "matrix": [[1.0, 0.0], [0.0, 1.0]]}))
+    code, stdout, stderr = run(capsys, "capacity", "--channel", str(path))
+    assert code == EXIT_IO and stdout == ""
+    assert "bad channel file" in stderr and "'float'" in stderr

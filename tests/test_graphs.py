@@ -14,7 +14,6 @@ from zecomm.graphs import (
     confusability_graph,
     cycle_graph,
     graph_from_edges,
-    graph_from_json,
     graph_to_dimacs,
     graph_to_json,
     independence_number,
@@ -192,7 +191,7 @@ def test_confusability_nm_large_not_complete(m):
     u = c.input_space.flatten((0, 1))
     v = c.input_space.flatten((1, 2))
     assert not g.has_edge(u, v)
-    assert not set(c.support(u)) & set(c.support(v))
+    assert not set(c.supports[u]) & set(c.supports[v])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -262,9 +261,15 @@ def test_dimacs_export():
 
 def test_json_roundtrip():
     g = confusability_graph(make_nm(3))
-    again = graph_from_json(graph_to_json(g))
-    assert again.adjacency == g.adjacency
-    assert again.labels == g.labels
+    data = graph_to_json(g)
+    assert data["vertex_count"] == 6
+    assert data["labels"] == [[i1, i2] for i1 in range(2) for i2 in range(3)]
+    assert data["adjacency"] == [[v for v in range(6) if v != u] for u in range(6)]  # complete K_6
+    edges = [(u, v) for u, nbrs in enumerate(data["adjacency"]) for v in nbrs if u < v]
+    again = graph_from_edges(data["vertex_count"], edges, tuple(map(tuple, data["labels"])))
+    assert again.adjacency == g.adjacency and again.labels == g.labels
+    data = graph_to_json(cycle_graph(4))
+    assert data["labels"] is None and data["adjacency"] == [[1, 3], [0, 2], [1, 3], [0, 2]]
 
 
 @settings(max_examples=60, deadline=None)

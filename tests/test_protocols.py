@@ -24,7 +24,6 @@ from zecomm.protocols import (
     make_theorem3_protocol,
     monte_carlo_success,
     per_message_success,
-    point_prior,
     protocol_from_json,
     protocol_to_json,
     tensor_protocols,
@@ -66,7 +65,7 @@ def test_protocol_validation():
 
 def test_priors():
     assert sum(uniform_prior(3).weights) == 1
-    assert point_prior(3, 1).weights[1] == 1
+    assert MessagePrior((0, 1, 0)).weights[1] == 1
     with pytest.raises(ValueError):
         MessagePrior((Fraction(1, 2), Fraction(1, 4)))
     with pytest.raises(ValueError):
@@ -76,7 +75,8 @@ def test_priors():
 def test_exact_success_with_prior():
     channel, box, protocol = make_nm(3), make_extremal_box(3, 3), make_theorem2_protocol(3)
     per = per_message_success(channel, box, protocol)
-    assert exact_success(channel, box, protocol, point_prior(2, 1)) == per[1]
+    assert exact_success(channel, box, protocol, MessagePrior((0, 1))) == per[1]
+    assert exact_success(channel, box, protocol, MessagePrior((1, 0))) == per[0]
     with pytest.raises(ValueError):
         exact_success(channel, box, protocol, uniform_prior(3))
 
@@ -208,6 +208,14 @@ def test_exhaustive_search_trivial_box_finds_nothing():
 def test_exhaustive_search_branch_limit():
     with pytest.raises(SearchLimitExceeded):
         exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 2, max_branches=3)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_searches_refuse_fewer_than_one_message(k):
+    with pytest.raises(ValueError, match=f"message count K = {k} must be at least 1"):
+        exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), k)
+    with pytest.raises(ValueError, match=f"message count K = {k} must be at least 1"):
+        best_unassisted_success(make_nm(2), k)
 
 
 def test_exhaustive_search_requires_rational():

@@ -15,16 +15,12 @@ from zecomm.quantum import (
     cglmp_assisted_success_closed_form,
     check_density_matrix,
     check_measurement,
-    load_quantum_model,
     make_cglmp_behavior,
     make_i3322_model,
     make_i3322_rational_table,
     make_max_entangled,
     make_singlet,
     planar_qubit_projectors,
-    quantum_model_from_json,
-    quantum_model_to_json,
-    save_quantum_model,
 )
 
 
@@ -128,23 +124,6 @@ def test_cglmp_behavior_structure():
 def test_cglmp_closed_form_value():
     value = cglmp_assisted_success_closed_form()
     assert abs(value - 0.9008) < 5e-5
-
-
-def test_quantum_model_json_roundtrip(tmp_path):
-    model = make_i3322_model()
-    data = quantum_model_to_json(model)
-    again = quantum_model_from_json(data)
-    assert np.allclose(again.state, model.state)
-    path = tmp_path / "model.json"
-    save_quantum_model(model, str(path))
-    loaded = load_quantum_model(str(path))
-    beh1 = behavior_from_quantum(model)
-    beh2 = behavior_from_quantum(loaded)
-    for x in range(3):
-        for y in range(3):
-            for a in range(2):
-                for b in range(2):
-                    assert abs(beh1.prob(x, y, a, b) - beh2.prob(x, y, a, b)) < 1e-12
 
 
 def test_quantum_model_dimension_check():
