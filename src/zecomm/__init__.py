@@ -35,7 +35,6 @@ from .graphs import (
 from .protocols import (
     SKIP,
     AssistedProtocol,
-    MessagePrior,
     best_unassisted_success,
     exact_success,
     exhaustive_assisted_search,
@@ -45,7 +44,6 @@ from .protocols import (
     monte_carlo_success,
     per_message_success,
     tensor_protocols,
-    uniform_prior,
 )
 from .quantum import (
     QuantumModel,

@@ -97,10 +97,11 @@ def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
     ])
 
 
-def validate_behavior(b: Behavior, tol: float = FLOAT_TOL) -> list[str]:
+def validate_behavior(b: Behavior) -> list[str]:
     """Violated constraints of ``b``'s table (empty iff it is valid): shape,
     non-negative entries, and each (x, y) block summing to the denominator,
-    exactly for rational mode (int or Fraction numerators)."""
+    exactly for rational mode (int or Fraction numerators) and within
+    FLOAT_TOL for float mode."""
     s = b.scenario
     rational = b.mode == RATIONAL
     if not (type(b.denominator) is int and b.denominator >= 1 and (rational or b.denominator == 1)):
@@ -118,7 +119,7 @@ def validate_behavior(b: Behavior, tol: float = FLOAT_TOL) -> list[str]:
         if rational:
             if total != b.denominator:
                 report.append(f"normalization violated at (x={x},y={y}): sum={Fraction(total, b.denominator)}")
-        elif abs(total - 1.0) > tol:
+        elif abs(total - 1.0) > FLOAT_TOL:
             report.append(f"normalization violated at (x={x},y={y}): sum={total}")
     return report
 
@@ -199,11 +200,11 @@ def make_local_deterministic(
     ])
 
 
-def uniform_behavior(scenario: Scenario, mode: str = RATIONAL) -> Behavior:
-    n = scenario.a_card * scenario.b_card
-    w, denominator = (1, n) if check_mode(mode) == RATIONAL else (1.0 / n, 1)
-    block = [[w] * scenario.b_card] * scenario.a_card
-    return Behavior(scenario, mode, [[block] * scenario.y_card] * scenario.x_card, denominator)
+def uniform_behavior(scenario: Scenario) -> Behavior:
+    """Rational behavior with every (a, b) equally likely for every (x, y)."""
+    block = [[1] * scenario.b_card] * scenario.a_card
+    return Behavior(scenario, RATIONAL, [[block] * scenario.y_card] * scenario.x_card,
+                    scenario.a_card * scenario.b_card)
 
 
 def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:

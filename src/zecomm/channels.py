@@ -38,11 +38,13 @@ class IndexSpace:
     offsets: tuple[int, ...] = None
 
     def __post_init__(self):
-        if any(f < 1 for f in self.factors):
-            raise ValueError("factor cardinalities must be >= 1")
         if self.offsets is None:
             object.__setattr__(self, "offsets", (0,) * len(self.factors))
-        elif len(self.offsets) != len(self.factors):
+        if not all(type(v) is int for v in self.factors + self.offsets):
+            raise ValueError(f"factors {self.factors} and offsets {self.offsets} must be ints")
+        if any(f < 1 for f in self.factors):
+            raise ValueError("factor cardinalities must be >= 1")
+        if len(self.offsets) != len(self.factors):
             raise ValueError("offsets length must match factors")
 
     @property

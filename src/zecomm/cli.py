@@ -66,7 +66,7 @@ def _load_channel_arg(args) -> channels.Channel:
             return channels.load_channel(args.channel)
         except OSError as exc:
             raise CliError(f"cannot read channel file: {exc}", EXIT_IO)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise CliError(f"bad channel file: {exc}", EXIT_IO)
     return _build_channel(args.family, args.m)
 
@@ -77,7 +77,7 @@ def _load_box_arg(args) -> behaviors.Behavior:
             return behaviors.load_behavior(args.box)
         except OSError as exc:
             raise CliError(f"cannot read behavior file: {exc}", EXIT_IO)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise CliError(f"bad behavior file: {exc}", EXIT_IO)
     return _build_behavior(args.box_family, args.m)
 
@@ -95,6 +95,11 @@ def _write(path: str, write, obj) -> None:
         write(obj, path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
+
+
+def _write_text(text: str, path: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _write_csv_channel(c: channels.Channel, path: str) -> None:
@@ -168,11 +173,7 @@ def cmd_graph(args) -> int:
     else:
         text = json.dumps(graphs.graph_to_json(g), indent=1)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO)
+        _write(args.out, _write_text, text)
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -216,7 +217,7 @@ def cmd_success(args) -> int:
             raise CliError(f"--mc must be at least 1 trial, got {args.mc}")
         if args.seed is None:
             raise CliError("--mc requires an explicit --seed")
-        estimate, stderr = protocols.monte_carlo_success(c, box, p, None, args.mc, args.seed)
+        estimate, stderr = protocols.monte_carlo_success(c, box, p, args.mc, args.seed)
         payload = {"success": estimate, "stderr": stderr, "trials": args.mc, "seed": args.seed}
         _emit(payload, args, f"success ~= {estimate:.6f} +/- {stderr:.6f} ({args.mc} trials, seed {args.seed})")
         return EXIT_OK

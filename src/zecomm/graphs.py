@@ -64,14 +64,14 @@ class ConfusabilityGraph:
         return self.edge_count() == n * (n - 1) // 2
 
 
-def graph_from_edges(n: int, edges: Sequence[tuple[int, int]], labels=None) -> ConfusabilityGraph:
+def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityGraph:
     adj = [0] * n
     for u, v in edges:
         if u == v:
             raise ValueError("self-loops not allowed")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return ConfusabilityGraph(n, tuple(adj), labels)
+    return ConfusabilityGraph(n, tuple(adj))
 
 
 def complete_graph(n: int) -> ConfusabilityGraph:
@@ -206,14 +206,15 @@ def strong_product(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> Confusabil
     return ConfusabilityGraph(n1 * n2, tuple(adj), labels)
 
 
-def zero_error_capacity_oneshot(c: Channel, limit: int = DEFAULT_VERTEX_LIMIT):
+def zero_error_capacity_oneshot(c: Channel):
     """One-shot zero-error capacity log2(alpha) of the confusability graph.
 
     Returns ``(alpha, capacity_bits, exact_bits)`` where ``exact_bits`` is the
-    integer bit count when alpha is a power of two, else None.
+    integer bit count when alpha is a power of two, else None.  Raises
+    ValueError above ``DEFAULT_VERTEX_LIMIT`` inputs.
     """
     g = confusability_graph(c)
-    alpha = independence_number(g, limit)
+    alpha = independence_number(g)
     capacity = math.log2(alpha)
     exact_bits = alpha.bit_length() - 1 if alpha & (alpha - 1) == 0 else None
     return alpha, capacity, exact_bits

@@ -57,7 +57,7 @@ def as_prob(value, mode: str):
     return min(1.0, max(0.0, v))
 
 
-def integer_rows(rows, denominator: int = 1) -> tuple[tuple, int]:
+def integer_rows(rows, denominator: int) -> tuple[tuple, int]:
     """The rationals ``rows[i][j] / denominator`` (int or Fraction entries)
     as rows of int numerators over one denominator in lowest terms: Fractions
     are scaled to the lcm of their denominators, then everything is divided

@@ -4,9 +4,10 @@ A protocol transmits a message through one channel use with one use of a
 shared bipartite box: the sender queries the box with an input derived from
 the message, feeds (message, box outcome) into the channel; the receiver picks
 a box input from the channel output (or skips the box), then guesses from the
-output and the box outcome.  Success probabilities are exact rationals when
-the box is rational mode, as every channel is.  Evaluators read the integer
-tables directly and refuse signaling boxes, which are outside the model.
+output and the box outcome.  Messages are equiprobable, and every decoder
+guess is a message.  Success probabilities are exact rationals when the box is
+rational mode, as every channel is.  Evaluators read the integer tables
+directly and refuse signaling boxes, which are outside the model.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .behaviors import Behavior, is_no_signaling
 from .channels import (
@@ -29,7 +29,10 @@ from .channels import (
     pi_hat,
     pi_perm,
 )
-from .numeric import POS_EPS, RATIONAL, integer_rows
+from .numeric import POS_EPS, RATIONAL
+
+#: largest encoder count ``best_unassisted_success`` enumerates
+UNASSISTED_ENCODER_LIMIT = 10**7
 
 #: decoder marker for "do not use the box on this channel output"
 SKIP = None
@@ -42,8 +45,8 @@ class AssistedProtocol:
     ``enc_box_input[message]`` is the sender's box input; the channel input is
     ``enc_channel_input[(message, box_outcome)]`` (a flat index).  For each
     flat channel output, ``dec_box_input[output]`` is the receiver's box input
-    or SKIP, and ``dec_guess[(output, box_outcome_or_SKIP)]`` is a raw guess in
-    an extended alphabet which ``guess_remap`` folds back onto messages.
+    or SKIP, and ``dec_guess[(output, box_outcome_or_SKIP)]`` is the message
+    guessed.
     """
 
     message_count: int
@@ -51,34 +54,10 @@ class AssistedProtocol:
     enc_channel_input: dict
     dec_box_input: tuple
     dec_guess: dict
-    guess_remap: dict
 
     def __post_init__(self):
         if len(self.enc_box_input) != self.message_count:
             raise ValueError("enc_box_input must be total on messages")
-        for g in range(self.message_count):
-            if self.guess_remap.get(g, g) != g:
-                raise ValueError("guess_remap must be the identity on messages")
-
-    def remap(self, raw_guess: int) -> int:
-        return self.guess_remap.get(raw_guess, raw_guess)
-
-
-@dataclass(frozen=True)
-class MessagePrior:
-    """Distribution over messages; defaults to uniform."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        if any(w < 0 for w in self.weights):
-            raise ValueError("negative prior weight")
-        if sum(self.weights) != 1:
-            raise ValueError("prior must be normalized")
-
-
-def uniform_prior(k: int) -> MessagePrior:
-    return MessagePrior(tuple(Fraction(1, k) for _ in range(k)))
 
 
 # --- the two protocol families ---------------------------------------------
@@ -89,8 +68,9 @@ def make_theorem2_protocol(m: int) -> AssistedProtocol:
 
     Decoder: first output layer carries the message directly (box skipped);
     layer 2 queries the box at y=1 and guesses pi_hat(o2) + b; layer l >= 3
-    queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Raw guesses >= 2
-    fold to message 0, which is only reachable for non-extremal boxes.
+    queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Those raw guesses
+    lie in {0..m-1}; the ones >= 2 are stored as message 0, and they are only
+    reachable for non-extremal boxes.
     """
     in_space, out_space = _nm_spaces(m)
 
@@ -110,8 +90,8 @@ def make_theorem2_protocol(m: int) -> AssistedProtocol:
             dec_box.append(0)
             for b in range(m):
                 dec_guess[(out, b)] = (o2 + pi_hat(m, pi_perm(m, o1 - 3, b))) % m
-    remap = {g: 0 for g in range(2, m)}
-    return AssistedProtocol(2, (0, 1), enc_channel, tuple(dec_box), dec_guess, remap)
+    dec_guess = {key: raw if raw < 2 else 0 for key, raw in dec_guess.items()}
+    return AssistedProtocol(2, (0, 1), enc_channel, tuple(dec_box), dec_guess)
 
 
 def make_theorem3_protocol(m: int) -> AssistedProtocol:
@@ -138,7 +118,7 @@ def make_theorem3_protocol(m: int) -> AssistedProtocol:
             dec_box.append(j)
             for b in range(2):
                 dec_guess[(out, b)] = (o2 + pi_hat(m, pi_perm(m, shift, b))) % m
-    return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(dec_box), dec_guess, {})
+    return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(dec_box), dec_guess)
 
 
 def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
@@ -177,10 +157,10 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
         dec_box.append((0 if y1 is SKIP else y1) * s2.y_card + (0 if y2 is SKIP else y2))
         for b1 in range(s1.b_card):
             for b2 in range(s2.b_card):
-                raw1 = p1.remap(p1.dec_guess[(o1, SKIP if y1 is SKIP else b1)])
-                raw2 = p2.remap(p2.dec_guess[(o2, SKIP if y2 is SKIP else b2)])
-                dec_guess[(out, b1 * s2.b_card + b2)] = raw1 * p2.message_count + raw2
-    return AssistedProtocol(k, enc_box, enc_channel, tuple(dec_box), dec_guess, {})
+                g1 = p1.dec_guess[(o1, SKIP if y1 is SKIP else b1)]
+                g2 = p2.dec_guess[(o2, SKIP if y2 is SKIP else b2)]
+                dec_guess[(out, b1 * s2.b_card + b2)] = g1 * p2.message_count + g2
+    return AssistedProtocol(k, enc_box, enc_channel, tuple(dec_box), dec_guess)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -234,57 +214,48 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
             for out in c.supports[cin]:
                 y = p.dec_box_input[out]
                 if y is SKIP:
-                    if p.remap(p.dec_guess[(out, SKIP)]) == g:
+                    if p.dec_guess[(out, SKIP)] == g:
                         total += pa * row[out]
                 else:
                     for b, w in enumerate(box.weights[x][y][a]):  # p(a,b|x,y) = p(b|a,x,y) p(a|x) for NS boxes
-                        if p.remap(p.dec_guess[(out, b)]) == g:
+                        if p.dec_guess[(out, b)] == g:
                             total += w * row[out]
         results.append(Fraction(total, denominator) if exact else total / denominator)
     return results
 
 
-def exact_success(c: Channel, box: Behavior, p: AssistedProtocol,
-                  prior: Optional[MessagePrior] = None):
-    """Average success probability under the message prior (default uniform)."""
-    return average_success(per_message_success(c, box, p), prior)
+def exact_success(c: Channel, box: Behavior, p: AssistedProtocol):
+    """Success probability averaged over equiprobable messages."""
+    return average_success(per_message_success(c, box, p))
 
 
-def average_success(per_message: list, prior: Optional[MessagePrior] = None):
-    """Average of the per-message success probabilities under the message
-    prior (default uniform)."""
-    if prior is None:
-        prior = uniform_prior(len(per_message))
-    if len(prior.weights) != len(per_message):
-        raise ValueError("prior size mismatch")
-    return sum(w * v for w, v in zip(prior.weights, per_message))
+def average_success(per_message: list):
+    """Mean of the per-message success probabilities (equiprobable messages)."""
+    k = len(per_message)
+    return sum(Fraction(1, k) * v for v in per_message)
 
 
 def is_zero_error(c: Channel, box: Behavior, p: AssistedProtocol) -> bool:
-    """True iff every message decodes with certainty (so success is 1 under
-    any prior).  Requires a rational-mode box."""
+    """True iff every message decodes with certainty.  Requires a
+    rational-mode box."""
     if box.mode != RATIONAL:
         raise ValueError("zero-error decision requires rational mode")
     return all(v == 1 for v in per_message_success(c, box, p))
 
 
-def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
-                        prior: Optional[MessagePrior], trials: int, seed: int):
+def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: int, seed: int):
     """Frequency estimate of the success probability with its standard error.
 
-    Deterministic given the seed.  Box outcomes are sampled sequentially:
-    Alice's marginal ``alice[x]`` first, then Bob's conditional
-    ``weights[x][y][a]`` over ``alice[x][a]``; a signaling box raises
-    ValueError.  The prior (taken as exact rationals), marginal, conditional
-    and channel sampling tables are built once per call.
+    Deterministic given the seed.  The message is drawn uniformly.  Box
+    outcomes are sampled sequentially: Alice's marginal ``alice[x]`` first,
+    then Bob's conditional ``weights[x][y][a]`` over ``alice[x][a]``; a
+    signaling box raises ValueError.  The message, marginal, conditional and
+    channel sampling tables are built once per call.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     _check_compatible(c, box, p)
-    if prior is None:
-        prior = uniform_prior(p.message_count)
-    (prior_weights,), prior_den = integer_rows([[Fraction(w) for w in prior.weights]])
-    prior_table = _sampling_table(prior_weights, prior_den)
+    message_table = _sampling_table([1] * p.message_count, p.message_count)
     rational = box.mode == RATIONAL
     alice = {}
     bob = {}
@@ -300,16 +271,16 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
-        g = _sample_column(prior_table, rng)
+        g = _sample_column(message_table, rng)
         x = p.enc_box_input[g]
         a = _sample_column(alice[x], rng)
         out = _sample_column(channel[p.enc_channel_input[(g, a)]], rng)
         y = p.dec_box_input[out]
         if y is SKIP:
-            guess = p.remap(p.dec_guess[(out, SKIP)])
+            guess = p.dec_guess[(out, SKIP)]
         else:
             b = _sample_column(bob[(x, y, a)], rng)
-            guess = p.remap(p.dec_guess[(out, b)])
+            guess = p.dec_guess[(out, b)]
         hits += guess == g
     estimate = hits / trials
     stderr = (estimate * (1 - estimate) / trials) ** 0.5
@@ -318,33 +289,30 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol,
 
 # --- unassisted and exhaustive searches -------------------------------------
 
-def best_unassisted_success(c: Channel, k: int, prior: Optional[MessagePrior] = None,
-                            limit: int = 10**7):
-    """Exact optimum over deterministic encoders with per-output MAP decoding.
+def best_unassisted_success(c: Channel, k: int):
+    """Exact optimum over deterministic encoders with per-output MAP decoding,
+    for k equiprobable messages.
 
     MAP decoding is optimal for any fixed encoder by linearity; ties break
     toward the smallest message.  Shared randomness cannot beat this value
     (a mixture of deterministic codes is bounded by the best one).
     Returns ``(success, encoder)`` with the first optimal encoder in
-    canonical order.  Encoders are compared in integers: the prior, taken as
-    exact rationals, is scaled to int weights times the channel numerators.
+    canonical order.  Encoders are compared in integers, by the sum over
+    outputs of the largest channel numerator among their codewords.  Raises
+    ValueError beyond ``UNASSISTED_ENCODER_LIMIT`` encoders.
     """
     if k < 1:
         raise ValueError(f"message count K = {k} must be at least 1")
-    if prior is None:
-        prior = uniform_prior(k)
     n = c.n_inputs
-    if n**k > limit:
-        raise ValueError(f"encoder count {n}^{k} exceeds limit {limit}")
-    (weights,), scale = integer_rows([[Fraction(w) for w in prior.weights]])
-    scaled = [[[w * v for v in row] for row in c.weights] for w in weights]
+    if n**k > UNASSISTED_ENCODER_LIMIT:
+        raise ValueError(f"encoder count {n}^{k} exceeds limit {UNASSISTED_ENCODER_LIMIT}")
     best = None
     best_encoder = None
     for encoder in itertools.product(range(n), repeat=k):
-        success = sum(map(max, zip(*(scaled[g][encoder[g]] for g in range(k)))))
+        success = sum(map(max, zip(*(c.weights[cin] for cin in encoder))))
         if best is None or success > best:
             best, best_encoder = success, encoder
-    return Fraction(best, scale * c.denominator), best_encoder
+    return Fraction(best, k * c.denominator), best_encoder
 
 
 class SearchLimitExceeded(RuntimeError):
@@ -392,7 +360,7 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
             if assignment is None:
                 continue
             dec_box, dec_guess = assignment
-            protocol = AssistedProtocol(k, enc_box, enc_channel, dec_box, dec_guess, {})
+            protocol = AssistedProtocol(k, enc_box, enc_channel, dec_box, dec_guess)
             if is_zero_error(c, box, protocol):
                 return True, protocol
     return False, None
@@ -448,16 +416,23 @@ def protocol_to_json(p: AssistedProtocol) -> dict:
             [out, "skip" if b is SKIP else b, guess]
             for (out, b), guess in sorted(p.dec_guess.items(), key=lambda kv: (kv[0][0], -1 if kv[0][1] is SKIP else kv[0][1]))
         ],
-        "guess_remap": [[raw, g] for raw, g in sorted(p.guess_remap.items())],
+        "guess_remap": [],
     }
 
 
 def protocol_from_json(data: dict) -> AssistedProtocol:
+    """Protocol from its JSON form.  The file's ``guess_remap`` pairs
+    ``[raw, message]`` map raw guesses outside the messages onto messages;
+    they are folded into ``dec_guess``, and a pair that moves a message is
+    refused."""
+    k = data["message_count"]
+    remap = {raw: g for raw, g in data["guess_remap"]}
+    if any(remap.get(g, g) != g for g in range(k)):
+        raise ValueError("guess_remap must be the identity on messages")
     return AssistedProtocol(
-        data["message_count"],
+        k,
         tuple(data["enc_box_input"]),
         {(g, a): cin for g, a, cin in data["enc_channel_input"]},
         tuple(SKIP if y == "skip" else y for y in data["dec_box_input"]),
-        {(out, SKIP if b == "skip" else b): guess for out, b, guess in data["dec_guess"]},
-        {raw: g for raw, g in data["guess_remap"]},
+        {(out, SKIP if b == "skip" else b): remap.get(guess, guess) for out, b, guess in data["dec_guess"]},
     )

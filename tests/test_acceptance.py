@@ -19,7 +19,6 @@ The truthful versions of these facts are pinned down in the ``verify`` module
 and its tests.
 """
 
-import math
 from fractions import Fraction
 
 import pytest

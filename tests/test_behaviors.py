@@ -23,7 +23,7 @@ from zecomm.behaviors import (
     uniform_behavior,
     validate_behavior,
 )
-from zecomm.numeric import FLOAT, RATIONAL, as_prob
+from zecomm.numeric import RATIONAL, as_prob
 from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
 
 
@@ -116,7 +116,6 @@ def test_local_uniform_and_mixed_boxes_match_reference():
     assert table_of(local) == ref_local
     ref_uniform = entry_table(s, RATIONAL, lambda x, y, a, b: Fraction(1, 6))
     assert table_of(uniform_behavior(s)) == ref_uniform
-    assert table_of(uniform_behavior(s, FLOAT)) == entry_table(s, FLOAT, lambda x, y, a, b: 1.0 / 6)
     other = make_local_deterministic([0, 0, 1], [1, 1], s)
     ref_other = entry_table(s, RATIONAL, lambda x, y, a, b: 1 if (a == [0, 0, 1][x] and b == 1) else 0)
     assert table_of(other) == ref_other

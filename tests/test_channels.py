@@ -22,7 +22,6 @@ from zecomm.channels import (
     tensor_channels,
     validate_channel,
 )
-from zecomm.numeric import RATIONAL
 
 
 # --- reference: the per-entry rule builder -------------------------------------

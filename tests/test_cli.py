@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from zecomm.channels import load_channel, make_nm
-from zecomm.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from zecomm.behaviors import behavior_to_json, make_extremal_box
+from zecomm.channels import channel_to_json, load_channel, make_nm
+from zecomm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -292,3 +293,70 @@ def test_float_mode_channel_file_is_io_error(tmp_path, capsys):
     code, stdout, stderr = run(capsys, "capacity", "--channel", str(path))
     assert code == EXIT_IO and stdout == ""
     assert "bad channel file" in stderr and "'float'" in stderr
+
+
+def _set(path, value):
+    """A change to a valid table: ``path`` is a key path into its JSON, or
+    None for the whole file."""
+    def change(data):
+        if path is None:
+            return value
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+    return change
+
+
+@pytest.mark.parametrize("kind, change", [
+    ("channel", _set(None, [1, 2])),
+    ("channel", _set(("inputs", "factors"), None)),
+    ("channel", _set(("matrix", 0, 0), None)),
+    ("channel", _set(("matrix", 0, 0), "1/0")),
+    ("channel", _set(("inputs", "offsets"), ["x", 0])),
+    ("behavior", _set(None, [1, 2])),
+    ("behavior", _set(("p", 0, 0, 0, 0), "1/0")),
+], ids=["channel-list", "channel-null-factors", "channel-null-entry", "channel-zero-denominator",
+        "channel-string-offset", "behavior-list", "behavior-zero-denominator"])
+def test_malformed_table_file_is_io_error(tmp_path, capsys, kind, change):
+    path = tmp_path / f"{kind}.json"
+    if kind == "channel":
+        path.write_text(json.dumps(change(channel_to_json(make_nm(2)))))
+        argv = ["capacity", "--channel", str(path)]
+    else:
+        path.write_text(json.dumps(change(behavior_to_json(make_extremal_box(2, 2)))))
+        argv = ["success", "--family", "Nm", "--m", "2", "--box", str(path), "--scheme", "theorem2"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_IO and stdout == ""
+    assert stderr.startswith(f"error: bad {kind} file: ") and stderr.count("\n") == 1
+
+
+def test_unwritable_graph_out_is_io_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "g.txt"
+    code, stdout, stderr = run(capsys, "graph", "--family", "Nm", "--m", "2", "--out", str(out))
+    assert code == EXIT_IO and stdout == ""
+    assert stderr.startswith(f"error: cannot write {out}: ")
+
+
+#: the recorded output of ``search-assisted --family Nm --m 2 --box-family pr
+#: -K 2 --json``; the protocol file format keeps ``guess_remap``, as an empty list
+NM2_PR_PROTOCOL = {
+    "found": True,
+    "protocol": {
+        "message_count": 2,
+        "enc_box_input": [0, 1],
+        "enc_channel_input": [[0, 0, 0], [0, 1, 1], [1, 0, 2], [1, 1, 3]],
+        "dec_box_input": ["skip", "skip", 1, 1, 0, 0],
+        "dec_guess": [[0, "skip", 0], [1, "skip", 1], [2, 0, 0], [2, 1, 1], [3, 0, 1], [3, 1, 0],
+                      [4, 0, 0], [4, 1, 1], [5, 0, 1], [5, 1, 0]],
+        "guess_remap": [],
+    },
+}
+
+
+def test_search_assisted_json_matches_recorded_output(capsys):
+    code, stdout, stderr = run(capsys, "search-assisted", "--family", "Nm", "--m", "2", "--box-family", "pr",
+                               "-K", "2", "--json")
+    assert (code, stderr) == (EXIT_OK, "")
+    assert stdout == json.dumps(NM2_PR_PROTOCOL, indent=1) + "\n"

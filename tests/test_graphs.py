@@ -110,7 +110,7 @@ def test_strong_product_matches_pair_loop_on_random_graphs(data):
         n = data.draw(st.integers(0, 7))
         possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
-        factors.append(graph_from_edges(n, edges, tuple(range(n))))
+        factors.append(ConfusabilityGraph(n, graph_from_edges(n, edges).adjacency, tuple(range(n))))
     assert_same_graph(strong_product(*factors), strong_product_pairs(*factors))
 
 
@@ -266,7 +266,8 @@ def test_json_roundtrip():
     assert data["labels"] == [[i1, i2] for i1 in range(2) for i2 in range(3)]
     assert data["adjacency"] == [[v for v in range(6) if v != u] for u in range(6)]  # complete K_6
     edges = [(u, v) for u, nbrs in enumerate(data["adjacency"]) for v in nbrs if u < v]
-    again = graph_from_edges(data["vertex_count"], edges, tuple(map(tuple, data["labels"])))
+    n = data["vertex_count"]
+    again = ConfusabilityGraph(n, graph_from_edges(n, edges).adjacency, tuple(map(tuple, data["labels"])))
     assert again.adjacency == g.adjacency and again.labels == g.labels
     data = graph_to_json(cycle_graph(4))
     assert data["labels"] is None and data["adjacency"] == [[1, 3], [0, 2], [1, 3], [0, 2]]

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zecomm.behaviors import (
     Behavior,
@@ -10,11 +13,10 @@ from zecomm.behaviors import (
     tensor_behaviors,
     uniform_behavior,
 )
-from zecomm.channels import identity_channel, make_mm, make_nm, tensor_channels
+from zecomm.channels import IndexSpace, identity_channel, make_channel, make_mm, make_nm, tensor_channels
 from zecomm.protocols import (
     SKIP,
     AssistedProtocol,
-    MessagePrior,
     SearchLimitExceeded,
     best_unassisted_success,
     exact_success,
@@ -27,9 +29,8 @@ from zecomm.protocols import (
     protocol_from_json,
     protocol_to_json,
     tensor_protocols,
-    uniform_prior,
 )
-from zecomm.numeric import FLOAT, RATIONAL
+from zecomm.numeric import FLOAT, RATIONAL, integer_rows
 from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
 
 
@@ -58,27 +59,11 @@ def test_log_m_scheme_is_perfect(m):
 
 def test_protocol_validation():
     with pytest.raises(ValueError):
-        AssistedProtocol(2, (0,), {}, (), {}, {})
-    with pytest.raises(ValueError):
-        AssistedProtocol(2, (0, 1), {}, (), {}, {1: 0})  # remap moves a message
-
-
-def test_priors():
-    assert sum(uniform_prior(3).weights) == 1
-    assert MessagePrior((0, 1, 0)).weights[1] == 1
-    with pytest.raises(ValueError):
-        MessagePrior((Fraction(1, 2), Fraction(1, 4)))
-    with pytest.raises(ValueError):
-        MessagePrior((Fraction(3, 2), Fraction(-1, 2)))
-
-
-def test_exact_success_with_prior():
-    channel, box, protocol = make_nm(3), make_extremal_box(3, 3), make_theorem2_protocol(3)
-    per = per_message_success(channel, box, protocol)
-    assert exact_success(channel, box, protocol, MessagePrior((0, 1))) == per[1]
-    assert exact_success(channel, box, protocol, MessagePrior((1, 0))) == per[0]
-    with pytest.raises(ValueError):
-        exact_success(channel, box, protocol, uniform_prior(3))
+        AssistedProtocol(2, (0,), {}, (), {})
+    data = protocol_to_json(make_theorem2_protocol(2))
+    data["guess_remap"] = [[1, 0]]  # moves a message
+    with pytest.raises(ValueError, match="identity on messages"):
+        protocol_from_json(data)
 
 
 def test_mixed_mode_promotes_to_float():
@@ -102,7 +87,7 @@ def test_signaling_box_rejected_at_every_entry_point(mode):
     with pytest.raises(ValueError, match="signaling"):
         exact_success(channel, box, protocol)
     with pytest.raises(ValueError, match="signaling"):
-        monte_carlo_success(channel, box, protocol, None, 100, seed=1)
+        monte_carlo_success(channel, box, protocol, 100, seed=1)
     if mode == RATIONAL:
         with pytest.raises(ValueError, match="signaling"):
             is_zero_error(channel, box, protocol)
@@ -124,19 +109,19 @@ def test_float_signaling_check_has_tolerance():
 
 def test_monte_carlo_reproducible_and_consistent():
     channel, box, protocol = make_nm(3), make_extremal_box(3, 3), make_theorem2_protocol(3)
-    est1, err1 = monte_carlo_success(channel, box, protocol, None, 500, seed=42)
-    est2, err2 = monte_carlo_success(channel, box, protocol, None, 500, seed=42)
+    est1, err1 = monte_carlo_success(channel, box, protocol, 500, seed=42)
+    est2, err2 = monte_carlo_success(channel, box, protocol, 500, seed=42)
     assert (est1, err1) == (est2, err2)
     assert est1 == 1.0 and err1 == 0.0  # zero-error scheme never misses
     with pytest.raises(ValueError):
-        monte_carlo_success(channel, box, protocol, None, 0, seed=1)
+        monte_carlo_success(channel, box, protocol, 0, seed=1)
 
 
 def test_monte_carlo_tracks_exact_value():
     channel, box, protocol = make_mm(3), make_i3322_rational_table(), make_theorem3_protocol(3)
     exact = exact_success(channel, box, protocol)
     assert exact == Fraction(6, 7)
-    est, err = monte_carlo_success(channel, box, protocol, None, 4000, seed=7)
+    est, err = monte_carlo_success(channel, box, protocol, 4000, seed=7)
     assert abs(est - float(exact)) < 5 * max(err, 1e-3)
 
 
@@ -147,19 +132,13 @@ def test_monte_carlo_tracks_exact_value():
     ("Nm", 3, "cglmp", "theorem2", {11: (0.88, 0.010276186062932104), 2024: (0.903, 0.009359006357514668)}),
 ])
 def test_monte_carlo_seeded_estimates(family, m, box_family, scheme, expected):
-    # literal estimates pin the whole sampling path: prior, box marginal and
+    # literal estimates pin the whole sampling path: message, box marginal and
     # conditional, and channel draws, in rational and float mode
     from zecomm.cli import _build_behavior, _build_channel, _scheme_protocol
 
     channel, box, protocol = _build_channel(family, m), _build_behavior(box_family, m), _scheme_protocol(scheme, m)
     for seed, estimate in expected.items():
-        assert monte_carlo_success(channel, box, protocol, None, 1000, seed) == estimate
-
-
-def test_monte_carlo_seeded_estimate_with_prior():
-    prior = MessagePrior((Fraction(1, 3), Fraction(2, 3), Fraction(0)))
-    channel, box, protocol = make_mm(3), make_i3322_rational_table(), make_theorem3_protocol(3)
-    assert monte_carlo_success(channel, box, protocol, prior, 1000, 5) == (0.87, 0.010634848376916336)
+        assert monte_carlo_success(channel, box, protocol, 1000, seed) == estimate
 
 
 def test_best_unassisted_optima():
@@ -177,8 +156,40 @@ def test_best_unassisted_identity_channel():
 
 
 def test_best_unassisted_limit():
-    with pytest.raises(ValueError):
-        best_unassisted_success(make_mm(3), 12, limit=100)
+    with pytest.raises(ValueError, match="encoder count 6\\^12 exceeds limit"):
+        best_unassisted_success(make_mm(3), 12)
+
+
+def prior_scaled_unassisted(c, k):
+    """Reference: the earlier enumeration that weighted messages by a prior,
+    at the uniform prior.  The prior is scaled to int weights, which multiply
+    the channel numerators."""
+    (weights,), scale = integer_rows([[Fraction(1, k)] * k], 1)
+    scaled = [[[w * v for v in row] for row in c.weights] for w in weights]
+    best = best_encoder = None
+    for encoder in itertools.product(range(c.n_inputs), repeat=k):
+        success = sum(map(max, zip(*(scaled[g][encoder[g]] for g in range(k)))))
+        if best is None or success > best:
+            best, best_encoder = success, encoder
+    return Fraction(best, scale * c.denominator), best_encoder
+
+
+@pytest.mark.parametrize("family", [make_nm, make_mm])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_best_unassisted_matches_prior_scaled_reference(family, k):
+    c = family(3)
+    assert best_unassisted_success(c, k) == prior_scaled_unassisted(c, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_best_unassisted_matches_prior_scaled_reference_on_random_channels(data):
+    n_in, n_out, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    columns = [data.draw(st.lists(st.integers(0, 3), min_size=n_out, max_size=n_out).filter(any))
+               for _ in range(n_in)]
+    c = make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
+                     IndexSpace((n_in,)), IndexSpace((n_out,)))
+    assert best_unassisted_success(c, k) == prior_scaled_unassisted(c, k)
 
 
 def test_tensor_protocols_two_perfect_bits():
@@ -227,4 +238,9 @@ def test_protocol_json_roundtrip():
     for protocol in (make_theorem2_protocol(3), make_theorem3_protocol(3)):
         again = protocol_from_json(protocol_to_json(protocol))
         assert again == protocol
+    data = protocol_to_json(make_theorem2_protocol(3))
+    entry = next(entry for entry in data["dec_guess"] if entry[2] == 0)
+    entry[2] = 2  # a raw guess outside the messages, folded back by the remap
+    data["guess_remap"] = [[2, 0]]
+    assert protocol_from_json(data) == make_theorem2_protocol(3)
     assert SKIP is None
