@@ -40,7 +40,10 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("x_card", "y_card", "a_card", "b_card"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int:  # a JSON true is a bool, which is not a cardinality
+                raise ValueError(f"{name} {value!r} is not an int")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 

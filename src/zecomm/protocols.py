@@ -327,7 +327,17 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     For fixed encoder maps, a zero-error completion of the decoder exists iff
     every reachable channel output admits a box input (or a skip) whose
     outcome cells are pure in the message; the decoder is then forced.  The
-    search enumerates encoders in canonical order and returns the first hit.
+    search enumerates encoders in canonical order (box inputs, then the flat
+    channel-input tuple, each in ``itertools.product`` order), decides each
+    one with one ``_complete_decoder`` call, and returns the first hit, which
+    ``is_zero_error`` rechecks.  ``max_branches`` caps the encoders visited;
+    SearchLimitExceeded is raised on the first encoder beyond it.
+
+    Message g's channel inputs ``enc_channel_input[(g, a)]``, a = 0..A-1, are
+    one encoder block, at flat positions g*A .. g*A+A-1.  So the search is the
+    product, over the messages, of one block table per box input, built once
+    per call and only as far as the enumeration reaches (see ``_blocks`` and
+    ``_leaves``).
     Raises ValueError for a signaling box or for k < 1.
     """
     if k < 1:
@@ -336,71 +346,123 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
         raise ValueError("exhaustive search requires rational mode")
     _check_no_signaling(box)
     s = box.scenario
-    n_in, n_out = c.n_inputs, c.n_outputs
+    tables = [([], _blocks(c, box, x)) for x in range(s.x_card)]
     branches = 0
-
-    support = [frozenset(support) for support in c.supports]
-    alice_support = [[a for a, pa in enumerate(alice) if pa] for alice in box.alice]
-
     for enc_box in itertools.product(range(s.x_card), repeat=k):
-        for enc_channel_flat in itertools.product(range(n_in), repeat=k * s.a_card):
+        for leaf in _leaves([tables[x] for x in enc_box]):
             branches += 1
             if branches > max_branches:
                 raise SearchLimitExceeded(f"exceeded {max_branches} encoder branches")
-            enc_channel = {}
-            reach = {}  # output -> list of (message, a)
-            for g in range(k):
-                for a in range(s.a_card):
-                    cin = enc_channel_flat[g * s.a_card + a]
-                    enc_channel[(g, a)] = cin
-                    if a in alice_support[enc_box[g]]:
-                        for out in support[cin]:
-                            reach.setdefault(out, []).append((g, a))
-            assignment = _complete_decoder(box, enc_box, reach, n_out)
+            assignment = _complete_decoder(leaf, c.n_outputs, s.b_card)
             if assignment is None:
                 continue
-            dec_box, dec_guess = assignment
-            protocol = AssistedProtocol(k, enc_box, enc_channel, dec_box, dec_guess)
+            enc_channel = {(g, a): cin for g, (cins, _, _) in enumerate(leaf) for a, cin in enumerate(cins)}
+            protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
             if is_zero_error(c, box, protocol):
                 return True, protocol
     return False, None
 
 
-def _complete_decoder(box: Behavior, enc_box, reach, n_out):
-    """Choose, per output, a box input (or SKIP) making every outcome cell
-    message-pure; None if some output admits no such choice."""
+def _blocks(c: Channel, box: Behavior, x: int):
+    """Every encoder block of one message sent with box input x, in
+    ``itertools.product`` order.
+
+    A block is ``(cins, reach, cells)``: ``cins[a]`` is the channel input
+    sent on outcome a; ``reach`` has bit ``out * B`` set for each output
+    reached through an outcome a with ``alice[x][a] > 0``; ``cells[y]`` packs
+    B bits per output, bit ``out * B + b`` set when such an a reaches the
+    output and ``p(a, b | x, y) > 0``.
+    """
     s = box.scenario
+    spread = [sum(1 << out * s.b_card for out in support) for support in c.supports]
+    used = [a for a, pa in enumerate(box.alice[x]) if pa]
+    patterns = [[sum(1 << b for b, w in enumerate(box.weights[x][y][a]) if w) for a in range(s.a_card)]
+                for y in range(s.y_card)]
+    for cins in itertools.product(range(c.n_inputs), repeat=s.a_card):
+        reach = 0
+        for a in used:
+            reach |= spread[cins[a]]
+        cells = []
+        for row in patterns:
+            packed = 0
+            for a in used:
+                packed |= spread[cins[a]] * row[a]
+            cells.append(packed)
+        yield cins, reach, tuple(cells)
+
+
+def _leaves(tables):
+    """Every tuple of one block per table, in ``itertools.product`` order.
+
+    A table is ``(built, source)``: the list of blocks built so far and the
+    generator of the rest.  A block is built when the enumeration first
+    reaches it and kept for later passes, so a search stopped early (a hit,
+    or the budget) builds only the blocks it reached.
+    """
+    *outer, last = tables
+    for prefix in _leaves(outer) if outer else [()]:
+        for block in _walk(*last):
+            yield prefix + (block,)
+
+
+def _walk(built: list, source):
+    """The blocks of one table in order, taking from ``source`` (shared by
+    every walk of the table) each block not yet in ``built``."""
+    yield from built  # a list iterator also yields blocks appended while it is suspended
+    for i in itertools.count(len(built)):
+        if i == len(built):
+            block = next(source, None)
+            if block is None:
+                return
+            built.append(block)
+        yield built[i]
+
+
+def _complete_decoder(leaf, n_out: int, b_card: int):
+    """The forced decoder of one encoder, as ``(dec_box, dec_guess)``, or
+    None when some output admits no box input (or skip) whose outcome cells
+    are message-pure.
+
+    ``leaf`` holds one ``_blocks`` block per message.  The outputs hit
+    by two or more messages, and per box input y the outputs where two
+    messages share a positive outcome cell, are whole-int masks; the encoder
+    fails iff some multi-hit output clashes on every y.  Otherwise an output
+    hit by at most one message skips the box and guesses that message (or 0);
+    a multi-hit output takes the first clash-free y and guesses, per outcome
+    b, the message whose cell is positive (or 0).
+    """
+    hit = multi = 0
+    for _, reach, _ in leaf:
+        multi |= hit & reach
+        hit |= reach
+    clashes = []
+    bad = multi
+    for y in range(len(leaf[0][2])):
+        if not bad:
+            break
+        seen = shared = 0
+        for _, _, cells in leaf:
+            shared |= seen & cells[y]
+            seen |= cells[y]
+        clash = shared
+        for shift in range(1, b_card):  # any shared outcome cell of an output lands on its bit out * B
+            clash |= shared >> shift
+        clashes.append(clash)
+        bad &= clash
+    if bad:
+        return None
     dec_box = []
     dec_guess = {}
     for out in range(n_out):
-        hitters = reach.get(out, [])
-        messages = {g for g, _ in hitters}
-        if len(messages) <= 1:
-            g = messages.pop() if messages else 0
+        bit = 1 << out * b_card
+        if not multi & bit:
             dec_box.append(SKIP)
-            dec_guess[(out, SKIP)] = g
+            dec_guess[(out, SKIP)] = next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0)
             continue
-        choice = None
-        for y in range(s.y_card):
-            cells = {}
-            ok = True
-            for g, a in hitters:
-                for b, w in enumerate(box.weights[enc_box[g]][y][a]):
-                    if w:
-                        if cells.setdefault(b, g) != g:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                choice = (y, cells)
-                break
-        if choice is None:
-            return None
-        y, cells = choice
+        y = next(y for y, clash in enumerate(clashes) if not clash & bit)
         dec_box.append(y)
-        for b in range(s.b_card):
-            dec_guess[(out, b)] = cells.get(b, 0)
+        for b in range(b_card):
+            dec_guess[(out, b)] = next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
     return tuple(dec_box), dec_guess
 
 

@@ -155,6 +155,9 @@ def test_behavior_json_matches_recorded_output():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(0, 2, 2, 2)
+    for card in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="is not an int"):
+            Scenario(2, 2, card, 2)
 
 
 def test_extremal_box_support_pattern():

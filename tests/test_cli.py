@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from zecomm.behaviors import behavior_to_json, make_extremal_box
-from zecomm.channels import channel_to_json, load_channel, make_nm
+from zecomm.behaviors import Scenario, behavior_to_json, make_extremal_box, make_local_deterministic
+from zecomm.channels import channel_to_json, identity_channel, load_channel, make_nm
 from zecomm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -309,16 +309,31 @@ def _set(path, value):
     return change
 
 
+def _ones_as_true(data):
+    """A change to the whole file: ``data`` with every entry "1/1", and every
+    scenario cardinality 1, written as JSON true, which Python reads as 1.
+    Unless bools are refused, the file loads as the table ``data`` holds."""
+    data = json.loads(json.dumps(data).replace('"1/1"', "true"))
+    for key, card in data.get("scenario", {}).items():
+        if card == 1:
+            data["scenario"][key] = True
+    return _set(None, data)
+
+
 @pytest.mark.parametrize("kind, change", [
     ("channel", _set(None, [1, 2])),
     ("channel", _set(("inputs", "factors"), None)),
     ("channel", _set(("matrix", 0, 0), None)),
     ("channel", _set(("matrix", 0, 0), "1/0")),
     ("channel", _set(("inputs", "offsets"), ["x", 0])),
+    ("channel", _ones_as_true(channel_to_json(identity_channel(2)))),
     ("behavior", _set(None, [1, 2])),
     ("behavior", _set(("p", 0, 0, 0, 0), "1/0")),
+    ("behavior", _ones_as_true(behavior_to_json(make_local_deterministic([0, 1], [1, 0], Scenario(2, 2, 2, 2))))),
+    ("behavior", _ones_as_true(behavior_to_json(make_local_deterministic([0], [1], Scenario(1, 1, 2, 2))))),
 ], ids=["channel-list", "channel-null-factors", "channel-null-entry", "channel-zero-denominator",
-        "channel-string-offset", "behavior-list", "behavior-zero-denominator"])
+        "channel-string-offset", "channel-true-entries", "behavior-list", "behavior-zero-denominator",
+        "behavior-true-entries", "behavior-true-cardinalities"])
 def test_malformed_table_file_is_io_error(tmp_path, capsys, kind, change):
     path = tmp_path / f"{kind}.json"
     if kind == "channel":

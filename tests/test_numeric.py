@@ -46,6 +46,13 @@ def test_as_prob_float_clamps_noise():
         as_prob(1.1, FLOAT)
 
 
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_as_prob_refuses_bools(mode):
+    for value in (True, False):
+        with pytest.raises(ValueError, match="is a bool"):
+            as_prob(value, mode)
+
+
 def test_json_roundtrip():
     assert prob_to_json(Fraction(1, 3), RATIONAL) == "1/3"
     assert as_prob("1/3", RATIONAL) == Fraction(1, 3)

@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zecomm import protocols
 from zecomm.behaviors import (
     Behavior,
     Scenario,
     make_extremal_box,
+    make_local_deterministic,
     make_rtilde_box,
     tensor_behaviors,
     uniform_behavior,
@@ -202,14 +204,12 @@ def test_tensor_protocols_two_perfect_bits():
     assert is_zero_error(channel, box, protocol)
 
 
-@pytest.mark.slow
 def test_exhaustive_search_finds_zero_error_protocol():
     found, protocol = exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 2)
     assert found
     assert is_zero_error(make_nm(2), make_extremal_box(2, 2), protocol)
 
 
-@pytest.mark.slow
 def test_exhaustive_search_trivial_box_finds_nothing():
     trivial = uniform_behavior(Scenario(2, 2, 2, 2))
     found, protocol = exhaustive_assisted_search(make_nm(2), trivial, 2)
@@ -232,6 +232,236 @@ def test_searches_refuse_fewer_than_one_message(k):
 def test_exhaustive_search_requires_rational():
     with pytest.raises(ValueError):
         exhaustive_assisted_search(make_nm(3), make_cglmp_behavior(), 2)
+
+
+def encoder_of(protocol):
+    """The encoder of a protocol: its box inputs and its channel inputs in
+    (message, outcome) order."""
+    return protocol.enc_box_input, tuple(cin for _, cin in sorted(protocol.enc_channel_input.items()))
+
+
+#: (family, m, box family, K, found, encoder) for the assisted cases of the
+#: `search` benchmark workload and Mm(3)/rtilde K=3, as the per-leaf search
+#: with a dict per encoder returned them
+ASSISTED_ANSWERS = [
+    ("Nm", 2, "pr", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Mm", 2, "rtilde", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Mm", 3, "rtilde", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Mm", 3, "pr", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Nm", 3, "pr", 2, True, ((0, 1), (0, 1, 3, 4))),
+    ("Nm", 3, "rtilde", 2, True, ((0, 1), (0, 1, 3, 4))),
+    ("Nm", 4, "pr", 2, True, ((0, 0), (1, 1, 6, 6))),
+    ("Nm", 4, "rtilde", 2, True, ((0, 0), (1, 1, 6, 6))),
+    ("Nm", 5, "pr", 2, True, ((0, 0), (1, 1, 7, 7))),
+    ("Nm", 5, "rtilde", 2, True, ((0, 0), (1, 1, 7, 7))),
+    ("Nm", 6, "pr", 2, True, ((0, 0), (1, 1, 8, 8))),
+    ("Nm", 6, "rtilde", 2, True, ((0, 0), (1, 1, 8, 8))),
+    ("Nm", 7, "pr", 2, True, ((0, 0), (1, 1, 9, 9))),
+    ("Nm", 7, "rtilde", 2, True, ((0, 0), (1, 1, 9, 9))),
+    ("Mm", 4, "rtilde", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Mm", 4, "pr", 2, True, ((0, 1), (0, 1, 2, 3))),
+    ("Nm", 3, "pm", 2, True, ((0, 1), (0, 1, 2, 3, 4, 5))),
+    ("Mm", 3, "i3322", 2, False, None),
+    ("Nm", 2, "pr", 3, False, None),
+    pytest.param("Mm", 3, "rtilde", 3, True, ((0, 1, 2), (0, 1, 2, 3, 4, 5)), marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("family, m, box_family, k, found, encoder", ASSISTED_ANSWERS)
+def test_exhaustive_search_answers_are_pinned(family, m, box_family, k, found, encoder):
+    from zecomm.cli import _build_behavior, _build_channel
+
+    channel, box = _build_channel(family, m), _build_behavior(box_family, m)
+    hit, protocol = exhaustive_assisted_search(channel, box, k)
+    assert hit is found
+    assert (encoder_of(protocol) if found else protocol) == encoder
+    assert not found or is_zero_error(channel, box, protocol)
+
+
+def reference_encoder(c, box, enc_box, enc_channel_flat):
+    """Reference: the encoder's channel-input dict, and the (message,
+    outcome) pairs reaching each output, as the earlier search built them."""
+    s = box.scenario
+    enc_channel = {}
+    reach = {}  # output -> list of (message, a)
+    for g in range(len(enc_box)):
+        for a in range(s.a_card):
+            cin = enc_channel_flat[g * s.a_card + a]
+            enc_channel[(g, a)] = cin
+            if box.alice[enc_box[g]][a]:
+                for out in c.supports[cin]:
+                    reach.setdefault(out, []).append((g, a))
+    return enc_channel, reach
+
+
+def reference_assisted_search(c, box, k):
+    """Reference: the earlier search, which built the encoder's dicts and
+    then the decoder, one output at a time, for every encoder in canonical
+    order."""
+    s = box.scenario
+    for enc_box in itertools.product(range(s.x_card), repeat=k):
+        for enc_channel_flat in itertools.product(range(c.n_inputs), repeat=k * s.a_card):
+            enc_channel, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
+            assignment = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
+            if assignment is None:
+                continue
+            protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
+            if is_zero_error(c, box, protocol):
+                return True, protocol
+    return False, None
+
+
+def reference_complete_decoder(box, enc_box, reach, n_out):
+    s = box.scenario
+    dec_box = []
+    dec_guess = {}
+    for out in range(n_out):
+        hitters = reach.get(out, [])
+        messages = {g for g, _ in hitters}
+        if len(messages) <= 1:
+            dec_box.append(SKIP)
+            dec_guess[(out, SKIP)] = messages.pop() if messages else 0
+            continue
+        choice = None
+        for y in range(s.y_card):
+            cells = {}
+            ok = True
+            for g, a in hitters:
+                for b, w in enumerate(box.weights[enc_box[g]][y][a]):
+                    if w and cells.setdefault(b, g) != g:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                choice = (y, cells)
+                break
+        if choice is None:
+            return None
+        y, cells = choice
+        dec_box.append(y)
+        for b in range(s.b_card):
+            dec_guess[(out, b)] = cells.get(b, 0)
+    return tuple(dec_box), dec_guess
+
+
+#: most encoders a random search may visit, so that the reference stays fast
+REFERENCE_LEAF_LIMIT = 4096
+
+
+@st.composite
+def search_cases(draw):
+    """(channel, box, K) with K = 1..3, at most 4 channel inputs and at most 6
+    outputs, sparse columns, and an extremal, rtilde, uniform or local
+    deterministic box; a local deterministic box has ``alice[x][a] = 0`` for
+    every a but one."""
+    kind = draw(st.sampled_from(["extremal", "rtilde", "uniform", "local"]))
+    if kind == "extremal":
+        m = draw(st.integers(2, 3))
+        box = make_extremal_box(m, draw(st.integers(2, m)))
+    elif kind == "rtilde":
+        box = make_rtilde_box(draw(st.integers(2, 3)))
+    else:
+        s = Scenario(draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        box = uniform_behavior(s) if kind == "uniform" else make_local_deterministic(
+            [draw(st.integers(0, s.a_card - 1)) for _ in range(s.x_card)],
+            [draw(st.integers(0, s.b_card - 1)) for _ in range(s.y_card)], s)
+    k = draw(st.integers(1, 3))
+    s = box.scenario
+    n_in = draw(st.integers(1, max(n for n in range(1, 5)
+                                   if n == 1 or s.x_card**k * n ** (k * s.a_card) <= REFERENCE_LEAF_LIMIT)))
+    n_out = draw(st.integers(1, 6))
+    columns = [draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n_out, max_size=n_out).filter(any))
+               for _ in range(n_in)]
+    c = make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
+                     IndexSpace((n_in,)), IndexSpace((n_out,)))
+    return c, box, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases())
+@example((make_nm(2), make_extremal_box(3, 2), 2))  # outcome b = 2 never occurs, so its guess is the default
+def test_exhaustive_search_matches_reference_on_random_channels(case):
+    c, box, k = case
+    assert exhaustive_assisted_search(c, box, k) == reference_assisted_search(c, box, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_cases(), st.data())
+def test_complete_decoder_matches_reference_on_random_encoders(case, data):
+    # every encoder, not only the first hit: the decision and the decoder
+    c, box, k = case
+    s = box.scenario
+    enc_box = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
+    leaf = tuple(data.draw(st.sampled_from(list(protocols._blocks(c, box, x)))) for x in enc_box)
+    enc_channel_flat = tuple(cin for cins, _, _ in leaf for cin in cins)
+    _, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
+    assert (protocols._complete_decoder(leaf, c.n_outputs, s.b_card)
+            == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
+
+
+@pytest.fixture
+def decoder_calls(monkeypatch):
+    """The list that gets one entry per ``_complete_decoder`` call."""
+    calls = []
+    complete = protocols._complete_decoder
+
+    def counting(*args):
+        calls.append(1)
+        return complete(*args)
+
+    monkeypatch.setattr(protocols, "_complete_decoder", counting)
+    return calls
+
+
+#: Nm(3) with the PR box, K = 2: the first hit has box inputs (0, 1) and
+#: channel inputs (0, 1, 3, 4) of 6, so its 1-based canonical rank is
+#: 1 * 6**4 + (0 * 6**3 + 1 * 6**2 + 3 * 6 + 4) + 1
+NM3_PR_RANK = 1355
+#: the whole space of Mm(3) with the i3322 table, K = 2: 3**2 box inputs
+#: times 6**4 channel inputs
+MM3_I3322_LEAVES = 11664
+
+
+def test_exhaustive_search_decides_each_encoder_once(decoder_calls):
+    found, protocol = exhaustive_assisted_search(make_nm(3), make_extremal_box(2, 2), 2)
+    assert found and encoder_of(protocol) == ((0, 1), (0, 1, 3, 4))
+    assert len(decoder_calls) == NM3_PR_RANK
+    decoder_calls.clear()
+    assert exhaustive_assisted_search(make_mm(3), make_i3322_rational_table(), 2) == (False, None)
+    assert len(decoder_calls) == MM3_I3322_LEAVES
+
+
+def test_exhaustive_search_builds_only_the_blocks_it_reaches(monkeypatch):
+    built = []
+    blocks = protocols._blocks
+
+    def counting(*args):
+        for block in blocks(*args):
+            built.append(block)
+            yield block
+
+    monkeypatch.setattr(protocols, "_blocks", counting)
+    c, box = make_nm(5), make_extremal_box(5, 5)  # 10**5 encoder blocks per box input
+    found, protocol = exhaustive_assisted_search(c, box, 1)
+    assert found and encoder_of(protocol) == ((0,), (0, 0, 0, 0, 0))
+    assert len(built) == 1
+    built.clear()
+    with pytest.raises(SearchLimitExceeded):
+        exhaustive_assisted_search(c, box, 2, max_branches=100)
+    assert len(built) == 101  # the encoders (block 0, block j) for j = 0..100
+
+
+def test_exhaustive_search_budget_counts_encoders():
+    c, box = make_nm(3), make_extremal_box(2, 2)
+    with pytest.raises(SearchLimitExceeded):
+        exhaustive_assisted_search(c, box, 2, max_branches=NM3_PR_RANK - 1)
+    found, protocol = exhaustive_assisted_search(c, box, 2, max_branches=NM3_PR_RANK)
+    assert found and encoder_of(protocol) == ((0, 1), (0, 1, 3, 4))
+    c, box = make_mm(3), make_i3322_rational_table()
+    with pytest.raises(SearchLimitExceeded):
+        exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES - 1)
+    assert exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES) == (False, None)
 
 
 def test_protocol_json_roundtrip():
