@@ -9,9 +9,12 @@ the inputs that reach each of its outputs, and a strong product row is one
 product of a row of the second factor with a spread neighbourhood of the
 first.
 
-The independence number is decided by one exact solver: branch and bound for
-a maximum clique of the complement graph, with greedy coloring upper bounds.
-A subset-enumeration brute force is kept as an independent oracle.
+The independence number is decided by one exact solver: branch and bound on
+the graph's own rows, in the bitboard style of San Segundo's BBMC and
+Tomita's MCQ.  Each node covers its candidates with cliques of the graph,
+grown greedily and kept as one bitmask each; an independent set takes at
+most one vertex per clique, so the number of cliques bounds the branch.  A
+subset-enumeration brute force is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -66,11 +69,14 @@ class ConfusabilityGraph:
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityGraph:
     adj = [0] * n
-    for u, v in edges:
-        if u == v:
-            raise ValueError("self-loops not allowed")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    try:
+        for u, v in edges:
+            if u == v:
+                raise ValueError("self-loops not allowed")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except IndexError:
+        raise ValueError(f"edge endpoint out of range for {n} vertices") from None
     return ConfusabilityGraph(n, tuple(adj))
 
 
@@ -108,60 +114,54 @@ def confusability_graph(c: Channel) -> ConfusabilityGraph:
     return ConfusabilityGraph(c.n_inputs, tuple(adj), labels)
 
 
-def _max_clique_size(n: int, adj: list[int]) -> int:
-    """Size of a maximum clique; ``adj[v]`` is the neighbor bitmask of v."""
-    if n == 0:
-        return 0
+def _max_independent_set_size(n: int, adj: Sequence[int]) -> int:
+    """Size of a maximum independent set; ``adj[v]`` is the neighbor bitmask
+    of v."""
+    nonadj = [~row for row in adj]
     best = 0
-
-    def color_bound(cand: int) -> tuple[list[int], list[int]]:
-        # Greedy coloring: vertices in one color class are pairwise
-        # non-adjacent, so a clique takes at most one per class.
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        uncolored = cand
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~(adj[v] | (1 << v))
-                uncolored &= ~(1 << v)
-                order.append(v)
-                bounds.append(color)
-        return order, bounds
 
     def expand(cand: int, size: int) -> None:
         nonlocal best
-        order, bounds = color_bound(cand)
-        for idx in range(len(order) - 1, -1, -1):
-            if size + bounds[idx] <= best:
-                return
-            v = order[idx]
-            if size + 1 > best:
-                best = size + 1
-            nxt = cand & adj[v]
-            if nxt:
-                expand(nxt, size + 1)
-            cand &= ~(1 << v)
+        # Cover cand with cliques of G, each grown greedily from its lowest
+        # vertex: an independent set takes at most one vertex per clique.
+        cliques = []
+        uncovered = cand
+        while uncovered:
+            low = uncovered & -uncovered
+            clique = low
+            avail = uncovered & adj[low.bit_length() - 1]
+            while avail:
+                low = avail & -avail
+                clique |= low
+                avail &= adj[low.bit_length() - 1]
+            uncovered ^= clique
+            cliques.append(clique)
+        # Branch from the last clique down: a vertex of the k-th clique can
+        # start a set of at most k vertices among those not yet branched on.
+        for k in range(len(cliques), 0, -1):
+            clique = cliques[k - 1]
+            while clique:
+                if size + k <= best:
+                    return
+                v = clique.bit_length() - 1
+                clique ^= 1 << v
+                cand ^= 1 << v
+                if size >= best:
+                    best = size + 1
+                nxt = cand & nonadj[v]
+                if nxt:
+                    expand(nxt, size + 1)
 
     expand((1 << n) - 1, 0)
     return best
 
 
-def _max_independent_set_size(n: int, adj: list[int]) -> int:
-    """Independence number via maximum clique of the complement."""
-    full = (1 << n) - 1
-    comp = [full & ~(adj[v] | (1 << v)) for v in range(n)]
-    return _max_clique_size(n, comp)
-
-
 def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> int:
-    """Exact independence number via branch and bound with coloring bounds."""
+    """Exact independence number via branch and bound with clique-cover
+    bounds."""
     if g.vertex_count > limit:
         raise ValueError(f"graph has {g.vertex_count} vertices, limit is {limit}")
-    return _max_independent_set_size(g.vertex_count, list(g.adjacency))
+    return _max_independent_set_size(g.vertex_count, g.adjacency)
 
 
 def independence_number_bruteforce(g: ConfusabilityGraph) -> int:
@@ -224,10 +224,8 @@ def zero_error_capacity_oneshot(c: Channel):
 
 def graph_to_dimacs(g: ConfusabilityGraph) -> str:
     lines = [f"p edge {g.vertex_count} {g.edge_count()}"]
-    for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
-            if g.has_edge(u, v):
-                lines.append(f"e {u + 1} {v + 1}")
+    for u, row in enumerate(g.adjacency):
+        lines.extend(f"e {u + 1} {v + 1}" for v in _members(row >> u + 1 << u + 1))
     return "\n".join(lines) + "\n"
 
 
@@ -235,8 +233,5 @@ def graph_to_json(g: ConfusabilityGraph) -> dict:
     return {
         "vertex_count": g.vertex_count,
         "labels": [list(l) if isinstance(l, tuple) else l for l in g.labels] if g.labels else None,
-        "adjacency": [
-            [v for v in range(g.vertex_count) if g.has_edge(u, v)] for u in range(g.vertex_count)
-        ],
+        "adjacency": [list(_members(row)) for row in g.adjacency],
     }
-

@@ -21,8 +21,6 @@ and its tests.
 
 from fractions import Fraction
 
-import pytest
-
 from zecomm import reference
 from zecomm.behaviors import (
     is_no_signaling,
@@ -182,7 +180,6 @@ def test_criterion_10_graph_oracle_equivalence():
     report(10, "solver equals brute force on 200 random graphs; strong product commutes with channel tensor", ok)
 
 
-@pytest.mark.slow
 def test_criterion_11_exhaustive_probe():
     found, protocol = exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 2)
     ok = found and is_zero_error(make_nm(2), make_extremal_box(2, 2), protocol)

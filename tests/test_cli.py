@@ -96,7 +96,6 @@ def test_search_classical_command(capsys):
     assert "7/8" in stdout
 
 
-@pytest.mark.slow
 def test_search_assisted_command(capsys):
     code, stdout, _ = run(
         capsys, "search-assisted", "--family", "Nm", "--m", "2", "--box-family", "pr", "-K", "2"

@@ -64,6 +64,54 @@ def confusability_pairs(c) -> tuple[tuple[int, ...], tuple]:
     return tuple(adj), tuple(c.input_space.labels())
 
 
+def independence_number_complement_coloring(g: ConfusabilityGraph) -> int:
+    """Maximum clique of the complement graph, branching on greedy coloring
+    bounds built vertex by vertex."""
+    n = g.vertex_count
+    full = (1 << n) - 1
+    comp = [full & ~(row | 1 << v) for v, row in enumerate(g.adjacency)]
+    best = 0
+
+    def color_bound(cand: int) -> tuple[list[int], list[int]]:
+        order, bounds = [], []
+        color = 0
+        uncolored = cand
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~(comp[v] | 1 << v)
+                uncolored &= ~(1 << v)
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        order, bounds = color_bound(cand)
+        for idx in range(len(order) - 1, -1, -1):
+            if size + bounds[idx] <= best:
+                return
+            v = order[idx]
+            best = max(best, size + 1)
+            nxt = cand & comp[v]
+            if nxt:
+                expand(nxt, size + 1)
+            cand &= ~(1 << v)
+
+    expand(full, 0)
+    return best
+
+
+def relabelled(g: ConfusabilityGraph, seed: int) -> ConfusabilityGraph:
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)
+             if g.has_edge(u, v)]
+    return graph_from_edges(g.vertex_count, edges)
+
+
 def assert_same_graph(g: ConfusabilityGraph, reference: tuple[tuple[int, ...], tuple]) -> None:
     adjacency, labels = reference
     assert g.vertex_count == len(adjacency)
@@ -155,6 +203,19 @@ def test_graph_validation():
             rejects(n, rows, "adjacency not symmetric")
     with pytest.raises(ValueError, match="self-loops not allowed"):
         graph_from_edges(2, [(0, 0)])
+    with pytest.raises(ValueError):  # a negative endpoint
+        graph_from_edges(3, [(0, -1)])
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 3)]),
+    (3, [(3, 0)]),
+    (3, [(0, 1), (1, 7)]),
+    (0, [(0, 1)]),
+])
+def test_graph_from_edges_refuses_endpoints_out_of_range(n, edges):
+    with pytest.raises(ValueError, match=f"edge endpoint out of range for {n} vertices"):
+        graph_from_edges(n, edges)
 
 
 def test_basic_graphs():
@@ -165,6 +226,13 @@ def test_basic_graphs():
     empty = graph_from_edges(9, [])
     assert independence_number(empty) == 9
     assert empty.edge_count() == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 64])
+def test_empty_and_complete_graphs(n):
+    limit = max(n, DEFAULT_VERTEX_LIMIT)
+    assert independence_number(graph_from_edges(n, []), limit=limit) == n
+    assert independence_number(complete_graph(n), limit=limit) == min(n, 1)
 
 
 def test_confusability_identity_channel():
@@ -207,6 +275,36 @@ def test_solver_matches_bruteforce_on_200_random_graphs():
         n = rng.randint(2, 16) if trial < 190 else rng.randint(17, 22)
         g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
         assert independence_number(g) == independence_number_bruteforce(g)
+
+
+def test_solver_matches_complement_coloring_on_random_graphs():
+    # 25 to 60 vertices: beyond the brute force, checked against the
+    # complement-coloring solver instead.
+    rng = random.Random(20261018)
+    for _ in range(120):
+        n = rng.randint(25, 60)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        assert independence_number(g, limit=n) == independence_number_complement_coloring(g)
+
+
+# alpha(C_{2k+1} x C_{2l+1}) = floor((2l+1) k / 2) for k <= l (Hales 1973);
+# alpha(Nm(m)^k) = 2^k for m >= 4, as alpha*(Nm(m)) = 2 is multiplicative;
+# alpha(C5^3) = 10 (Baumert et al. 1971).
+@pytest.mark.parametrize("factors, alpha", [
+    ((cycle_graph(5), cycle_graph(9)), 9),
+    ((cycle_graph(7), cycle_graph(7)), 10),
+    ((cycle_graph(7), cycle_graph(9)), 13),
+    ((nm_graph(4), nm_graph(4)), 4),
+    ((nm_graph(4), nm_graph(4), nm_graph(4)), 8),
+    pytest.param((cycle_graph(5),) * 3, 10, marks=pytest.mark.slow),
+], ids=["C5xC9", "C7xC7", "C7xC9", "Nm4^2", "Nm4^3", "C5^3"])
+def test_alpha_of_relabelled_strong_products(factors, alpha):
+    power = factors[0]
+    for factor in factors[1:]:
+        power = strong_product(power, factor)
+    for seed in range(3):
+        g = relabelled(power, seed)
+        assert independence_number(g, limit=g.vertex_count) == alpha
 
 
 def test_raised_limit_solves_graphs_above_default():
