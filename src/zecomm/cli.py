@@ -7,7 +7,11 @@ Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 The argument parser is built once, on the first ``main`` call, and reused by
 later calls in the same process.  It holds no handler: ``main`` resolves
 ``cmd_<command>`` by name in this module when it runs, so a handler rebound
-on the module is the one called.
+on the module is the one called.  Each channel family, box family and scheme
+is declared once, in ``CHANNEL_FAMILIES``, ``BOX_FAMILIES`` and
+``protocols.SCHEMES``; the ``choices`` of the parser, the commands and the
+scheme check all read those tables.  Their entries look each builder up on
+its module when called, so a rebound builder is the one used there too.
 """
 
 from __future__ import annotations
@@ -34,52 +38,45 @@ class CliError(Exception):
         self.code = code
 
 
-def _build_channel(family: str, m: int) -> channels.Channel:
-    if family == "Nm":
-        return channels.make_nm(m)
-    if family == "Mm":
-        return channels.make_mm(m)
-    if family == "identity":
-        return channels.identity_channel(m)
-    raise CliError(f"unknown channel family {family!r}")
+#: ``--family`` name -> the channel of size m
+CHANNEL_FAMILIES = {
+    "Nm": lambda m: channels.make_nm(m),
+    "Mm": lambda m: channels.make_mm(m),
+    "identity": lambda m: channels.identity_channel(m),
+}
+
+#: ``--family``/``--box-family`` name -> (numeric mode, the box for size m); the
+#: first is the default, and ``search-assisted`` offers only the rational ones
+BOX_FAMILIES = {
+    "pm": (RATIONAL, lambda m: behaviors.make_extremal_box(m, m)),
+    "pr": (RATIONAL, lambda m: behaviors.make_extremal_box(2, 2)),
+    "rtilde": (RATIONAL, lambda m: behaviors.make_rtilde_box(m)),
+    "cglmp": (FLOAT, lambda m: quantum.make_cglmp_behavior()),
+    "i3322": (RATIONAL, lambda m: quantum.make_i3322_rational_table()),
+    "i3322-float": (FLOAT, lambda m: quantum.behavior_from_quantum(quantum.make_i3322_model())),
+}
 
 
-def _build_behavior(family: str, m: int) -> behaviors.Behavior:
-    if family == "pm":
-        return behaviors.make_extremal_box(m, m)
-    if family == "pr":
-        return behaviors.make_extremal_box(2, 2)
-    if family == "rtilde":
-        return behaviors.make_rtilde_box(m)
-    if family == "cglmp":
-        return quantum.make_cglmp_behavior()
-    if family == "i3322":
-        return quantum.make_i3322_rational_table()
-    if family == "i3322-float":
-        return quantum.behavior_from_quantum(quantum.make_i3322_model())
-    raise CliError(f"unknown behavior family {family!r}")
+def _load(path: str, load, kind: str):
+    """``load(path)``, with an unreadable or malformed file reported as an I/O error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file: {exc}", EXIT_IO)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise CliError(f"bad {kind} file: {exc}", EXIT_IO)
 
 
 def _load_channel_arg(args) -> channels.Channel:
     if args.channel:
-        try:
-            return channels.load_channel(args.channel)
-        except OSError as exc:
-            raise CliError(f"cannot read channel file: {exc}", EXIT_IO)
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            raise CliError(f"bad channel file: {exc}", EXIT_IO)
-    return _build_channel(args.family, args.m)
+        return _load(args.channel, channels.load_channel, "channel")
+    return CHANNEL_FAMILIES[args.family](args.m)
 
 
 def _load_box_arg(args) -> behaviors.Behavior:
     if args.box:
-        try:
-            return behaviors.load_behavior(args.box)
-        except OSError as exc:
-            raise CliError(f"cannot read behavior file: {exc}", EXIT_IO)
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            raise CliError(f"bad behavior file: {exc}", EXIT_IO)
-    return _build_behavior(args.box_family, args.m)
+        return _load(args.box, behaviors.load_behavior, "behavior")
+    return BOX_FAMILIES[args.box_family][1](args.m)
 
 
 def _emit(payload: dict, args, text: str) -> None:
@@ -121,7 +118,7 @@ def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
 
 
 def cmd_channel(args) -> int:
-    c = _build_channel(args.family, args.m)
+    c = CHANNEL_FAMILIES[args.family](args.m)
     _write(args.out, channels.save_channel, c)
     if args.csv:
         _write(args.csv, _write_csv_channel, c)
@@ -134,7 +131,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_behavior(args) -> int:
-    b = _build_behavior(args.family, args.m)
+    b = BOX_FAMILIES[args.family][1](args.m)
     _write(args.out, behaviors.save_behavior, b)
     if args.csv:
         _write(args.csv, _write_csv_behavior, b)
@@ -187,31 +184,24 @@ def _scenario_label(s: behaviors.Scenario) -> str:
 def _check_scheme_alphabets(c: channels.Channel, box: behaviors.Behavior, scheme: str, m: int) -> None:
     """Refuse a channel whose alphabet sizes, or a box whose scenario,
     differ from those the scheme for ``--m`` is written for."""
-    inputs, outputs = {"theorem2": channels._nm_spaces, "theorem3": channels._mm_spaces}[scheme](m)
+    _, spaces, scenario_of = protocols.SCHEMES[scheme]
+    inputs, outputs = spaces(m)
     if (c.n_inputs, c.n_outputs) != (inputs.size, outputs.size):
         raise CliError(
             f"--m {m} gives the {scheme} scheme {inputs.size} channel inputs and {outputs.size} outputs, "
             f"but the channel has {c.n_inputs} inputs and {c.n_outputs} outputs"
         )
-    scenario = behaviors.Scenario(2, 2, m, m) if scheme == "theorem2" else behaviors.Scenario(m, m, 2, 2)
+    scenario = scenario_of(m)
     if box.scenario != scenario:
         raise CliError(f"--m {m} gives the {scheme} scheme box scenario {_scenario_label(scenario)} (x-y-a-b), "
                        f"but the box has scenario {_scenario_label(box.scenario)}")
-
-
-def _scheme_protocol(scheme: str, m: int) -> protocols.AssistedProtocol:
-    if scheme == "theorem2":
-        return protocols.make_theorem2_protocol(m)
-    if scheme == "theorem3":
-        return protocols.make_theorem3_protocol(m)
-    raise CliError(f"unknown scheme {scheme!r}")
 
 
 def cmd_success(args) -> int:
     c = _load_channel_arg(args)
     box = _load_box_arg(args)
     _check_scheme_alphabets(c, box, args.scheme, args.m)
-    p = _scheme_protocol(args.scheme, args.m)
+    p = protocols.SCHEMES[args.scheme][0](args.m)
     if args.mc is not None:
         if args.mc < 1:
             raise CliError(f"--mc must be at least 1 trial, got {args.mc}")
@@ -245,6 +235,8 @@ def cmd_search_classical(args) -> int:
 
 
 def cmd_search_assisted(args) -> int:
+    if args.max_branches < 1:
+        raise CliError(f"--max-branches must be at least 1 branch, got {args.max_branches}")
     c = _load_channel_arg(args)
     box = _load_box_arg(args)
     try:
@@ -271,8 +263,13 @@ def cmd_verify_paper(args) -> int:
 def _add_channel_source(sub):
     source = sub.add_mutually_exclusive_group(required=True)
     source.add_argument("--channel", help="channel JSON file")
-    source.add_argument("--family", choices=["Nm", "Mm", "identity"])
+    source.add_argument("--family", choices=list(CHANNEL_FAMILIES))
     sub.add_argument("--m", type=int, default=3, help="family size parameter")
+
+
+def _add_box_source(sub, families: list):
+    sub.add_argument("--box", help="behavior JSON file (overrides --box-family)")
+    sub.add_argument("--box-family", default=families[0], choices=families)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,14 +278,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channel", help="construct a channel and write its JSON file")
-    p.add_argument("--family", required=True, choices=["Nm", "Mm", "identity"])
+    p.add_argument("--family", required=True, choices=list(CHANNEL_FAMILIES))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export the stochastic matrix as CSV")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("behavior", help="construct a behavior and write its JSON file")
-    p.add_argument("--family", required=True, choices=["pm", "pr", "rtilde", "cglmp", "i3322", "i3322-float"])
+    p.add_argument("--family", required=True, choices=list(BOX_FAMILIES))
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export the table as CSV")
@@ -305,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("success", help="success probability of an assisted scheme")
     _add_channel_source(p)
-    p.add_argument("--box", help="behavior JSON file (overrides --box-family)")
-    p.add_argument("--box-family", default="pm", choices=["pm", "pr", "rtilde", "cglmp", "i3322", "i3322-float"])
-    p.add_argument("--scheme", required=True, choices=["theorem2", "theorem3"])
+    _add_box_source(p, list(BOX_FAMILIES))
+    p.add_argument("--scheme", required=True, choices=list(protocols.SCHEMES))
     p.add_argument("--mc", type=int, help="Monte-Carlo trials instead of exact evaluation")
     p.add_argument("--seed", type=int)
     p.add_argument("--float", action="store_true", help="render values as decimals")
@@ -321,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-assisted", help="exhaustive search for a zero-error assisted protocol")
     _add_channel_source(p)
-    p.add_argument("--box", help="behavior JSON file (overrides --box-family)")
-    p.add_argument("--box-family", default="pm", choices=["pm", "pr", "rtilde", "i3322"])
+    _add_box_source(p, [name for name, (mode, _) in BOX_FAMILIES.items() if mode == RATIONAL])
     p.add_argument("--messages", "-K", type=int, required=True)
     p.add_argument("--max-branches", type=int, default=10**9)
     p.add_argument("--json", action="store_true")

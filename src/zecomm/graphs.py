@@ -72,12 +72,14 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     try:
         for u, v in edges:
             if u == v:
-                raise ValueError("self-loops not allowed")
+                break
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    except IndexError:
+        else:
+            return ConfusabilityGraph(n, tuple(adj))
+    except (IndexError, ValueError):  # an endpoint >= n, or a negative one (a negative shift count)
         raise ValueError(f"edge endpoint out of range for {n} vertices") from None
-    return ConfusabilityGraph(n, tuple(adj))
+    raise ValueError("self-loops not allowed")
 
 
 def complete_graph(n: int) -> ConfusabilityGraph:

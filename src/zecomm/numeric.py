@@ -44,12 +44,15 @@ def as_prob(value, mode: str):
     Rational mode accepts ints, Fractions and "num/den" strings and requires
     the value to lie in [0, 1] exactly.  Float mode clamps tiny negative /
     above-one noise (within 1e-12) to the unit interval.  Both modes refuse
-    bools, which Python would read as 0 and 1.
+    bools, which Python would read as 0 and 1, and non-finite floats.
     """
     if isinstance(value, bool):
         raise ValueError(f"probability {value!r} is a bool, not a number")
     if mode == RATIONAL:
-        f = Fraction(value)
+        try:
+            f = Fraction(value)
+        except OverflowError:  # an infinite float; a NaN raises ValueError itself
+            raise ValueError(f"rational probability {value!r} is not finite") from None
         if not 0 <= f <= 1:
             raise ValueError(f"rational probability {f} outside [0, 1]")
         return f

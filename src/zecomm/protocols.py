@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .behaviors import Behavior, is_no_signaling
+from .behaviors import Behavior, Scenario, is_no_signaling
 from .channels import (
     Channel,
     _mm_spaces,
@@ -119,6 +119,15 @@ def make_theorem3_protocol(m: int) -> AssistedProtocol:
             for b in range(2):
                 dec_guess[(out, b)] = (o2 + pi_hat(m, pi_perm(m, shift, b))) % m
     return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(dec_box), dec_guess)
+
+
+#: CLI ``--scheme`` name -> (protocol, channel (input, output) index spaces,
+#: box scenario), each a function of m.  The protocol builders are looked up
+#: when called, so a builder rebound on this module is the one used.
+SCHEMES = {
+    "theorem2": (lambda m: make_theorem2_protocol(m), _nm_spaces, lambda m: Scenario(2, 2, m, m)),
+    "theorem3": (lambda m: make_theorem3_protocol(m), _mm_spaces, lambda m: Scenario(m, m, 2, 2)),
+}
 
 
 def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,

@@ -268,6 +268,14 @@ def test_success_refuses_fewer_than_one_mc_trial(capsys, trials):
     assert f"--mc must be at least 1 trial, got {trials}" in stderr
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_assisted_refuses_a_budget_below_one_branch(capsys, budget):
+    code, stdout, stderr = run(capsys, "search-assisted", "--family", "Nm", "--m", "2", "--box-family", "pr",
+                               "-K", "2", "--max-branches", budget)
+    assert code == EXIT_USAGE and stdout == ""
+    assert stderr == f"error: --max-branches must be at least 1 branch, got {budget}\n"
+
+
 @pytest.mark.parametrize("command", ["search-assisted", "search-classical"])
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_searches_refuse_fewer_than_one_message(capsys, command, k):
@@ -308,6 +316,12 @@ def _set(path, value):
     return change
 
 
+def _text(old, new):
+    """A change to the text of a valid table file: the first ``old`` replaced
+    by ``new``."""
+    return lambda data: json.dumps(data).replace(old, new, 1)
+
+
 def _ones_as_true(data):
     """A change to the whole file: ``data`` with every entry "1/1", and every
     scenario cardinality 1, written as JSON true, which Python reads as 1.
@@ -330,17 +344,20 @@ def _ones_as_true(data):
     ("behavior", _set(("p", 0, 0, 0, 0), "1/0")),
     ("behavior", _ones_as_true(behavior_to_json(make_local_deterministic([0, 1], [1, 0], Scenario(2, 2, 2, 2))))),
     ("behavior", _ones_as_true(behavior_to_json(make_local_deterministic([0], [1], Scenario(1, 1, 2, 2))))),
+    ("channel", _text('"1/3"', "Infinity")),
+    ("behavior", _text('"1/2"', "1e400")),  # JSON reads it as an infinite float
 ], ids=["channel-list", "channel-null-factors", "channel-null-entry", "channel-zero-denominator",
         "channel-string-offset", "channel-true-entries", "behavior-list", "behavior-zero-denominator",
-        "behavior-true-entries", "behavior-true-cardinalities"])
+        "behavior-true-entries", "behavior-true-cardinalities", "channel-infinite-entry", "behavior-overflowing-entry"])
 def test_malformed_table_file_is_io_error(tmp_path, capsys, kind, change):
     path = tmp_path / f"{kind}.json"
     if kind == "channel":
-        path.write_text(json.dumps(change(channel_to_json(make_nm(2)))))
+        data = change(channel_to_json(make_nm(2)))
         argv = ["capacity", "--channel", str(path)]
     else:
-        path.write_text(json.dumps(change(behavior_to_json(make_extremal_box(2, 2)))))
+        data = change(behavior_to_json(make_extremal_box(2, 2)))
         argv = ["success", "--family", "Nm", "--m", "2", "--box", str(path), "--scheme", "theorem2"]
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     code, stdout, stderr = run(capsys, *argv)
     assert code == EXIT_IO and stdout == ""
     assert stderr.startswith(f"error: bad {kind} file: ") and stderr.count("\n") == 1
@@ -374,3 +391,39 @@ def test_search_assisted_json_matches_recorded_output(capsys):
                                "-K", "2", "--json")
     assert (code, stderr) == (EXIT_OK, "")
     assert stdout == json.dumps(NM2_PR_PROTOCOL, indent=1) + "\n"
+
+
+def test_success_calls_the_builders_bound_on_their_modules(monkeypatch, capsys):
+    # the family and scheme tables look each builder up when called, so a
+    # builder rebound on its module (as a tracer does) is the one used
+    from zecomm import behaviors, channels, protocols
+
+    called = []
+
+    def recorded(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: called.append(name) or original(*args))
+
+    recorded(channels, "make_nm")
+    recorded(behaviors, "make_extremal_box")
+    recorded(protocols, "make_theorem2_protocol")
+    code, stdout, _ = run(capsys, "success", "--family", "Nm", "--m", "3", "--box-family", "pm", "--scheme", "theorem2")
+    assert (code, stdout) == (EXIT_OK, "success = 1/1, zero_error = True\n")
+    assert sorted(called) == ["make_extremal_box", "make_nm", "make_theorem2_protocol"]
+
+
+def test_box_families_declare_the_mode_they_build():
+    from zecomm.cli import BOX_FAMILIES
+
+    for name, (mode, build) in BOX_FAMILIES.items():
+        assert build(3).mode == mode, name
+
+
+def test_help_of_every_command_exits_ok(capsys):
+    from zecomm import cli
+
+    commands = [name[len("cmd_"):].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")]
+    assert len(commands) == 8
+    for argv in [["--help"]] + [[command, "--help"] for command in commands]:
+        code, stdout, _ = run(capsys, *argv)
+        assert code == EXIT_OK and stdout.startswith("usage: zecomm"), argv

@@ -212,6 +212,8 @@ def test_graph_validation():
     (3, [(3, 0)]),
     (3, [(0, 1), (1, 7)]),
     (0, [(0, 1)]),
+    (3, [(0, -1)]),
+    (3, [(-1, 0)]),
 ])
 def test_graph_from_edges_refuses_endpoints_out_of_range(n, edges):
     with pytest.raises(ValueError, match=f"edge endpoint out of range for {n} vertices"):

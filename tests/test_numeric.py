@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,13 @@ def test_as_prob_refuses_bools(mode):
     for value in (True, False):
         with pytest.raises(ValueError, match="is a bool"):
             as_prob(value, mode)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_as_prob_refuses_non_finite_floats(mode, value):
+    with pytest.raises(ValueError):
+        as_prob(value, mode)
 
 
 def test_json_roundtrip():

@@ -136,9 +136,10 @@ def test_monte_carlo_tracks_exact_value():
 def test_monte_carlo_seeded_estimates(family, m, box_family, scheme, expected):
     # literal estimates pin the whole sampling path: message, box marginal and
     # conditional, and channel draws, in rational and float mode
-    from zecomm.cli import _build_behavior, _build_channel, _scheme_protocol
+    from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+    from zecomm.protocols import SCHEMES
 
-    channel, box, protocol = _build_channel(family, m), _build_behavior(box_family, m), _scheme_protocol(scheme, m)
+    channel, box, protocol = CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m), SCHEMES[scheme][0](m)
     for seed, estimate in expected.items():
         assert monte_carlo_success(channel, box, protocol, 1000, seed) == estimate
 
@@ -269,9 +270,9 @@ ASSISTED_ANSWERS = [
 
 @pytest.mark.parametrize("family, m, box_family, k, found, encoder", ASSISTED_ANSWERS)
 def test_exhaustive_search_answers_are_pinned(family, m, box_family, k, found, encoder):
-    from zecomm.cli import _build_behavior, _build_channel
+    from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
 
-    channel, box = _build_channel(family, m), _build_behavior(box_family, m)
+    channel, box = CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m)
     hit, protocol = exhaustive_assisted_search(channel, box, k)
     assert hit is found
     assert (encoder_of(protocol) if found else protocol) == encoder
