@@ -10,11 +10,16 @@ product of a row of the second factor with a spread neighbourhood of the
 first.
 
 The independence number is decided by one exact solver: branch and bound on
-the graph's own rows, in the bitboard style of San Segundo's BBMC and
-Tomita's MCQ.  Each node covers its candidates with cliques of the graph,
-grown greedily and kept as one bitmask each; an independent set takes at
-most one vertex per clique, so the number of cliques bounds the branch.  A
-subset-enumeration brute force is kept as an independent oracle.
+bitmask rows, in the bitboard style of San Segundo's BBMC and Tomita's MCQ.
+Each node covers its candidates with cliques of the graph, grown greedily
+from the lowest vertex and kept as one bitmask each; an independent set
+takes at most one vertex per clique, so the number of cliques bounds the
+branch.  As in both papers, the vertices are first put in a good initial
+order, once per call: a greedy clique partition, each clique started at the
+vertex with the most uncovered neighbours, with the rows relabelled through
+the bit matrix.  So the covers the search starts from depend on the input
+labelling only through ties.  A subset-enumeration brute force is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -47,9 +52,7 @@ class ConfusabilityGraph:
             raise ValueError("adjacency length mismatch")
         if any(row >> n for row in self.adjacency):  # a negative row included
             raise ValueError("adjacency bits beyond vertex range")
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in self.adjacency), np.uint8)
-        matrix = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+        matrix = _bit_matrix(n, self.adjacency)
         loops = np.flatnonzero(matrix.diagonal())
         if loops.size:
             raise ValueError(f"self-loop at vertex {loops[0]}")
@@ -71,10 +74,12 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     adj = [0] * n
     try:
         for u, v in edges:
+            # Both rows are indexed before either shift, so an endpoint far
+            # beyond n is refused before 1 << v allocates a huge integer.
+            row_u, row_v = adj[u], adj[v]
             if u == v:
                 break
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u], adj[v] = row_u | 1 << v, row_v | 1 << u
         else:
             return ConfusabilityGraph(n, tuple(adj))
     except (IndexError, ValueError):  # an endpoint >= n, or a negative one (a negative shift count)
@@ -97,6 +102,48 @@ def _members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
+    """The n x n 0/1 matrix whose entry [v, u] is bit u of ``rows[v]``."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
+def _bit_rows(matrix: np.ndarray) -> list[int]:
+    """The bitmask rows of a 0/1 matrix, the inverse of ``_bit_matrix``."""
+    n, width = len(matrix), (matrix.shape[1] + 7) // 8
+    packed = np.packbits(matrix, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[v * width:(v + 1) * width], "little") for v in range(n)]
+
+
+def _clique_order(n: int, adj: Sequence[int]) -> list[int]:
+    """The vertices as a greedy partition into cliques, clique after clique.
+
+    Each clique starts at the uncovered vertex with the most uncovered
+    neighbours and takes those neighbours in decreasing order of their
+    degree among them, each one that is adjacent to the whole clique so far.
+    Ties go to the lowest label.
+    """
+    order = []
+    uncovered = (1 << n) - 1
+    left = list(range(n))  # the uncovered vertices, lowest first
+    while left:
+        degrees = [(adj[u] & uncovered).bit_count() for u in left]
+        v = left[degrees.index(max(degrees))]
+        avail = adj[v] & uncovered
+        common = avail  # the candidates adjacent to the whole clique
+        order.append(v)
+        uncovered ^= 1 << v
+        for u in sorted([u for u in left if avail >> u & 1], key=lambda u: (adj[u] & avail).bit_count(),
+                        reverse=True):
+            if common >> u & 1:
+                order.append(u)
+                common &= adj[u]
+                uncovered ^= 1 << u
+        left = [u for u in left if uncovered >> u & 1]
+    return order
 
 
 def confusability_graph(c: Channel) -> ConfusabilityGraph:
@@ -161,9 +208,15 @@ def _max_independent_set_size(n: int, adj: Sequence[int]) -> int:
 def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> int:
     """Exact independence number via branch and bound with clique-cover
     bounds."""
-    if g.vertex_count > limit:
-        raise ValueError(f"graph has {g.vertex_count} vertices, limit is {limit}")
-    return _max_independent_set_size(g.vertex_count, g.adjacency)
+    n = g.vertex_count
+    if n > limit:
+        raise ValueError(f"graph has {n} vertices, limit is {limit}")
+    # Relabel along a greedy clique partition, so that the solver's
+    # lowest-vertex-first covers start from its cliques.  matrix[:, order][order]
+    # is matrix[np.ix_(order, order)] in under half the time, and unlike
+    # matrix[order][:, order] it comes out C-contiguous, which packbits needs.
+    order = _clique_order(n, g.adjacency)
+    return _max_independent_set_size(n, _bit_rows(_bit_matrix(n, g.adjacency)[:, order][order]))
 
 
 def independence_number_bruteforce(g: ConfusabilityGraph) -> int:

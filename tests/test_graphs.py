@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from zecomm.channels import IndexSpace, identity_channel, make_channel, make_mm,
 from zecomm.graphs import (
     DEFAULT_VERTEX_LIMIT,
     ConfusabilityGraph,
+    _clique_order,
     complete_graph,
     confusability_graph,
     cycle_graph,
@@ -214,10 +216,31 @@ def test_graph_validation():
     (0, [(0, 1)]),
     (3, [(0, -1)]),
     (3, [(-1, 0)]),
+    (3, [(0, 2**70)]),
+    (3, [(0, 1, 2)]),
+    (3, [(0,)]),
 ])
 def test_graph_from_edges_refuses_endpoints_out_of_range(n, edges):
     with pytest.raises(ValueError, match=f"edge endpoint out of range for {n} vertices"):
         graph_from_edges(n, edges)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (1.0, 2)])
+def test_graph_from_edges_refuses_endpoints_that_are_not_ints(edge):
+    with pytest.raises(TypeError):
+        graph_from_edges(3, [edge])
+
+
+def test_graph_from_edges_refuses_a_far_endpoint_before_shifting_by_it():
+    # 1 << 10**8 alone would take 12 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="edge endpoint out of range for 3 vertices"):
+            graph_from_edges(3, [(0, 10**8)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_basic_graphs():
@@ -279,6 +302,25 @@ def test_solver_matches_bruteforce_on_200_random_graphs():
         assert independence_number(g) == independence_number_bruteforce(g)
 
 
+def test_clique_order_is_a_permutation():
+    rng = random.Random(20261018)
+    for n in range(65):
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8]))
+        assert sorted(_clique_order(n, g.adjacency)) == list(range(n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_alpha_does_not_depend_on_the_labelling(data):
+    n = data.draw(st.integers(0, 20))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    perm = data.draw(st.permutations(range(n)))
+    g = graph_from_edges(n, edges)
+    h = graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    assert independence_number(g) == independence_number(h) == independence_number_bruteforce(g)
+
+
 def test_solver_matches_complement_coloring_on_random_graphs():
     # 25 to 60 vertices: beyond the brute force, checked against the
     # complement-coloring solver instead.
@@ -291,20 +333,24 @@ def test_solver_matches_complement_coloring_on_random_graphs():
 
 # alpha(C_{2k+1} x C_{2l+1}) = floor((2l+1) k / 2) for k <= l (Hales 1973);
 # alpha(Nm(m)^k) = 2^k for m >= 4, as alpha*(Nm(m)) = 2 is multiplicative;
-# alpha(C5^3) = 10 (Baumert et al. 1971).
-@pytest.mark.parametrize("factors, alpha", [
-    ((cycle_graph(5), cycle_graph(9)), 9),
-    ((cycle_graph(7), cycle_graph(7)), 10),
-    ((cycle_graph(7), cycle_graph(9)), 13),
-    ((nm_graph(4), nm_graph(4)), 4),
-    ((nm_graph(4), nm_graph(4), nm_graph(4)), 8),
-    pytest.param((cycle_graph(5),) * 3, 10, marks=pytest.mark.slow),
-], ids=["C5xC9", "C7xC7", "C7xC9", "Nm4^2", "Nm4^3", "C5^3"])
-def test_alpha_of_relabelled_strong_products(factors, alpha):
+# alpha(C5^3) = 10 (Baumert et al. 1971).  C5^3 takes about a second per
+# relabelling, so it gets three.
+@pytest.mark.parametrize("factors, alpha, relabellings", [
+    ((cycle_graph(5), cycle_graph(9)), 9, 8),
+    ((cycle_graph(7), cycle_graph(7)), 10, 8),
+    ((cycle_graph(7), cycle_graph(9)), 13, 8),
+    ((cycle_graph(9), cycle_graph(9)), 18, 8),
+    ((nm_graph(4), nm_graph(4)), 4, 8),
+    ((nm_graph(5), nm_graph(5)), 4, 8),
+    ((nm_graph(6), nm_graph(6)), 4, 8),
+    ((nm_graph(4), nm_graph(4), nm_graph(4)), 8, 8),
+    pytest.param((cycle_graph(5),) * 3, 10, 3, marks=pytest.mark.slow),
+], ids=["C5xC9", "C7xC7", "C7xC9", "C9xC9", "Nm4^2", "Nm5^2", "Nm6^2", "Nm4^3", "C5^3"])
+def test_alpha_of_relabelled_strong_products(factors, alpha, relabellings):
     power = factors[0]
     for factor in factors[1:]:
         power = strong_product(power, factor)
-    for seed in range(3):
+    for seed in range(relabellings):
         g = relabelled(power, seed)
         assert independence_number(g, limit=g.vertex_count) == alpha
 
