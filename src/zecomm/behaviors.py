@@ -23,9 +23,11 @@ from .numeric import (
     RATIONAL,
     as_prob,
     check_mode,
+    check_table_size,
     integer_rows,
-    prob_to_json,
+    ratio_text,
     require_same_mode,
+    table_problems,
 )
 
 
@@ -101,30 +103,15 @@ def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
 
 
 def validate_behavior(b: Behavior) -> list[str]:
-    """Violated constraints of ``b``'s table (empty iff it is valid): shape,
-    non-negative entries, and each (x, y) block summing to the denominator,
-    exactly for rational mode (int or Fraction numerators) and within
-    FLOAT_TOL for float mode."""
+    """Violated constraints of ``b``'s table (empty iff it is valid): its
+    shape, then the shared table rule
+    (:func:`~zecomm.numeric.table_problems`), one block per (x, y)."""
     s = b.scenario
-    rational = b.mode == RATIONAL
-    if not (type(b.denominator) is int and b.denominator >= 1 and (rational or b.denominator == 1)):
-        return [f"denominator {b.denominator!r} is not a positive integer (1 in float mode)"]
     if [[list(map(len, block)) for block in xs] for xs in b.weights] != [[[s.b_card] * s.a_card] * s.y_card] * s.x_card:
         return ["table shape does not match the scenario"]
-    report = []
-    for (x, y), block in zip(b.inputs(), (block for xs in b.weights for block in xs)):
-        if rational and not all(set(map(type, row)) <= {int, Fraction} for row in block):
-            report.append(f"non-rational numerator at (x={x},y={y})")
-            continue
-        report.extend(f"negative entry at (x={x},y={y},a={a},b={bo})"
-                      for a, row in enumerate(block) for bo, v in enumerate(row) if v < 0)
-        total = sum(v for row in block for v in row)
-        if rational:
-            if total != b.denominator:
-                report.append(f"normalization violated at (x={x},y={y}): sum={Fraction(total, b.denominator)}")
-        elif abs(total - 1.0) > FLOAT_TOL:
-            report.append(f"normalization violated at (x={x},y={y}): sum={total}")
-    return report
+    blocks = ((f"(x={x},y={y})", [v for row in block for v in row])
+              for x, xs in enumerate(b.weights) for y, block in enumerate(xs))
+    return table_problems(blocks, b.denominator, b.mode == RATIONAL)
 
 
 def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
@@ -154,6 +141,7 @@ def make_extremal_box(m: int, k: int) -> Behavior:
     """
     if not 2 <= k <= m:
         raise ValueError("require 2 <= k <= m")
+    check_table_size(4 * m * m)
     blocks = [[[int(a < k and b == (a + xy) % k) for b in range(m)] for a in range(m)] for xy in (0, 1)]
     return Behavior(Scenario(2, 2, m, m), RATIONAL, [blocks[:1] * 2, blocks], k)
 
@@ -175,6 +163,7 @@ def make_rtilde_box(m: int) -> Behavior:
     """
     if m < 2:
         raise ValueError("require m >= 2")
+    check_table_size(4 * m * m)
     return _parity_box([[int(x == y != 0) for y in range(m)] for x in range(m)])
 
 
@@ -232,16 +221,11 @@ def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:
 
 def behavior_to_json(b: Behavior) -> dict:
     s = b.scenario
+    text = (lambda w: ratio_text(w, b.denominator)) if b.mode == RATIONAL else float
     return {
         "scenario": {"x": s.x_card, "y": s.y_card, "a": s.a_card, "b": s.b_card},
         "mode": b.mode,
-        "p": [
-            [
-                [[prob_to_json(b.prob(x, y, a, bo), b.mode) for bo in range(s.b_card)] for a in range(s.a_card)]
-                for y in range(s.y_card)
-            ]
-            for x in range(s.x_card)
-        ],
+        "p": [[[list(map(text, row)) for row in block] for block in xs] for xs in b.weights],
     }
 
 

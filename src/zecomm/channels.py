@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .numeric import RATIONAL, as_prob, integer_rows, prob_to_json
+from .numeric import RATIONAL, as_prob, check_table_size, integer_rows, ratio_text, table_problems
 
 
 @dataclass(frozen=True)
@@ -123,30 +123,14 @@ class Channel:
 
 
 def validate_channel(c: Channel) -> list[str]:
-    """Violated constraints of ``c``'s table: shape, int or Fraction
-    numerators, non-negative entries, and every column summing exactly to the
-    denominator."""
-    weights = c.weights
-    report = []
-    if len(weights) != c.n_inputs:
-        report.append("column count does not match input space")
-        return report
-    if not (type(c.denominator) is int and c.denominator >= 1):
-        report.append(f"denominator {c.denominator!r} is not a positive integer")
-        return report
-    for i, column in enumerate(weights):
-        if len(column) != c.n_outputs:
-            report.append(f"column {i} has wrong length")
-            continue
-        if not set(map(type, column)) <= {int, Fraction}:
-            report.append(f"column {i} has a non-rational numerator")
-            continue
-        if min(column, default=0) < 0:
-            report.extend(f"negative entry at output {o}, input {i}" for o, v in enumerate(column) if v < 0)
-        total = sum(column)
-        if total != c.denominator:
-            report.append(f"column {i} sums to {Fraction(total, c.denominator)}, not 1")
-    return report
+    """Violated constraints of ``c``'s table: its shape, then the shared
+    table rule (:func:`~zecomm.numeric.table_problems`), one block per
+    column."""
+    if len(c.weights) != c.n_inputs:
+        return ["column count does not match input space"]
+    report = [f"column {i} has wrong length" for i, column in enumerate(c.weights) if len(column) != c.n_outputs]
+    return report or table_problems(((f"column {i}", column) for i, column in enumerate(c.weights)),
+                                    c.denominator, rational=True)
 
 
 def make_channel(
@@ -201,6 +185,7 @@ def _nm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
     """Input and output alphabets of ``make_nm(m)``."""
     if m < 2:
         raise ValueError("require m >= 2")
+    check_table_size(2 * m * (m + 1) * m)
     return IndexSpace((2, m)), IndexSpace((m + 1, m), offsets=(1, 0))
 
 
@@ -247,6 +232,7 @@ def _mm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
     """Input and output alphabets of ``make_mm(m)``."""
     if m < 2:
         raise ValueError("require m >= 2")
+    check_table_size(m * 2 * (m * (m - 1) + 1) * m)
     return IndexSpace((m, 2)), IndexSpace((m * (m - 1) + 1, m), offsets=(1, 0))
 
 
@@ -283,6 +269,7 @@ def make_mm(m: int) -> Channel:
 
 def identity_channel(n: int) -> Channel:
     space = IndexSpace((n,))
+    check_table_size(n * n)
     return Channel(space, space, [[1 if o == i else 0 for o in range(n)] for i in range(n)])
 
 
@@ -357,7 +344,7 @@ def channel_to_json(c: Channel) -> dict:
         "inputs": {"factors": list(c.input_space.factors), "offsets": list(c.input_space.offsets)},
         "outputs": {"factors": list(c.output_space.factors), "offsets": list(c.output_space.offsets)},
         "mode": RATIONAL,
-        "matrix": [[prob_to_json(c.prob(o, i), RATIONAL) for o in range(c.n_outputs)] for i in range(c.n_inputs)],
+        "matrix": [[ratio_text(w, c.denominator) for w in column] for column in c.weights],
     }
 
 

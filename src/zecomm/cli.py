@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import behaviors, channels, graphs, protocols, quantum, verify
-from .numeric import FLOAT, RATIONAL, format_value
+from .numeric import FLOAT, RATIONAL, format_value, ratio_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,8 +103,8 @@ def _write_csv_channel(c: channels.Channel, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["output"] + [str(l) for l in c.input_space.labels()])
-        for o, out_label in enumerate(c.output_space.labels()):
-            writer.writerow([str(out_label)] + [format_value(c.prob(o, i), RATIONAL) for i in range(c.n_inputs)])
+        for out_label, row in zip(c.output_space.labels(), zip(*c.weights)):
+            writer.writerow([str(out_label)] + [ratio_text(w, c.denominator) for w in row])
 
 
 def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:

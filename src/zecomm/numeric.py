@@ -3,7 +3,9 @@ for quantum-kernel boxes only.
 
 A rational table (every channel, and the rational boxes) holds int numerators
 over one denominator in lowest terms (:func:`integer_rows`).  A box may
-instead be tagged float mode and hold floats over denominator 1.
+instead be tagged float mode and hold floats over denominator 1.  Both kinds
+are checked by :func:`table_problems`, one block per distribution, written as
+"num/den" by :func:`ratio_text`, and capped at ``MAX_TABLE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -17,9 +19,14 @@ FLOAT = "float"
 #: default tolerance for float-mode comparisons
 FLOAT_TOL = 1e-9
 
-#: float box entries at or below this count as zero in evaluation; as_prob
-#: clamps float noise this close to [0, 1]
+#: as_prob clamps float noise this close to [0, 1]
 POS_EPS = 1e-12
+
+#: largest table, in entries, that a family builder allocates
+MAX_TABLE_ENTRIES = 10**6
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 class ModeMismatchError(ValueError):
@@ -80,15 +87,44 @@ def integer_rows(rows, denominator: int) -> tuple[tuple, int]:
     return tuple(map(tuple, rows)), denominator // g
 
 
-def prob_to_json(value, mode: str):
-    if mode == RATIONAL:
-        f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
-    return float(value)
+def table_problems(blocks, denominator, rational: bool) -> list[str]:
+    """Violated constraints of a table of ``(name, entries)`` blocks, each
+    one distribution as a flat sequence: the denominator is a positive int (1
+    in float mode); entries are non-negative, and int or Fraction in rational
+    mode; each block sums to the denominator, exactly or (float mode) within
+    FLOAT_TOL of 1."""
+    if not (type(denominator) is int and denominator >= 1 and (rational or denominator == 1)):
+        return [f"denominator {denominator!r} is not a positive integer (1 in float mode)"]
+    report = []
+    for name, entries in blocks:
+        if rational and not set(map(type, entries)) <= _RATIONAL_TYPES:
+            report.append(f"non-rational numerator at {name}")
+            continue
+        if min(entries, default=0) < 0:
+            report.append(f"negative entry at {name}")
+        total = sum(entries)
+        if rational:
+            if total != denominator:
+                report.append(f"normalization violated at {name}: sum={Fraction(total, denominator)}")
+        elif abs(total - 1.0) > FLOAT_TOL:
+            report.append(f"normalization violated at {name}: sum={total}")
+    return report
+
+
+def check_table_size(entries: int) -> None:
+    """Refuse a table of more than ``MAX_TABLE_ENTRIES`` entries, before it is built."""
+    if entries > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a table of {entries} entries exceeds the limit of {MAX_TABLE_ENTRIES}")
+
+
+def ratio_text(numerator: int, denominator: int) -> str:
+    """``numerator / denominator`` in lowest terms, as "num/den"."""
+    g = math.gcd(numerator, denominator)
+    return f"{numerator // g}/{denominator // g}"
 
 
 def format_value(value, mode: str, as_float: bool = False) -> str:
     if mode == RATIONAL and not as_float:
         f = Fraction(value)
-        return f"{f.numerator}/{f.denominator}"
+        return ratio_text(f.numerator, f.denominator)
     return f"{float(value):.12g}"

@@ -29,7 +29,7 @@ from .channels import (
     pi_hat,
     pi_perm,
 )
-from .numeric import POS_EPS, RATIONAL
+from .numeric import RATIONAL
 
 #: largest encoder count ``best_unassisted_success`` enumerates
 UNASSISTED_ENCODER_LIMIT = 10**7
@@ -216,8 +216,6 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
         x = p.enc_box_input[g]
         total = 0
         for a, pa in enumerate(box.alice[x]):
-            if pa <= POS_EPS:  # numerators are ints in rational mode, so this is pa = 0
-                continue
             cin = p.enc_channel_input[(g, a)]
             row = c.weights[cin]
             for out in c.supports[cin]:
@@ -403,28 +401,20 @@ def _blocks(c: Channel, box: Behavior, x: int):
 def _leaves(tables):
     """Every tuple of one block per table, in ``itertools.product`` order.
 
-    A table is ``(built, source)``: the list of blocks built so far and the
-    generator of the rest.  A block is built when the enumeration first
-    reaches it and kept for later passes, so a search stopped early (a hit,
-    or the budget) builds only the blocks it reached.
+    A table is ``(built, source)``: the blocks built so far and the generator
+    of the rest, shared by every position using the table.  Blocks are read
+    from ``built`` by index and taken from ``source`` at its end, so a search
+    stopped early (a hit, or the budget) builds only the blocks it reached.
     """
-    *outer, last = tables
+    *outer, (built, source) = tables
     for prefix in _leaves(outer) if outer else [()]:
-        for block in _walk(*last):
-            yield prefix + (block,)
-
-
-def _walk(built: list, source):
-    """The blocks of one table in order, taking from ``source`` (shared by
-    every walk of the table) each block not yet in ``built``."""
-    yield from built  # a list iterator also yields blocks appended while it is suspended
-    for i in itertools.count(len(built)):
-        if i == len(built):
-            block = next(source, None)
-            if block is None:
-                return
-            built.append(block)
-        yield built[i]
+        for i in itertools.count():
+            if i == len(built):
+                block = next(source, None)
+                if block is None:
+                    break
+                built.append(block)
+            yield prefix + (built[i],)
 
 
 def _complete_decoder(leaf, n_out: int, b_card: int):

@@ -151,6 +151,27 @@ def test_behavior_json_matches_recorded_output():
     assert json.dumps(behavior_to_json(make_i3322_rational_table())) == I3322_JSON
     assert behavior_from_json(json.loads(I3322_JSON)) == make_i3322_rational_table()
 
+# behavior_to_json output recorded before the shared "num/den" writer, one box per mode
+PR_JSON = (
+    '{"scenario": {"x": 2, "y": 2, "a": 2, "b": 2}, "mode": "rational", "p": '
+    '[[[["1/2", "0/1"], ["0/1", "1/2"]], [["1/2", "0/1"], ["0/1", "1/2"]]], '
+    '[[["1/2", "0/1"], ["0/1", "1/2"]], [["0/1", "1/2"], ["1/2", "0/1"]]]]}'
+)
+_C1, _C3, _C5 = "0.276448207968065", "0.03703703703703704", "0.01984808832823131"
+CGLMP_JSON = (
+    '{"scenario": {"x": 2, "y": 2, "a": 3, "b": 3}, "mode": "float", "p": '
+    f'[[[[{_C1}, {_C5}, {_C3}], [{_C3}, {_C1}, {_C5}], [{_C5}, {_C3}, {_C1}]], '
+    f'[[{_C1}, {_C3}, {_C5}], [{_C5}, {_C1}, {_C3}], [{_C3}, {_C5}, {_C1}]]], '
+    f'[[[{_C1}, {_C3}, {_C5}], [{_C5}, {_C1}, {_C3}], [{_C3}, {_C5}, {_C1}]], '
+    f'[[{_C3}, {_C1}, {_C5}], [{_C5}, {_C3}, {_C1}], [{_C1}, {_C5}, {_C3}]]]]}}'
+)
+
+
+def test_box_json_matches_recorded_output_in_both_modes():
+    assert json.dumps(behavior_to_json(make_extremal_box(2, 2))) == PR_JSON
+    assert json.dumps(behavior_to_json(make_cglmp_behavior())) == CGLMP_JSON
+    assert behavior_from_json(json.loads(CGLMP_JSON)) == make_cglmp_behavior()
+
 
 def test_scenario_validation():
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -282,6 +283,29 @@ def test_searches_refuse_fewer_than_one_message(capsys, command, k):
     code, stdout, stderr = run(capsys, command, "--family", "Nm", "--m", "2", "-K", k)
     assert code == EXIT_USAGE and stdout == ""
     assert f"message count K = {k} must be at least 1" in stderr
+
+
+# the smallest sizes beyond the table cap; without the cap, each builds a
+# table of tens of MiB (pm: about 100 MiB) before anything refuses it
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--family", "Nm", "--m", "80"],
+    ["graph", "--family", "Mm", "--m", "27"],
+    ["channel", "--family", "identity", "--m", "1001", "--out", "{out}"],
+    ["behavior", "--family", "pm", "--m", "501", "--out", "{out}"],
+], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_oversize_m_is_refused_before_the_table_is_built(tmp_path, capsys, argv):
+    argv = [a.format(out=tmp_path / "out.json") for a in argv]
+    run(capsys, "capacity", "--family", "Nm", "--m", "2")  # build the parser before measuring
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert "exceeds the limit of 1000000" in err
+    assert peak < 2**20
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command, family", [("channel", "Nm"), ("behavior", "pm")])

@@ -1,17 +1,23 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from zecomm import numeric
+from zecomm.behaviors import Behavior, Scenario, make_extremal_box, make_rtilde_box
+from zecomm.channels import Channel, IndexSpace, identity_channel, make_mm, make_nm
 from zecomm.numeric import (
     FLOAT,
+    FLOAT_TOL,
     RATIONAL,
     ModeMismatchError,
     as_prob,
     check_mode,
     format_value,
-    prob_to_json,
+    ratio_text,
     require_same_mode,
+    table_problems,
 )
 
 
@@ -62,7 +68,7 @@ def test_as_prob_refuses_non_finite_floats(mode, value):
 
 
 def test_json_roundtrip():
-    assert prob_to_json(Fraction(1, 3), RATIONAL) == "1/3"
+    assert ratio_text(2, 6) == "1/3"
     assert as_prob("1/3", RATIONAL) == Fraction(1, 3)
     assert as_prob(0.25, FLOAT) == 0.25
 
@@ -71,3 +77,44 @@ def test_format_value():
     assert format_value(Fraction(6, 7), RATIONAL) == "6/7"
     assert format_value(Fraction(1, 2), RATIONAL, as_float=True) == "0.5"
     assert float(Fraction(1, 4)) == 0.25
+
+
+# One block of two entries with one problem each: the block is a one-column
+# channel and a one-(x, y) box.  Channels are rational only, so they refuse a
+# float block as non-rational.
+@pytest.mark.parametrize("entries, denominator, mode, problem", [
+    ([Fraction(1, 2), 0.5], 1, RATIONAL, "non-rational numerator at {block}"),
+    ([2, -1], 1, RATIONAL, "negative entry at {block}"),
+    ([1, 1], 3, RATIONAL, "normalization violated at {block}: sum=2/3"),
+    ([1, 1], 0, RATIONAL, "denominator 0 is not a positive integer"),
+    ([0.5, 0.5], 2, FLOAT, r"denominator 2 is not a positive integer \(1 in float mode\)"),
+    ([0.5, 0.5 + 2 * FLOAT_TOL], 1, FLOAT, "normalization violated at {block}: sum=1.000000002"),
+], ids=["non-rational", "negative", "sum", "denominator", "float-denominator", "float-sum"])
+def test_both_table_kinds_refuse_through_the_shared_check(entries, denominator, mode, problem):
+    def pattern(block):
+        return problem.format(block=re.escape(block))
+
+    rational = mode == RATIONAL
+    assert re.match(pattern("b"), table_problems([("b", entries)], denominator, rational)[0])
+    with pytest.raises(ValueError, match="invalid behavior: " + pattern("(x=0,y=0)")):
+        Behavior(Scenario(1, 1, 1, 2), mode, [[[entries]]], denominator)
+    channel_problem = pattern("column 0") if rational else "non-rational numerator at column 0"
+    with pytest.raises(ValueError, match="invalid channel: " + channel_problem):
+        Channel(IndexSpace((1,)), IndexSpace((2,)), [entries], denominator)
+
+
+def _entries(table):
+    if isinstance(table, Channel):
+        return table.n_inputs * table.n_outputs
+    s = table.scenario
+    return s.x_card * s.y_card * s.a_card * s.b_card
+
+
+@pytest.mark.parametrize("build", [make_nm, make_mm, identity_channel, lambda m: make_extremal_box(m, 2),
+                                   make_rtilde_box], ids=["Nm", "Mm", "identity", "extremal", "rtilde"])
+def test_builders_refuse_a_table_beyond_the_cap(monkeypatch, build):
+    entries = _entries(build(3))
+    monkeypatch.setattr(numeric, "MAX_TABLE_ENTRIES", entries)
+    assert _entries(build(3)) == entries
+    with pytest.raises(ValueError, match=f"exceeds the limit of {entries}"):
+        build(4)
