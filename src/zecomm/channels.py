@@ -5,12 +5,12 @@ extremal no-signaling assistance.
 A channel is an integer table: ``weights[input][output]`` holds the numerator
 of p(o|i) over one common ``denominator`` (in lowest terms), and each column
 (fixed input) sums exactly to the denominator.  Channels are always exact;
-only boxes (:mod:`zecomm.behaviors`) may hold floats.  The families are built
-from their support rule: one output per (input, first output coordinate), each
-of numerator 1 over the layer count.  Alphabets are :class:`IndexSpace`
-objects that map between flat indices and display tuples; the first output
-factor of the structured families carries a +1 display offset (labels 1..m+1
-resp. 1..m(m-1)+1, stored 0-based).
+only boxes (:mod:`zecomm.behaviors`) may hold floats.  Both families are
+layered and built from their layer rule o2 = o2_of(o1, i1, i2): one output per
+(input, first output coordinate), each of numerator 1 over the layer count.
+Alphabets are :class:`IndexSpace` objects that map between flat indices and
+display tuples; the first output factor of the structured families carries a
++1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, product
 from typing import Sequence
 
 from .numeric import RATIONAL, as_prob, check_table_size, integer_rows, ratio_text, table_problems
@@ -75,7 +75,8 @@ class IndexSpace:
         return tuple(v + off for v, off in zip(reversed(label), self.offsets))
 
     def labels(self):
-        return (self.unflatten(i) for i in range(self.size))
+        """Every label in flat-index order."""
+        return product(*(range(offset, offset + factor) for factor, offset in zip(self.factors, self.offsets)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,17 @@ def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, 
     return Channel(input_space, output_space, weights, denominator)
 
 
+def _layered(input_space: IndexSpace, output_space: IndexSpace, o2_of) -> Channel:
+    """Channel with o1 (labels 1..L) uniform and o2 = ``o2_of(o1, i1, i2)``:
+    column (i1, i2) has numerator 1 over L at (o1, o2) for each layer o1."""
+    layers, m = output_space.factors
+    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
+        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, layers + 1)]
+        for i1, i2 in input_space.labels()
+    ]
+    return _from_supports(input_space, output_space, supports, layers)
+
+
 # --- permutation algebra ----------------------------------------------------
 
 def pi_perm(m: int, shift: int, i2: int) -> int:
@@ -202,8 +214,6 @@ def make_nm(m: int) -> Channel:
     double-cover other pairs), so the graph is not complete; the one-bit
     assisted scheme still succeeds with certainty for every m.
     """
-    input_space, output_space = _nm_spaces(m)
-
     def o2_of(o1: int, i1: int, i2: int) -> int:
         if o1 == 1:
             return i1
@@ -211,11 +221,7 @@ def make_nm(m: int) -> Channel:
             return i2
         return (i1 + pi_perm(m, o1 - 3, i2)) % m
 
-    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
-        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, m + 2)]
-        for i1 in range(2) for i2 in range(m)
-    ]
-    return _from_supports(input_space, output_space, supports, m + 1)
+    return _layered(*_nm_spaces(m), o2_of)
 
 
 def mm_block_anchor(m: int, j: int) -> int:
@@ -249,9 +255,6 @@ def make_mm(m: int) -> Channel:
     exactly two positive entries, and the confusability graph is complete on
     2m vertices.
     """
-    input_space, output_space = _mm_spaces(m)
-    n_first = m * (m - 1) + 1
-
     def o2_of(o1: int, i1: int, i2: int) -> int:
         if o1 == 1:
             return i1
@@ -260,11 +263,7 @@ def make_mm(m: int) -> Channel:
         flip = 1 if (j != 0 and i1 == j) else 0
         return (i1 + pi_perm(m, shift, i2 ^ flip)) % m
 
-    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
-        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, n_first + 1)]
-        for i1 in range(m) for i2 in range(2)
-    ]
-    return _from_supports(input_space, output_space, supports, n_first)
+    return _layered(*_mm_spaces(m), o2_of)
 
 
 def identity_channel(n: int) -> Channel:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Real
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -90,15 +91,18 @@ def integer_rows(rows, denominator: int) -> tuple[tuple, int]:
 def table_problems(blocks, denominator, rational: bool) -> list[str]:
     """Violated constraints of a table of ``(name, entries)`` blocks, each
     one distribution as a flat sequence: the denominator is a positive int (1
-    in float mode); entries are non-negative, and int or Fraction in rational
-    mode; each block sums to the denominator, exactly or (float mode) within
-    FLOAT_TOL of 1."""
+    in float mode); entries are non-negative, int or Fraction in rational
+    mode and finite real numbers other than bools in float mode; each block
+    sums to the denominator, exactly or (float mode) within FLOAT_TOL of 1."""
     if not (type(denominator) is int and denominator >= 1 and (rational or denominator == 1)):
         return [f"denominator {denominator!r} is not a positive integer (1 in float mode)"]
     report = []
     for name, entries in blocks:
         if rational and not set(map(type, entries)) <= _RATIONAL_TYPES:
             report.append(f"non-rational numerator at {name}")
+            continue
+        if not rational and not all(isinstance(v, Real) and type(v) is not bool and math.isfinite(v) for v in entries):
+            report.append(f"non-numeric or non-finite entry at {name}")
             continue
         if min(entries, default=0) < 0:
             report.append(f"negative entry at {name}")

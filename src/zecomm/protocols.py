@@ -62,63 +62,68 @@ class AssistedProtocol:
 
 # --- the two protocol families ---------------------------------------------
 
+def _decoder(rules):
+    """``(dec_box_input, dec_guess)`` from one ``(y, guesses)`` rule per flat
+    channel output, in order: y is a box input and ``guesses[b]`` the guess
+    on outcome b, or y is SKIP and ``guesses`` holds the one guess."""
+    dec_box = []
+    dec_guess = {}
+    for out, (y, guesses) in enumerate(rules):
+        dec_box.append(y)
+        if y is SKIP:
+            dec_guess[(out, SKIP)] = guesses[0]
+        else:
+            for b, guess in enumerate(guesses):
+                dec_guess[(out, b)] = guess
+    return tuple(dec_box), dec_guess
+
+
 def make_theorem2_protocol(m: int) -> AssistedProtocol:
     """One-bit scheme for the (m+1)-layer channel with the 2-input m-outcome
     extremal box.
 
+    Encoder: message g sends channel input (g, a) on box outcome a.
     Decoder: first output layer carries the message directly (box skipped);
     layer 2 queries the box at y=1 and guesses pi_hat(o2) + b; layer l >= 3
-    queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Those raw guesses
-    lie in {0..m-1}; the ones >= 2 are stored as message 0, and they are only
-    reachable for non-extremal boxes.
+    queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Raw guesses >= 2,
+    layer 1 included, are stored as message 0; no input reaches them through
+    an extremal box.
     """
     in_space, out_space = _nm_spaces(m)
 
-    enc_channel = {(g, a): in_space.flatten((g, a)) for g in range(2) for a in range(m)}
-    dec_box = []
-    dec_guess = {}
-    for out in range(out_space.size):
-        o1, o2 = out_space.unflatten(out)
+    def decode(o1: int, o2: int):
         if o1 == 1:
-            dec_box.append(SKIP)
-            dec_guess[(out, SKIP)] = o2
+            y, raw = SKIP, [o2]
         elif o1 == 2:
-            dec_box.append(1)
-            for b in range(m):
-                dec_guess[(out, b)] = (pi_hat(m, o2) + b) % m
+            y, raw = 1, [(pi_hat(m, o2) + b) % m for b in range(m)]
         else:
-            dec_box.append(0)
-            for b in range(m):
-                dec_guess[(out, b)] = (o2 + pi_hat(m, pi_perm(m, o1 - 3, b))) % m
-    dec_guess = {key: raw if raw < 2 else 0 for key, raw in dec_guess.items()}
-    return AssistedProtocol(2, (0, 1), enc_channel, tuple(dec_box), dec_guess)
+            y, raw = 0, [(o2 + pi_hat(m, pi_perm(m, o1 - 3, b))) % m for b in range(m)]
+        return y, [g if g < 2 else 0 for g in raw]
+
+    enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
+    return AssistedProtocol(2, (0, 1), enc_channel, *_decoder(itertools.starmap(decode, out_space.labels())))
 
 
 def make_theorem3_protocol(m: int) -> AssistedProtocol:
     """log(m)-bit scheme for the m-block channel with the m-input 2-outcome
     extremal box.
 
+    Encoder: message g queries x=g and sends channel input (g, a) on outcome a.
     Decoder: the first output layer carries the message directly; an output in
     block j queries the box at y=j and guesses
     o2 + pi_hat(pi_perm(o1 - anchor(j), b)).
     """
     in_space, out_space = _mm_spaces(m)
 
-    enc_channel = {(g, a): in_space.flatten((g, a)) for g in range(m) for a in range(2)}
-    dec_box = []
-    dec_guess = {}
-    for out in range(out_space.size):
-        o1, o2 = out_space.unflatten(out)
+    def decode(o1: int, o2: int):
         if o1 == 1:
-            dec_box.append(SKIP)
-            dec_guess[(out, SKIP)] = o2
-        else:
-            j = mm_block_of(m, o1)
-            shift = o1 - mm_block_anchor(m, j)
-            dec_box.append(j)
-            for b in range(2):
-                dec_guess[(out, b)] = (o2 + pi_hat(m, pi_perm(m, shift, b))) % m
-    return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(dec_box), dec_guess)
+            return SKIP, [o2]
+        j = mm_block_of(m, o1)
+        shift = o1 - mm_block_anchor(m, j)
+        return j, [(o2 + pi_hat(m, pi_perm(m, shift, b))) % m for b in range(2)]
+
+    enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
+    return AssistedProtocol(m, tuple(range(m)), enc_channel, *_decoder(itertools.starmap(decode, out_space.labels())))
 
 
 #: CLI ``--scheme`` name -> (protocol, channel (input, output) index spaces,
@@ -139,37 +144,30 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
     significant).  A component that skips its box feeds y=0 to that factor and
     ignores the corresponding outcome.
     """
-    k = p1.message_count * p2.message_count
+    k1, k2 = p1.message_count, p2.message_count
     s1, s2 = box1.scenario, box2.scenario
     n_in2 = c2.n_inputs
-    n_out2 = c2.n_outputs
 
-    enc_box = tuple(
-        p1.enc_box_input[g1] * s2.x_card + p2.enc_box_input[g2]
-        for g1 in range(p1.message_count)
-        for g2 in range(p2.message_count)
-    )
+    enc_box = tuple(p1.enc_box_input[g1] * s2.x_card + p2.enc_box_input[g2] for g1 in range(k1) for g2 in range(k2))
     enc_channel = {}
-    for g1 in range(p1.message_count):
-        for g2 in range(p2.message_count):
-            g = g1 * p2.message_count + g2
+    for g1 in range(k1):
+        for g2 in range(k2):
+            g = g1 * k2 + g2
             for a1 in range(s1.a_card):
                 for a2 in range(s2.a_card):
                     a = a1 * s2.a_card + a2
                     enc_channel[(g, a)] = p1.enc_channel_input[(g1, a1)] * n_in2 + p2.enc_channel_input[(g2, a2)]
 
-    dec_box = []
-    dec_guess = {}
-    for out in range(c1.n_outputs * n_out2):
-        o1, o2 = divmod(out, n_out2)
-        y1, y2 = p1.dec_box_input[o1], p2.dec_box_input[o2]
-        dec_box.append((0 if y1 is SKIP else y1) * s2.y_card + (0 if y2 is SKIP else y2))
-        for b1 in range(s1.b_card):
-            for b2 in range(s2.b_card):
-                g1 = p1.dec_guess[(o1, SKIP if y1 is SKIP else b1)]
-                g2 = p2.dec_guess[(o2, SKIP if y2 is SKIP else b2)]
-                dec_guess[(out, b1 * s2.b_card + b2)] = g1 * p2.message_count + g2
-    return AssistedProtocol(k, enc_box, enc_channel, tuple(dec_box), dec_guess)
+    rules = []
+    for o1 in range(c1.n_outputs):
+        y1 = p1.dec_box_input[o1]
+        for o2 in range(c2.n_outputs):
+            y2 = p2.dec_box_input[o2]
+            guesses = [p1.dec_guess[(o1, SKIP if y1 is SKIP else b1)] * k2
+                       + p2.dec_guess[(o2, SKIP if y2 is SKIP else b2)]
+                       for b1 in range(s1.b_card) for b2 in range(s2.b_card)]
+            rules.append(((0 if y1 is SKIP else y1) * s2.y_card + (0 if y2 is SKIP else y2), guesses))
+    return AssistedProtocol(k1 * k2, enc_box, enc_channel, *_decoder(rules))
 
 
 # --- evaluation -------------------------------------------------------------
@@ -450,19 +448,16 @@ def _complete_decoder(leaf, n_out: int, b_card: int):
         bad &= clash
     if bad:
         return None
-    dec_box = []
-    dec_guess = {}
+    rules = []
     for out in range(n_out):
         bit = 1 << out * b_card
         if not multi & bit:
-            dec_box.append(SKIP)
-            dec_guess[(out, SKIP)] = next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0)
+            rules.append((SKIP, [next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0)]))
             continue
         y = next(y for y, clash in enumerate(clashes) if not clash & bit)
-        dec_box.append(y)
-        for b in range(b_card):
-            dec_guess[(out, b)] = next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
-    return tuple(dec_box), dec_guess
+        rules.append((y, [next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
+                          for b in range(b_card)]))
+    return _decoder(rules)
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -84,11 +84,11 @@ def _check_matrix(c: Channel, support: dict, weight: Fraction):
     """Compare every entry of ``c`` with a published matrix given as output
     label -> inputs of weight ``weight`` (all other entries 0)."""
     mismatches = 0
-    for out_label in c.output_space.labels():
+    for out, out_label in enumerate(c.output_space.labels()):
         ref_inputs = set(map(tuple, support.get(out_label, [])))
-        for in_label in c.input_space.labels():
+        for i, in_label in enumerate(c.input_space.labels()):
             expect = weight if in_label in ref_inputs else Fraction(0)
-            if c.prob_labels(out_label, in_label) != expect:
+            if c.prob(out, i) != expect:
                 mismatches += 1
     entries = c.n_inputs * c.n_outputs
     return f"0 mismatches in {entries} entries", f"{mismatches} mismatches", mismatches == 0
@@ -146,29 +146,27 @@ def run_verification() -> VerificationReport:
 
     _run(report, "assisted-log-m", "perfect log(m)-bit transmission with the m-input 2-outcome extremal box", RATIONAL, check_logm_protocols)
 
-    def check_unassisted_nm3():
-        value, _ = best_unassisted_success(make_nm(3), 2)
-        return "7/8", format_value(value, RATIONAL), value == reference.NM3_UNASSISTED_OPTIMUM
+    def check_unassisted(c: Channel, k: int, expected: Fraction):
+        value, _ = best_unassisted_success(c, k)
+        return format_value(expected, RATIONAL), format_value(value, RATIONAL), value == expected
 
-    _run(report, "unassisted-nm3", "classical one-shot optimum for two messages", RATIONAL, check_unassisted_nm3)
-
-    def check_unassisted_mm3():
-        value, _ = best_unassisted_success(make_mm(3), 3)
-        return "17/21", format_value(value, RATIONAL), value == reference.MM3_UNASSISTED_OPTIMUM
-
-    _run(report, "unassisted-mm3", "classical one-shot optimum for three messages", RATIONAL, check_unassisted_mm3)
+    _run(report, "unassisted-nm3", "classical one-shot optimum for two messages", RATIONAL,
+         lambda: check_unassisted(make_nm(3), 2, reference.NM3_UNASSISTED_OPTIMUM))
+    _run(report, "unassisted-mm3", "classical one-shot optimum for three messages", RATIONAL,
+         lambda: check_unassisted(make_mm(3), 3, reference.MM3_UNASSISTED_OPTIMUM))
 
     def check_cglmp_success():
         value = exact_success(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
         closed = cglmp_assisted_success_closed_form()
         ok = abs(value - closed) <= 1e-12 and abs(value - reference.NM3_CGLMP_SUCCESS_APPROX) <= 5e-5
-        return f"{closed:.12f} (~0.9008)", f"{value:.12f}", ok
+        return f"{closed:.12f} (~{format_value(reference.NM3_CGLMP_SUCCESS_APPROX, FLOAT)})", f"{value:.12f}", ok
 
     _run(report, "cglmp-assisted", "one-bit success with the optimal two-qutrit correlation", FLOAT, check_cglmp_success)
 
     def check_singlet_success():
         exact = exact_success(make_mm(3), make_i3322_rational_table(), make_theorem3_protocol(3))
-        return "6/7 exact", format_value(exact, RATIONAL), exact == reference.MM3_SINGLET_SUCCESS
+        expected = reference.MM3_SINGLET_SUCCESS
+        return f"{format_value(expected, RATIONAL)} exact", format_value(exact, RATIONAL), exact == expected
 
     _run(report, "singlet-assisted", "log(3)-bit success with the published two-outcome table", RATIONAL, check_singlet_success)
 

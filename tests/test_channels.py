@@ -132,6 +132,14 @@ def test_index_space_roundtrip():
         space.unflatten(12)
 
 
+@pytest.mark.parametrize("factors, offsets", [((4, 1, 3), None), ((1,), (5,)), ((4, 3), (1, 0)),
+                                              ((2, 3, 2), (1, 0, 7)), ((), ())],
+                         ids=["factor-1", "one-factor-offset", "offsets", "three-offsets", "empty"])
+def test_index_space_labels_follow_the_flat_order(factors, offsets):
+    space = IndexSpace(factors, offsets)
+    assert list(space.labels()) == [space.unflatten(i) for i in range(space.size)]
+
+
 def test_pi_perm_values_and_bijection():
     assert pi_perm(3, 1, 1) == 2
     assert pi_perm(3, 1, 2) == 1

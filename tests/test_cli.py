@@ -1,11 +1,13 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
+from zecomm import reference, verify
 from zecomm.behaviors import Scenario, behavior_to_json, make_extremal_box, make_local_deterministic
 from zecomm.channels import channel_to_json, identity_channel, load_channel, make_nm
-from zecomm.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from zecomm.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -105,6 +107,16 @@ def test_search_assisted_command(capsys):
     assert "zero-error protocol found" in stdout
 
 
+# perfbench/workloads.py expects exactly these 14 checks (``checks=14``, read by
+# ``_check_verify``), so any other count fails every verify job of the
+# ``paper`` workload; a new check needs that benchmark changed first.
+VERIFY_CHECKS = [
+    "nm3-matrix", "mm3-matrix", "capacity-zero", "nm-large-alpha", "assisted-one-bit", "assisted-log-m",
+    "unassisted-nm3", "unassisted-mm3", "cglmp-assisted", "singlet-assisted", "singlet-table", "cglmp-table",
+    "tensor-two-bits", "no-signaling-suite",
+]
+
+
 def test_verify_paper_command(capsys):
     code, stdout, _ = run(capsys, "verify-paper")
     assert code == EXIT_OK
@@ -117,7 +129,39 @@ def test_verify_paper_json(capsys):
     assert code == EXIT_OK
     payload = json.loads(stdout)
     assert payload["all_passed"] is True
-    assert len(payload["checks"]) >= 12
+    assert [c["name"] for c in payload["checks"]] == VERIFY_CHECKS
+
+
+def test_verify_paper_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(reference, "NM3_UNASSISTED_OPTIMUM", Fraction(1, 2))
+    code, stdout, _ = run(capsys, "verify-paper")
+    assert code == EXIT_CHECK_FAILED
+    lines = stdout.splitlines()
+    failed = [i for i, line in enumerate(lines) if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and lines[failed[0]].split()[1] == "unassisted-nm3"
+    assert lines[failed[0]].endswith("expected 1/2")
+    assert lines[failed[0] + 1] == "       computed: 7/8"
+    assert lines[failed[0] + 2] == "       source:   classical one-shot optimum for two messages"
+    assert lines[-1] == "13/14 checks passed"
+
+    code, stdout, _ = run(capsys, "verify-paper", "--json")
+    assert code == EXIT_CHECK_FAILED
+    payload = json.loads(stdout)
+    assert payload["all_passed"] is False
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == ["unassisted-nm3"]
+
+
+def test_verify_paper_reports_a_crashed_check_and_runs_the_rest(monkeypatch):
+    def broken():
+        raise RuntimeError("no table")
+
+    monkeypatch.setattr(verify, "make_cglmp_behavior", broken)
+    checks = verify.run_verification().checks
+    assert [c.name for c in checks] == VERIFY_CHECKS
+    crashed = [c for c in checks if not c.passed]
+    # both CGLMP checks build the box, so both fail; the other 12 still run and pass
+    assert [c.name for c in crashed] == ["cglmp-assisted", "cglmp-table"]
+    assert all(c.computed == "error: no table" and c.expected == "-" for c in crashed)
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):

@@ -2,10 +2,11 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zecomm import numeric
-from zecomm.behaviors import Behavior, Scenario, make_extremal_box, make_rtilde_box
+from zecomm.behaviors import Behavior, Scenario, make_extremal_box, make_rtilde_box, validate_behavior
 from zecomm.channels import Channel, IndexSpace, identity_channel, make_mm, make_nm
 from zecomm.numeric import (
     FLOAT,
@@ -19,6 +20,7 @@ from zecomm.numeric import (
     require_same_mode,
     table_problems,
 )
+from zecomm.quantum import behavior_from_quantum, make_cglmp_behavior, make_i3322_model
 
 
 def test_check_mode():
@@ -89,7 +91,11 @@ def test_format_value():
     ([1, 1], 0, RATIONAL, "denominator 0 is not a positive integer"),
     ([0.5, 0.5], 2, FLOAT, r"denominator 2 is not a positive integer \(1 in float mode\)"),
     ([0.5, 0.5 + 2 * FLOAT_TOL], 1, FLOAT, "normalization violated at {block}: sum=1.000000002"),
-], ids=["non-rational", "negative", "sum", "denominator", "float-denominator", "float-sum"])
+    ([math.nan, 1.0], 1, FLOAT, "non-numeric or non-finite entry at {block}"),
+    ([True, 0.0], 1, FLOAT, "non-numeric or non-finite entry at {block}"),
+    (["0.5", 0.5], 1, FLOAT, "non-numeric or non-finite entry at {block}"),
+], ids=["non-rational", "negative", "sum", "denominator", "float-denominator", "float-sum", "float-nan", "float-bool",
+        "float-str"])
 def test_both_table_kinds_refuse_through_the_shared_check(entries, denominator, mode, problem):
     def pattern(block):
         return problem.format(block=re.escape(block))
@@ -101,6 +107,16 @@ def test_both_table_kinds_refuse_through_the_shared_check(entries, denominator, 
     channel_problem = pattern("column 0") if rational else "non-rational numerator at column 0"
     with pytest.raises(ValueError, match="invalid channel: " + channel_problem):
         Channel(IndexSpace((1,)), IndexSpace((2,)), [entries], denominator)
+
+
+@pytest.mark.parametrize("build", [
+    make_cglmp_behavior,
+    lambda: behavior_from_quantum(make_i3322_model()),
+    lambda: Behavior(Scenario(1, 1, 1, 2), FLOAT, [[[np.array([0.25, 0.75])]]]),
+], ids=["cglmp", "i3322-float", "numpy-float64"])
+def test_float_boxes_pass_the_shared_check(build):
+    box = build()
+    assert box.mode == FLOAT and validate_behavior(box) == []
 
 
 def _entries(table):
