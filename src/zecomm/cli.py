@@ -241,9 +241,11 @@ def cmd_search_assisted(args) -> int:
     box = _load_box_arg(args)
     try:
         found, protocol = protocols.exhaustive_assisted_search(c, box, args.messages, args.max_branches)
-    except protocols.SearchLimitExceeded:
-        raise CliError(f"search budget exhausted: reached --max-branches {args.max_branches} before the search ended",
-                       EXIT_BUDGET)
+    except protocols.SearchLimitExceeded as stop:
+        x_card, k = box.scenario.x_card, len(stop.enc_box)
+        rank = 1 + sum(x * x_card ** (k - 1 - g) for g, x in enumerate(stop.enc_box))
+        raise CliError(f"search budget exhausted: reached --max-branches {args.max_branches} before the search ended; "
+                       f"it stopped in box-input tuple {rank} of {x_card ** k}, {stop.enc_box}", EXIT_BUDGET)
     payload = {"found": found}
     if found:
         payload["protocol"] = protocols.protocol_to_json(protocol)

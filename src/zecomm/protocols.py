@@ -321,7 +321,14 @@ def best_unassisted_success(c: Channel, k: int):
 
 
 class SearchLimitExceeded(RuntimeError):
-    pass
+    """A search reached its budget.  ``branches`` is the number of encoders
+    decided before it stopped, and ``enc_box`` the box-input tuple whose
+    encoders it was walking."""
+
+    def __init__(self, branches: int, enc_box: tuple):
+        super().__init__(f"exceeded {branches} encoder branches while walking box inputs {enc_box}")
+        self.branches = branches
+        self.enc_box = enc_box
 
 
 def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
@@ -342,7 +349,10 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     one encoder block, at flat positions g*A .. g*A+A-1.  So the search is the
     product, over the messages, of one block table per box input, built once
     per call and only as far as the enumeration reaches (see ``_blocks`` and
-    ``_leaves``).
+    ``_walk``).  The first K-1 messages are walked depth first, each prefix
+    carrying its accumulated masks (``_extend``); each block of the last
+    message's table then completes one encoder, decided from those masks and
+    that block alone.
     Raises ValueError for a signaling box or for k < 1.
     """
     if k < 1:
@@ -351,20 +361,25 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
         raise ValueError("exhaustive search requires rational mode")
     _check_no_signaling(box)
     s = box.scenario
+    n_out, b_card = c.n_outputs, s.b_card  # n_outputs is recomputed on every read
     tables = [([], _blocks(c, box, x)) for x in range(s.x_card)]
+    empty = (0, 0, [0] * s.y_card, [0] * s.y_card)
     branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
-        for leaf in _leaves([tables[x] for x in enc_box]):
-            branches += 1
-            if branches > max_branches:
-                raise SearchLimitExceeded(f"exceeded {max_branches} encoder branches")
-            assignment = _complete_decoder(leaf, c.n_outputs, s.b_card)
-            if assignment is None:
-                continue
-            enc_channel = {(g, a): cin for g, (cins, _, _) in enumerate(leaf) for a, cin in enumerate(cins)}
-            protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
-            if is_zero_error(c, box, protocol):
-                return True, protocol
+        *outer, last = [tables[x] for x in enc_box]
+        for prefix, masks in _prefixes(outer, (), empty):
+            for block in _walk(last):
+                if branches >= max_branches:
+                    raise SearchLimitExceeded(branches, enc_box)
+                branches += 1
+                assignment = _complete_decoder(masks, prefix, block, n_out, b_card)
+                if assignment is None:
+                    continue
+                leaf = prefix + (block,)
+                enc_channel = {(g, a): cin for g, (cins, _, _) in enumerate(leaf) for a, cin in enumerate(cins)}
+                protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
+                if is_zero_error(c, box, protocol):
+                    return True, protocol
     return False, None
 
 
@@ -396,65 +411,84 @@ def _blocks(c: Channel, box: Behavior, x: int):
         yield cins, reach, tuple(cells)
 
 
-def _leaves(tables):
-    """Every tuple of one block per table, in ``itertools.product`` order.
-
-    A table is ``(built, source)``: the blocks built so far and the generator
-    of the rest, shared by every position using the table.  Blocks are read
-    from ``built`` by index and taken from ``source`` at its end, so a search
-    stopped early (a hit, or the budget) builds only the blocks it reached.
-    """
-    *outer, (built, source) = tables
-    for prefix in _leaves(outer) if outer else [()]:
-        for i in itertools.count():
-            if i == len(built):
-                block = next(source, None)
-                if block is None:
-                    break
-                built.append(block)
-            yield prefix + (built[i],)
+def _walk(table):
+    """Every block of one table, in order.  A table is ``(built, source)``:
+    the blocks built so far and the generator of the rest, shared by every
+    position using the table.  Blocks are read from ``built`` by index and
+    taken from ``source`` at its end, so a search stopped early (a hit, or
+    the budget) builds only the blocks it reached."""
+    built, source = table
+    for i in itertools.count():
+        if i == len(built):
+            block = next(source, None)
+            if block is None:
+                return
+            built.append(block)
+        yield built[i]
 
 
-def _complete_decoder(leaf, n_out: int, b_card: int):
+def _prefixes(tables, prefix, masks):
+    """Every tuple of one block per table, extending ``prefix``, in
+    ``itertools.product`` order, each with ``masks`` extended by its blocks."""
+    if not tables:
+        yield prefix, masks
+        return
+    first, *rest = tables
+    for block in _walk(first):
+        yield from _prefixes(rest, prefix + (block,), _extend(masks, block))
+
+
+def _extend(masks, block):
+    """The masks ``(hit, multi, seen, shared)`` of a block tuple, extended by
+    one more message's block.  ``hit`` marks the outputs reached, ``multi``
+    those reached by two or more messages; per box input y, ``seen[y]``
+    marks the positive outcome cells and ``shared[y]`` those positive for
+    two or more messages.  ``seen`` and ``shared`` are lists: a tuple built
+    from a generator is allocated oversized and shrunk, and each one freed
+    then idles on the interpreter's tuple free list."""
+    hit, multi, seen, shared = masks
+    _, reach, cells = block
+    return (hit | reach, multi | hit & reach,
+            [old | new for old, new in zip(seen, cells)],
+            [both | old & new for both, old, new in zip(shared, seen, cells)])
+
+
+def _complete_decoder(masks, prefix, block, n_out: int, b_card: int):
     """The forced decoder of one encoder, as ``(dec_box, dec_guess)``, or
     None when some output admits no box input (or skip) whose outcome cells
     are message-pure.
 
-    ``leaf`` holds one ``_blocks`` block per message.  The outputs hit
-    by two or more messages, and per box input y the outputs where two
-    messages share a positive outcome cell, are whole-int masks; the encoder
-    fails iff some multi-hit output clashes on every y.  Otherwise an output
-    hit by at most one message skips the box and guesses that message (or 0);
-    a multi-hit output takes the first clash-free y and guesses, per outcome
-    b, the message whose cell is positive (or 0).
+    The encoder is ``prefix`` (one ``_blocks`` block per message but the
+    last) plus ``block``, and ``masks`` are the prefix's ``_extend`` masks.
+    The encoder fails iff some output hit by two or more messages has, on
+    every y, an outcome cell that two messages share.  Otherwise an output
+    hit by at most one message skips the box and guesses that message (or
+    0); a multi-hit output takes the first clash-free y and guesses, per
+    outcome b, the message whose cell is positive (or 0).
     """
-    hit = multi = 0
-    for _, reach, _ in leaf:
-        multi |= hit & reach
-        hit |= reach
-    clashes = []
-    bad = multi
-    for y in range(len(leaf[0][2])):
+    hit, multi, seen, shared = masks
+    _, reach, cells = block
+    bad = multi | hit & reach
+    for y, cell in enumerate(cells):
         if not bad:
             break
-        seen = shared = 0
-        for _, _, cells in leaf:
-            shared |= seen & cells[y]
-            seen |= cells[y]
-        clash = shared
+        clash = shared[y] | seen[y] & cell
+        spread = clash
         for shift in range(1, b_card):  # any shared outcome cell of an output lands on its bit out * B
-            clash |= shared >> shift
-        clashes.append(clash)
-        bad &= clash
+            spread |= clash >> shift
+        bad &= spread
     if bad:
         return None
+    leaf = prefix + (block,)
+    _, multi, _, shared = _extend(masks, block)
+    cell_bits = (1 << b_card) - 1
     rules = []
     for out in range(n_out):
         bit = 1 << out * b_card
         if not multi & bit:
             rules.append((SKIP, [next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0)]))
             continue
-        y = next(y for y, clash in enumerate(clashes) if not clash & bit)
+        y = next(y for y, both in enumerate(shared) if not both >> out * b_card & cell_bits)
         rules.append((y, [next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
                           for b in range(b_card)]))
     return _decoder(rules)

@@ -126,25 +126,16 @@ def run_verification() -> VerificationReport:
 
     _run(report, "nm-large-alpha", "incomplete confusability graphs of the two-layer family for m>=4 as printed", RATIONAL, check_nm_large)
 
-    def check_one_bit_protocols():
-        values = {}
-        for m in range(2, 7):
-            per = per_message_success(make_nm(m), make_extremal_box(m, m), make_theorem2_protocol(m))
-            values[m] = per
+    def check_perfect_scheme(make_channel, make_box, make_protocol, ms: range):
+        values = {m: per_message_success(make_channel(m), make_box(m), make_protocol(m)) for m in ms}
         ok = all(all(v == 1 for v in per) for per in values.values())
-        return "per-message success 1 for m in 2..6", f"{ {m: [str(v) for v in per] for m, per in values.items()} }", ok
+        return (f"per-message success 1 for m in {ms[0]}..{ms[-1]}",
+                f"{ {m: [str(v) for v in per] for m, per in values.items()} }", ok)
 
-    _run(report, "assisted-one-bit", "perfect one-bit transmission with the 2-input m-outcome extremal box", RATIONAL, check_one_bit_protocols)
-
-    def check_logm_protocols():
-        values = {}
-        for m in range(2, 6):
-            per = per_message_success(make_mm(m), make_rtilde_box(m), make_theorem3_protocol(m))
-            values[m] = per
-        ok = all(all(v == 1 for v in per) for per in values.values())
-        return "per-message success 1 for m in 2..5", f"{ {m: [str(v) for v in per] for m, per in values.items()} }", ok
-
-    _run(report, "assisted-log-m", "perfect log(m)-bit transmission with the m-input 2-outcome extremal box", RATIONAL, check_logm_protocols)
+    _run(report, "assisted-one-bit", "perfect one-bit transmission with the 2-input m-outcome extremal box", RATIONAL,
+         lambda: check_perfect_scheme(make_nm, lambda m: make_extremal_box(m, m), make_theorem2_protocol, range(2, 7)))
+    _run(report, "assisted-log-m", "perfect log(m)-bit transmission with the m-input 2-outcome extremal box", RATIONAL,
+         lambda: check_perfect_scheme(make_mm, make_rtilde_box, make_theorem3_protocol, range(2, 6)))
 
     def check_unassisted(c: Channel, k: int, expected: Fraction):
         value, _ = best_unassisted_success(c, k)

@@ -230,6 +230,15 @@ def test_capped_search_assisted_reports_budget(capsys):
     assert code == 4  # documented exit code: search budget exhausted
     assert stdout == ""
     assert stderr.count("\n") == 1 and "--max-branches 10" in stderr
+    assert stderr.endswith("it stopped in box-input tuple 1 of 27, (0, 0, 0)\n")
+
+
+def test_capped_search_assisted_names_the_box_inputs_it_stopped_in(capsys):
+    # Nm(3) with the PR box, K = 2: the first hit is encoder 1,355, in box-input tuple (0, 1)
+    code, _, stderr = run(capsys, "search-assisted", "--family", "Nm", "--m", "3", "--box-family", "pr", "-K", "2",
+                          "--max-branches", "1354")
+    assert code == 4
+    assert stderr.endswith("it stopped in box-input tuple 2 of 4, (0, 1)\n")
 
 
 def test_success_rejects_signaling_box_file(tmp_path, capsys):

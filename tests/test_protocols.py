@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -387,18 +389,71 @@ def test_exhaustive_search_matches_reference_on_random_channels(case):
     assert exhaustive_assisted_search(c, box, k) == reference_assisted_search(c, box, k)
 
 
+def no_masks(box):
+    """The masks of the empty block tuple, where the search starts."""
+    return 0, 0, [0] * box.scenario.y_card, [0] * box.scenario.y_card
+
+
+def whole_leaf_masks(leaf, y_card):
+    """Reference: ``(hit, multi, seen, shared)`` of a block tuple, each bit
+    set by counting the blocks that set it."""
+    def either(masks):
+        return functools.reduce(operator.or_, masks, 0)
+
+    def twice(masks):
+        return sum(1 << i for i in range(either(masks).bit_length()) if sum(mask >> i & 1 for mask in masks) >= 2)
+
+    reaches = [reach for _, reach, _ in leaf]
+    cells = [[block_cells[y] for _, _, block_cells in leaf] for y in range(y_card)]
+    return either(reaches), twice(reaches), list(map(either, cells)), list(map(twice, cells))
+
+
+def draw_leaf(c, box, k, data):
+    s = box.scenario
+    enc_box = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
+    return enc_box, tuple(data.draw(st.sampled_from(list(protocols._blocks(c, box, x)))) for x in enc_box)
+
+
 @settings(max_examples=200, deadline=None)
 @given(search_cases(), st.data())
 def test_complete_decoder_matches_reference_on_random_encoders(case, data):
     # every encoder, not only the first hit: the decision and the decoder
     c, box, k = case
-    s = box.scenario
-    enc_box = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
-    leaf = tuple(data.draw(st.sampled_from(list(protocols._blocks(c, box, x)))) for x in enc_box)
+    enc_box, leaf = draw_leaf(c, box, k, data)
+    *prefix, block = leaf
+    masks = functools.reduce(protocols._extend, prefix, no_masks(box))
     enc_channel_flat = tuple(cin for cins, _, _ in leaf for cin in cins)
     _, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
-    assert (protocols._complete_decoder(leaf, c.n_outputs, s.b_card)
+    assert (protocols._complete_decoder(masks, tuple(prefix), block, c.n_outputs, box.scenario.b_card)
             == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.data())
+def test_masks_extended_block_by_block_match_the_whole_leaf(case, data):
+    c, box, k = case
+    _, leaf = draw_leaf(c, box, k, data)
+    masks = no_masks(box)
+    for n, block in enumerate(leaf, 1):
+        masks = protocols._extend(masks, block)
+        assert masks == whole_leaf_masks(leaf[:n], box.scenario.y_card)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.data())
+def test_prefix_walk_then_last_table_walk_is_the_product(case, data):
+    # the drawn box inputs, and all box inputs 0, where every position shares one table when K >= 2
+    c, box, k = case
+    s = box.scenario
+    drawn = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
+    for enc_box in (drawn, (0,) * k):
+        tables = [([], protocols._blocks(c, box, x)) for x in range(s.x_card)]
+        *outer, last = [tables[x] for x in enc_box]
+        walked = []
+        for prefix, masks in protocols._prefixes(outer, (), no_masks(box)):
+            assert masks == whole_leaf_masks(prefix, s.y_card)
+            walked.extend(prefix + (block,) for block in protocols._walk(last))
+        assert walked == list(itertools.product(*(list(protocols._blocks(c, box, x)) for x in enc_box)))
 
 
 @pytest.fixture
@@ -455,13 +510,15 @@ def test_exhaustive_search_builds_only_the_blocks_it_reaches(monkeypatch):
 
 def test_exhaustive_search_budget_counts_encoders():
     c, box = make_nm(3), make_extremal_box(2, 2)
-    with pytest.raises(SearchLimitExceeded):
+    with pytest.raises(SearchLimitExceeded) as stop:
         exhaustive_assisted_search(c, box, 2, max_branches=NM3_PR_RANK - 1)
+    assert (stop.value.branches, stop.value.enc_box) == (NM3_PR_RANK - 1, (0, 1))
     found, protocol = exhaustive_assisted_search(c, box, 2, max_branches=NM3_PR_RANK)
     assert found and encoder_of(protocol) == ((0, 1), (0, 1, 3, 4))
     c, box = make_mm(3), make_i3322_rational_table()
-    with pytest.raises(SearchLimitExceeded):
+    with pytest.raises(SearchLimitExceeded) as stop:
         exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES - 1)
+    assert (stop.value.branches, stop.value.enc_box) == (MM3_I3322_LEAVES - 1, (2, 2))
     assert exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES) == (False, None)
 
 

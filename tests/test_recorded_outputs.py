@@ -1,8 +1,11 @@
-"""The channel families, the theorem schemes and two product schemes are
-pinned by the sha256 of their JSON form, recorded before the families were
-built from their layer rule and the decoders from one per-output rule.  A
-digest that changes means a file written by ``zecomm channel`` or a protocol
-file differs from the recorded one."""
+"""The channel families, the theorem schemes, two product schemes and the
+protocols the assisted search finds are pinned by the sha256 of their JSON
+form.  The families and schemes were recorded before the families were
+built from their layer rule and the decoders from one per-output rule; the
+found protocols (decoder included) before the search decided each encoder
+from its prefix's accumulated masks.  A digest that changes means a file
+written by ``zecomm channel``, a protocol file or a ``search-assisted``
+answer differs from the recorded one."""
 
 import hashlib
 import json
@@ -11,7 +14,14 @@ import pytest
 
 from zecomm.behaviors import make_extremal_box, make_rtilde_box
 from zecomm.channels import channel_to_json, make_mm, make_nm
-from zecomm.protocols import make_theorem2_protocol, make_theorem3_protocol, protocol_to_json, tensor_protocols
+from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+from zecomm.protocols import (
+    exhaustive_assisted_search,
+    make_theorem2_protocol,
+    make_theorem3_protocol,
+    protocol_to_json,
+    tensor_protocols,
+)
 
 RECORDED = {
     "Nm(2)": "cfaadf5e40c59d53c533f46e32dfdeeacbe6eb4f6e9ca0531c58d5d67da1a59a",
@@ -54,11 +64,59 @@ RECORDED = {
     "theorem3(9)": "184617aa2fb4cf635502369c10e01d519a41d8000968531af9b3b7e23cc7ce86",
     "Nm2xNm2": "23f4a8e2a282c65767901e0c700283e0d62db8de39cc55bb84f939d3a52afb42",
     "Mm3xNm2": "b6d575c4aeb1c85489e7dfacdcf42dd1fd596695d75dfeec56a2d31758cd3993",
+    "search Nm(2) pr K=2": "0f877c80b4219e61a98c3fd6052589133ff329e60c1cdd91a4d3e4926f80c02a",
+    "search Mm(2) rtilde K=2": "c016130f349d8b2ef82f747ccf6e1e6b2ba13cc378d3cb8dca851e7b024d80e8",
+    "search Mm(3) rtilde K=2": "62b7c1dd91fd9395e58019ce54c204c522b4cf2dd619408d5d013125c7db8a2d",
+    "search Mm(3) pr K=2": "62b7c1dd91fd9395e58019ce54c204c522b4cf2dd619408d5d013125c7db8a2d",
+    "search Nm(3) pr K=2": "f2c99d6da1345e07263f26b877bd8fffbb83afc17155fab857caa3d2dd439405",
+    "search Nm(3) rtilde K=2": "f2c99d6da1345e07263f26b877bd8fffbb83afc17155fab857caa3d2dd439405",
+    "search Nm(4) pr K=2": "ec6cd081e7ef4c5e3ec0319ef8b50fbc55d14cc45c8ed68b084a7c5d95b45357",
+    "search Nm(4) rtilde K=2": "ec6cd081e7ef4c5e3ec0319ef8b50fbc55d14cc45c8ed68b084a7c5d95b45357",
+    "search Nm(5) pr K=2": "8aef6a258bbac8e248790283f42c855fff6c9e0175038cb383d58ad098e5369a",
+    "search Nm(5) rtilde K=2": "8aef6a258bbac8e248790283f42c855fff6c9e0175038cb383d58ad098e5369a",
+    "search Nm(6) pr K=2": "c730e480a2fb72976df2a4eec261a2a2bbe9e4ff3a72fdc8f59c16cc444851a0",
+    "search Nm(6) rtilde K=2": "c730e480a2fb72976df2a4eec261a2a2bbe9e4ff3a72fdc8f59c16cc444851a0",
+    "search Nm(7) pr K=2": "4093dced129e0aa01c6fdf8d5d749b867d87fcebbf14f8fbfa103f3afa061ae9",
+    "search Nm(7) rtilde K=2": "4093dced129e0aa01c6fdf8d5d749b867d87fcebbf14f8fbfa103f3afa061ae9",
+    "search Mm(4) rtilde K=2": "42520388c7efdb3022c408e557cc194d3e7e236ec8efa86f3ad03d2dcf067178",
+    "search Mm(4) pr K=2": "42520388c7efdb3022c408e557cc194d3e7e236ec8efa86f3ad03d2dcf067178",
+    "search Nm(3) pm K=2": "06bb5ada9c526e58bdd38f33666e6f2c7e6be7d717fdb8cae7c5fa7f312880f4",
+    "search Mm(3) rtilde K=3": "bfda6dfb82f0af25e822a65bc254237e8f49ceca17b9b326ff64f6a4e50b798b",
 }
 
 
 def digest(data) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+#: (family, m, box family, K) of every found case of ``ASSISTED_ANSWERS`` in
+#: ``tests/test_protocols.py``
+FOUND_SEARCHES = [
+    ("Nm", 2, "pr", 2),
+    ("Mm", 2, "rtilde", 2),
+    ("Mm", 3, "rtilde", 2),
+    ("Mm", 3, "pr", 2),
+    ("Nm", 3, "pr", 2),
+    ("Nm", 3, "rtilde", 2),
+    ("Nm", 4, "pr", 2),
+    ("Nm", 4, "rtilde", 2),
+    ("Nm", 5, "pr", 2),
+    ("Nm", 5, "rtilde", 2),
+    ("Nm", 6, "pr", 2),
+    ("Nm", 6, "rtilde", 2),
+    ("Nm", 7, "pr", 2),
+    ("Nm", 7, "rtilde", 2),
+    ("Mm", 4, "rtilde", 2),
+    ("Mm", 4, "pr", 2),
+    ("Nm", 3, "pm", 2),
+    ("Mm", 3, "rtilde", 3),
+]
+
+
+def found_protocol(family, m, box_family, k):
+    found, protocol = exhaustive_assisted_search(CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m), k)
+    assert found
+    return protocol_to_json(protocol)
 
 
 def nm2_squared():
@@ -78,6 +136,7 @@ BUILDS = {
     **{f"theorem3({m})": lambda m=m: protocol_to_json(make_theorem3_protocol(m)) for m in range(2, 10)},
     "Nm2xNm2": lambda: protocol_to_json(nm2_squared()),
     "Mm3xNm2": lambda: protocol_to_json(mm3_times_nm2()),
+    **{f"search {f}({m}) {b} K={k}": lambda case=(f, m, b, k): found_protocol(*case) for f, m, b, k in FOUND_SEARCHES},
 }
 
 
