@@ -7,11 +7,13 @@ and symmetry, checked on the whole n x n bit matrix at once.  The builders
 work on whole rows too: the confusability graph ORs, per input, the masks of
 the inputs that reach each of its outputs, and a strong product row is one
 product of a row of the second factor with a spread neighbourhood of the
-first.
+first.  An edge list is the exception: its edges fill one n x n byte matrix,
+two byte stores per edge, which is packed into rows once.
 
-The independence number is decided by one exact solver: branch and bound on
-bitmask rows, in the bitboard style of San Segundo's BBMC and Tomita's MCQ.
-Each node covers its candidates with cliques of the graph, grown greedily
+The independence number of a complete or an edgeless graph is read off the
+edge count.  Every other graph goes to one exact solver: branch and bound
+on bitmask rows, in the bitboard style of San Segundo's BBMC and Tomita's
+MCQ.  Each node covers its candidates with cliques of the graph, grown greedily
 from the lowest vertex and kept as one bitmask each; an independent set
 takes at most one vertex per clique, so the number of cliques bounds the
 branch.  As in both papers, the vertices are first put in a good initial
@@ -71,20 +73,44 @@ class ConfusabilityGraph:
 
 
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityGraph:
-    adj = [0] * n
+    """The graph on ``n`` vertices with the given undirected edges.
+
+    Duplicate edges and both orientations of an edge are allowed.  The edges
+    fill one n x n byte matrix, two byte stores per edge (cell u * n + v and
+    cell v * n + u), which is packed into bitmask rows once at the end and
+    freed before the rows are validated.
+
+    Refusals, decided by the first faulty edge in list order:
+    - an endpoint that is not an int raises ``TypeError``;
+    - an endpoint that is negative or at least ``n``, or an edge that is not
+      a pair, raises ``ValueError("edge endpoint out of range for n
+      vertices")``; no row is shifted, so a far endpoint such as 10**8 costs
+      no large allocation;
+    - an edge (v, v) with v in range raises ``ValueError("self-loops not
+      allowed")``.
+    """
+    cells = bytearray(n * n)
+    offsets = list(range(0, n * n, n or 1))  # offsets[v] = v * n; empty for n = 0
     try:
         for u, v in edges:
-            # Both rows are indexed before either shift, so an endpoint far
-            # beyond n is refused before 1 << v allocates a huge integer.
-            row_u, row_v = adj[u], adj[v]
-            if u == v:
-                break
-            adj[u], adj[v] = row_u | 1 << v, row_v | 1 << u
-        else:
-            return ConfusabilityGraph(n, tuple(adj))
-    except (IndexError, ValueError):  # an endpoint >= n, or a negative one (a negative shift count)
-        raise ValueError(f"edge endpoint out of range for {n} vertices") from None
-    raise ValueError("self-loops not allowed")
+            if (u | v) < 0:  # list indexing would wrap a negative endpoint
+                raise IndexError
+            # Both offsets are looked up before either store, so an endpoint
+            # >= n is refused before its cell index lands on another row.
+            uv, vu = offsets[u] + v, offsets[v] + u
+            cells[uv] = cells[vu] = 1
+    except (IndexError, TypeError, ValueError) as fault:
+        # Edges store nothing past a fault, and a self-loop stores only its
+        # diagonal cell, so a set diagonal cell means a self-loop came first.
+        if 1 not in cells[::n + 1]:
+            if isinstance(fault, TypeError):
+                raise
+            raise ValueError(f"edge endpoint out of range for {n} vertices") from None
+    if 1 in cells[::n + 1]:
+        raise ValueError("self-loops not allowed")
+    rows = _bit_rows(np.frombuffer(cells, np.uint8).reshape(n, n))
+    del cells  # before the validation's own n x n matrices
+    return ConfusabilityGraph(n, tuple(rows))
 
 
 def complete_graph(n: int) -> ConfusabilityGraph:
@@ -112,10 +138,11 @@ def _bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
 
 
 def _bit_rows(matrix: np.ndarray) -> list[int]:
-    """The bitmask rows of a 0/1 matrix, the inverse of ``_bit_matrix``."""
+    """The bitmask rows of an n x n 0/1 matrix, the inverse of ``_bit_matrix``."""
     n, width = len(matrix), (matrix.shape[1] + 7) // 8
     packed = np.packbits(matrix, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[v * width:(v + 1) * width], "little") for v in range(n)]
+    from_bytes = int.from_bytes
+    return [from_bytes(packed[i:i + width], "little") for i in range(0, n * width, width or 1)]
 
 
 def _clique_order(n: int, adj: Sequence[int]) -> list[int]:
@@ -211,6 +238,11 @@ def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT
     n = g.vertex_count
     if n > limit:
         raise ValueError(f"graph has {n} vertices, limit is {limit}")
+    edges = g.edge_count()
+    if edges == n * (n - 1) // 2:  # complete, the empty graph and K_1 included
+        return min(n, 1)
+    if edges == 0:
+        return n
     # Relabel along a greedy clique partition, so that the solver's
     # lowest-vertex-first covers start from its cliques.  matrix[:, order][order]
     # is matrix[np.ix_(order, order)] in under half the time, and unlike

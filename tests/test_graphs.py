@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zecomm import graphs
 from zecomm.channels import IndexSpace, identity_channel, make_channel, make_mm, make_nm, tensor_channels
 from zecomm.graphs import (
     DEFAULT_VERTEX_LIMIT,
@@ -66,6 +67,24 @@ def confusability_pairs(c) -> tuple[tuple[int, ...], tuple]:
     return tuple(adj), tuple(c.input_space.labels())
 
 
+def reference_graph_from_edges(n: int, edges) -> ConfusabilityGraph:
+    """Reference: the earlier build, two big-integer ORs per edge.  Both rows
+    are indexed before either shift, so a far endpoint is refused before it
+    is shifted by."""
+    adj = [0] * n
+    try:
+        for u, v in edges:
+            row_u, row_v = adj[u], adj[v]
+            if u == v:
+                break
+            adj[u], adj[v] = row_u | 1 << v, row_v | 1 << u
+        else:
+            return ConfusabilityGraph(n, tuple(adj))
+    except (IndexError, ValueError):  # an endpoint >= n, or a negative one (a negative shift count)
+        raise ValueError(f"edge endpoint out of range for {n} vertices") from None
+    raise ValueError("self-loops not allowed")
+
+
 def independence_number_complement_coloring(g: ConfusabilityGraph) -> int:
     """Maximum clique of the complement graph, branching on greedy coloring
     bounds built vertex by vertex."""
@@ -106,12 +125,16 @@ def independence_number_complement_coloring(g: ConfusabilityGraph) -> int:
     return best
 
 
+def permuted_edges(g: ConfusabilityGraph, perm: list[int]) -> list[tuple[int, int]]:
+    """The edges of ``g``, each once, with vertex u renamed perm[u]."""
+    return [(perm[u], perm[v]) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)
+            if g.has_edge(u, v)]
+
+
 def relabelled(g: ConfusabilityGraph, seed: int) -> ConfusabilityGraph:
     perm = list(range(g.vertex_count))
     random.Random(seed).shuffle(perm)
-    edges = [(perm[u], perm[v]) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)
-             if g.has_edge(u, v)]
-    return graph_from_edges(g.vertex_count, edges)
+    return graph_from_edges(g.vertex_count, permuted_edges(g, perm))
 
 
 def assert_same_graph(g: ConfusabilityGraph, reference: tuple[tuple[int, ...], tuple]) -> None:
@@ -243,6 +266,99 @@ def test_graph_from_edges_refuses_a_far_endpoint_before_shifting_by_it():
     assert peak < 2**20
 
 
+def build_outcome(build, n, edges):
+    """The adjacency ``build`` gives, or the type of what it raises, with the
+    message of a ValueError."""
+    try:
+        return build(n, edges).adjacency
+    except ValueError as fault:
+        return ValueError, str(fault)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 512])
+def test_graph_from_edges_matches_reference_on_random_edge_lists(n):
+    rng = random.Random(20261019 + n)
+    isolated = set(rng.sample(range(n), n // 4))
+    linked = [v for v in range(n) if v not in isolated]
+    for density in (0.02, 0.3, 0.9):
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for i, u in enumerate(linked) for v in linked[i + 1:] if rng.random() < density]
+        edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 3)]  # duplicates, in both orientations
+        edges += rng.sample(edges, len(edges) // 3)
+        rng.shuffle(edges)
+        g = graph_from_edges(n, edges)
+        assert g.adjacency == reference_graph_from_edges(n, edges).adjacency
+        assert not any(g.adjacency[v] for v in isolated)
+
+
+def nm4_cube_relabelled() -> tuple[ConfusabilityGraph, list[int], list[tuple[int, int]]]:
+    nm4 = nm_graph(4)
+    cube = strong_product(strong_product(nm4, nm4), nm4)
+    perm = list(range(cube.vertex_count))
+    random.Random(3).shuffle(perm)
+    return cube, perm, permuted_edges(cube, perm)
+
+
+def test_graph_from_edges_builds_the_relabelled_nm4_cube():
+    cube, perm, edges = nm4_cube_relabelled()
+    assert len(edges) == 97300
+    permuted = [0] * cube.vertex_count
+    for u, row in enumerate(cube.adjacency):
+        permuted[perm[u]] = sum(1 << perm[v] for v in range(cube.vertex_count) if row >> v & 1)
+    assert graph_from_edges(512, edges).adjacency == tuple(permuted)
+    assert reference_graph_from_edges(512, edges).adjacency == tuple(permuted)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (3, [(0, 0), (0, 5)]),
+    (3, [(0, 5), (0, 0)]),
+    (3, [(0, 4)]),  # cell 0 * 3 + 4 is the diagonal cell of vertex 1
+    (3, [(1, 5)]),  # cell 1 * 3 + 5 is the diagonal cell of vertex 2
+    (3, [(4, 0)]),
+    (3, [(1, 1), (0, 4)]),
+    (3, [(0, 4), (1, 1)]),
+    (3, [(0, 1), (2, 2), (0, 1, 2)]),
+    (3, [(0, 1), (0, 1, 2), (2, 2)]),
+    (3, [(2, 2), (0, 1.5)]),
+    (3, [(0, 1.5), (2, 2)]),
+    (3, [(1, 1), (0, -1)]),
+    (3, [(0, -1), (1, 1)]),
+    (3, [(0, 1), (1, 2), (2, 0), (2, 10**8)]),
+    (3, [(0, 1), (1, 2), (2, 0), (1, 1)]),
+    (3, [(0, 1), (1, 2), (2, 0)]),
+    (0, [(0, 0)]),
+], ids=str)
+def test_graph_from_edges_first_faulty_edge_decides_as_in_reference(n, edges):
+    assert build_outcome(graph_from_edges, n, edges) == build_outcome(reference_graph_from_edges, n, edges)
+
+
+@pytest.mark.parametrize("loop", [(-1, -1), (3, 3)])
+def test_graph_from_edges_refuses_a_self_loop_out_of_range_as_out_of_range(loop):
+    # The reference named (-1, -1) a self-loop: it indexed a row from the end.
+    with pytest.raises(ValueError, match="^edge endpoint out of range for 3 vertices$"):
+        graph_from_edges(3, [loop])
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_from_edges_peak_memory_stays_near_the_validation():
+    # The validation unpacks the rows into n x n matrices of its own; the
+    # byte matrix of the build is freed before it, or the peak grows by n * n.
+    _, _, edges = nm4_cube_relabelled()
+    rows = graph_from_edges(512, edges).adjacency
+    validation = traced_peak(lambda: ConfusabilityGraph(512, rows))
+    assert traced_peak(lambda: graph_from_edges(512, edges)) <= 1.5 * validation
+
+
 def test_basic_graphs():
     assert independence_number(complete_graph(6)) == 1
     assert complete_graph(6).is_complete()
@@ -258,6 +374,23 @@ def test_empty_and_complete_graphs(n):
     limit = max(n, DEFAULT_VERTEX_LIMIT)
     assert independence_number(graph_from_edges(n, []), limit=limit) == n
     assert independence_number(complete_graph(n), limit=limit) == min(n, 1)
+
+
+def test_alpha_of_complete_and_edgeless_graphs_is_read_off_the_edge_count(monkeypatch):
+    clique_order = graphs._clique_order
+    ordered = []
+    monkeypatch.setattr(graphs, "_clique_order", lambda n, adj: ordered.append(n) or clique_order(n, adj))
+    for n in range(65):
+        limit = max(n, DEFAULT_VERTEX_LIMIT)
+        assert independence_number(complete_graph(n), limit=limit) == min(n, 1)
+        assert independence_number(graph_from_edges(n, []), limit=limit) == n
+    for m in range(2, 9):
+        assert independence_number(confusability_graph(make_mm(m))) == 1
+    assert ordered == []
+    assert independence_number(nm_graph(4)) == 2 and ordered == [8]
+    # the limit still comes first
+    with pytest.raises(ValueError, match="^graph has 41 vertices, limit is 40$"):
+        independence_number(complete_graph(41))
 
 
 def test_confusability_identity_channel():

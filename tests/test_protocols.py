@@ -428,6 +428,26 @@ def test_complete_decoder_matches_reference_on_random_encoders(case, data):
             == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
 
 
+def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes():
+    # B = 3, which the random cases above rarely draw: a clash spread onto
+    # bit out * B from the wrong bits would mark the neighbouring output.
+    # Every encoder of the 3-input noiseless channel with K = 2 and the 2-2-3
+    # extremal box: 2,916 encoders, of which 1,032 read the box.
+    c, box = identity_channel(3), make_extremal_box(3, 3)
+    s = box.scenario
+    reads_box = 0  # decoders that read the box on some output
+    for enc_box in itertools.product(range(s.x_card), repeat=2):
+        first, last = (list(protocols._blocks(c, box, x)) for x in enc_box)
+        for head in first:
+            masks = protocols._extend(no_masks(box), head)
+            for block in last:
+                _, reach = reference_encoder(c, box, enc_box, head[0] + block[0])
+                expected = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
+                assert protocols._complete_decoder(masks, (head,), block, c.n_outputs, s.b_card) == expected
+                reads_box += expected is not None and any(y is not SKIP for y in expected[0])
+    assert reads_box == 1032
+
+
 @settings(max_examples=100, deadline=None)
 @given(search_cases(), st.data())
 def test_masks_extended_block_by_block_match_the_whole_leaf(case, data):
