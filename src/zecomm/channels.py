@@ -122,28 +122,17 @@ def make_channel(
     return Channel(input_space, output_space, [[as_prob(v, RATIONAL) for v in column] for column in matrix])
 
 
-def _from_supports(input_space: IndexSpace, output_space: IndexSpace, supports, denominator: int) -> Channel:
-    """Rational channel whose column i has numerator 1 on each output of
-    ``supports[i]`` (an output listed twice gets 2) over ``denominator``."""
-    n_out = output_space.size
-    weights = []
-    for support in supports:
-        row = [0] * n_out
-        for o in support:
-            row[o] += 1
-        weights.append(row)
-    return Channel(input_space, output_space, weights, denominator)
-
-
 def _layered(input_space: IndexSpace, output_space: IndexSpace, o2_of) -> Channel:
     """Channel with o1 (labels 1..L) uniform and o2 = ``o2_of(o1, i1, i2)``:
     column (i1, i2) has numerator 1 over L at (o1, o2) for each layer o1."""
     layers, m = output_space.factors
-    supports = [  # output (o1, o2) is flat index (o1 - 1) * m + o2
-        [(o1 - 1) * m + o2_of(o1, i1, i2) for o1 in range(1, layers + 1)]
-        for i1, i2 in input_space.labels()
-    ]
-    return _from_supports(input_space, output_space, supports, layers)
+    weights = []
+    for i1, i2 in input_space.labels():
+        row = [0] * output_space.size
+        for o1 in range(1, layers + 1):  # output (o1, o2) is flat index (o1 - 1) * m + o2
+            row[(o1 - 1) * m + o2_of(o1, i1, i2)] = 1
+        weights.append(row)
+    return Channel(input_space, output_space, weights, layers)
 
 
 # --- permutation algebra ----------------------------------------------------

@@ -43,17 +43,17 @@ class AssistedProtocol:
     """Deterministic maps defining one assisted-coding scheme.
 
     ``enc_box_input[message]`` is the sender's box input; the channel input is
-    ``enc_channel_input[(message, box_outcome)]`` (a flat index).  For each
-    flat channel output, ``dec_box_input[output]`` is the receiver's box input
-    or SKIP, and ``dec_guess[(output, box_outcome_or_SKIP)]`` is the message
-    guessed.
+    ``enc_channel_input[(message, box_outcome)]`` (a flat index).
+    ``decoder[output]`` is the receiver's rule ``(y, guesses)`` for each flat
+    channel output: y is the box input queried and ``guesses[b]`` the message
+    guessed on box outcome b, or y is SKIP (the box is not used) and
+    ``guesses`` holds the one message guessed.
     """
 
     message_count: int
     enc_box_input: tuple[int, ...]
     enc_channel_input: dict
-    dec_box_input: tuple
-    dec_guess: dict
+    decoder: tuple
 
     def __post_init__(self):
         if len(self.enc_box_input) != self.message_count:
@@ -61,22 +61,6 @@ class AssistedProtocol:
 
 
 # --- the two protocol families ---------------------------------------------
-
-def _decoder(rules):
-    """``(dec_box_input, dec_guess)`` from one ``(y, guesses)`` rule per flat
-    channel output, in order: y is a box input and ``guesses[b]`` the guess
-    on outcome b, or y is SKIP and ``guesses`` holds the one guess."""
-    dec_box = []
-    dec_guess = {}
-    for out, (y, guesses) in enumerate(rules):
-        dec_box.append(y)
-        if y is SKIP:
-            dec_guess[(out, SKIP)] = guesses[0]
-        else:
-            for b, guess in enumerate(guesses):
-                dec_guess[(out, b)] = guess
-    return tuple(dec_box), dec_guess
-
 
 def make_theorem2_protocol(m: int) -> AssistedProtocol:
     """One-bit scheme for the (m+1)-layer channel with the 2-input m-outcome
@@ -98,10 +82,10 @@ def make_theorem2_protocol(m: int) -> AssistedProtocol:
             y, raw = 1, [(pi_hat(m, o2) + b) % m for b in range(m)]
         else:
             y, raw = 0, [(o2 + pi_hat(m, pi_perm(m, o1 - 3, b))) % m for b in range(m)]
-        return y, [g if g < 2 else 0 for g in raw]
+        return y, tuple(g if g < 2 else 0 for g in raw)
 
     enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
-    return AssistedProtocol(2, (0, 1), enc_channel, *_decoder(itertools.starmap(decode, out_space.labels())))
+    return AssistedProtocol(2, (0, 1), enc_channel, tuple(itertools.starmap(decode, out_space.labels())))
 
 
 def make_theorem3_protocol(m: int) -> AssistedProtocol:
@@ -117,13 +101,13 @@ def make_theorem3_protocol(m: int) -> AssistedProtocol:
 
     def decode(o1: int, o2: int):
         if o1 == 1:
-            return SKIP, [o2]
+            return SKIP, (o2,)
         j = mm_block_of(m, o1)
         shift = o1 - mm_block_anchor(m, j)
-        return j, [(o2 + pi_hat(m, pi_perm(m, shift, b))) % m for b in range(2)]
+        return j, tuple((o2 + pi_hat(m, pi_perm(m, shift, b))) % m for b in range(2))
 
     enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
-    return AssistedProtocol(m, tuple(range(m)), enc_channel, *_decoder(itertools.starmap(decode, out_space.labels())))
+    return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(itertools.starmap(decode, out_space.labels())))
 
 
 #: CLI ``--scheme`` name -> (protocol, channel (input, output) index spaces,
@@ -158,16 +142,11 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
                     a = a1 * s2.a_card + a2
                     enc_channel[(g, a)] = p1.enc_channel_input[(g1, a1)] * n_in2 + p2.enc_channel_input[(g2, a2)]
 
-    rules = []
-    for o1 in range(c1.n_outputs):
-        y1 = p1.dec_box_input[o1]
-        for o2 in range(c2.n_outputs):
-            y2 = p2.dec_box_input[o2]
-            guesses = [p1.dec_guess[(o1, SKIP if y1 is SKIP else b1)] * k2
-                       + p2.dec_guess[(o2, SKIP if y2 is SKIP else b2)]
-                       for b1 in range(s1.b_card) for b2 in range(s2.b_card)]
-            rules.append(((0 if y1 is SKIP else y1) * s2.y_card + (0 if y2 is SKIP else y2), guesses))
-    return AssistedProtocol(k1 * k2, enc_box, enc_channel, *_decoder(rules))
+    rules1 = [(0, guesses * s1.b_card) if y is SKIP else (y, guesses) for y, guesses in p1.decoder]
+    rules2 = [(0, guesses * s2.b_card) if y is SKIP else (y, guesses) for y, guesses in p2.decoder]
+    decoder = tuple((y1 * s2.y_card + y2, tuple(g1 * k2 + g2 for g1 in guesses1 for g2 in guesses2))
+                    for y1, guesses1 in rules1 for y2, guesses2 in rules2)
+    return AssistedProtocol(k1 * k2, enc_box, enc_channel, decoder)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -191,11 +170,17 @@ def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
                 raise ValueError(f"enc_channel_input missing ({g},{a})")
             if not 0 <= p.enc_channel_input[(g, a)] < c.n_inputs:
                 raise ValueError("encoder channel input out of range")
-    if len(p.dec_box_input) != c.n_outputs:
-        raise ValueError("dec_box_input must be total on channel outputs")
-    for out, y in enumerate(p.dec_box_input):
-        if y is not SKIP and not 0 <= y < s.y_card:
+    if len(p.decoder) != c.n_outputs:
+        raise ValueError("decoder must be total on channel outputs")
+    for out, (y, guesses) in enumerate(p.decoder):
+        if y is SKIP:
+            if len(guesses) != 1:
+                raise ValueError(f"decoder skips the box on output {out} but holds {len(guesses)} guesses, not 1")
+        elif not 0 <= y < s.y_card:
             raise ValueError("decoder box input out of range")
+        elif len(guesses) < s.b_card:
+            raise ValueError(f"decoder holds {len(guesses)} guesses on output {out}, fewer than the box's "
+                             f"{s.b_card} outcomes")
 
 
 def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
@@ -217,13 +202,13 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
             cin = p.enc_channel_input[(g, a)]
             row = c.weights[cin]
             for out in c.supports[cin]:
-                y = p.dec_box_input[out]
+                y, guesses = p.decoder[out]
                 if y is SKIP:
-                    if p.dec_guess[(out, SKIP)] == g:
+                    if guesses[0] == g:
                         total += pa * row[out]
                 else:
-                    for b, w in enumerate(box.weights[x][y][a]):  # p(a,b|x,y) = p(b|a,x,y) p(a|x) for NS boxes
-                        if p.dec_guess[(out, b)] == g:
+                    for w, guess in zip(box.weights[x][y][a], guesses):  # p(a,b|x,y) = p(b|a,x,y) p(a|x) for NS boxes
+                        if guess == g:
                             total += w * row[out]
         results.append(Fraction(total, denominator) if exact else total / denominator)
     return results
@@ -266,7 +251,7 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: 
     bob = {}
     for x in set(p.enc_box_input):
         alice[x] = _sampling_table(box.alice[x], box.denominator if rational else None)
-        for y in set(p.dec_box_input) - {SKIP}:
+        for y in {y for y, _ in p.decoder} - {SKIP}:
             for a, pa in enumerate(box.alice[x]):
                 if pa > 0:
                     cell = box.weights[x][y][a]
@@ -280,12 +265,8 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: 
         x = p.enc_box_input[g]
         a = _sample_column(alice[x], rng)
         out = _sample_column(channel[p.enc_channel_input[(g, a)]], rng)
-        y = p.dec_box_input[out]
-        if y is SKIP:
-            guess = p.dec_guess[(out, SKIP)]
-        else:
-            b = _sample_column(bob[(x, y, a)], rng)
-            guess = p.dec_guess[(out, b)]
+        y, guesses = p.decoder[out]
+        guess = guesses[0] if y is SKIP else guesses[_sample_column(bob[(x, y, a)], rng)]
         hits += guess == g
     estimate = hits / trials
     stderr = (estimate * (1 - estimate) / trials) ** 0.5
@@ -372,12 +353,12 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
                 if branches >= max_branches:
                     raise SearchLimitExceeded(branches, enc_box)
                 branches += 1
-                assignment = _complete_decoder(masks, prefix, block, n_out, b_card)
-                if assignment is None:
+                decoder = _complete_decoder(masks, prefix, block, n_out, b_card)
+                if decoder is None:
                     continue
                 leaf = prefix + (block,)
                 enc_channel = {(g, a): cin for g, (cins, _, _) in enumerate(leaf) for a, cin in enumerate(cins)}
-                protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
+                protocol = AssistedProtocol(k, enc_box, enc_channel, decoder)
                 if is_zero_error(c, box, protocol):
                     return True, protocol
     return False, None
@@ -454,7 +435,7 @@ def _extend(masks, block):
 
 
 def _complete_decoder(masks, prefix, block, n_out: int, b_card: int):
-    """The forced decoder of one encoder, as ``(dec_box, dec_guess)``, or
+    """The forced decoder of one encoder, as its ``(y, guesses)`` rules, or
     None when some output admits no box input (or skip) whose outcome cells
     are message-pure.
 
@@ -486,12 +467,12 @@ def _complete_decoder(masks, prefix, block, n_out: int, b_card: int):
     for out in range(n_out):
         bit = 1 << out * b_card
         if not multi & bit:
-            rules.append((SKIP, [next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0)]))
+            rules.append((SKIP, (next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0),)))
             continue
         y = next(y for y, both in enumerate(shared) if not both >> out * b_card & cell_bits)
-        rules.append((y, [next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
-                          for b in range(b_card)]))
-    return _decoder(rules)
+        rules.append((y, tuple(next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
+                               for b in range(b_card))))
+    return tuple(rules)
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -501,28 +482,42 @@ def protocol_to_json(p: AssistedProtocol) -> dict:
         "message_count": p.message_count,
         "enc_box_input": list(p.enc_box_input),
         "enc_channel_input": [[g, a, cin] for (g, a), cin in sorted(p.enc_channel_input.items())],
-        "dec_box_input": ["skip" if y is SKIP else y for y in p.dec_box_input],
-        "dec_guess": [
-            [out, "skip" if b is SKIP else b, guess]
-            for (out, b), guess in sorted(p.dec_guess.items(), key=lambda kv: (kv[0][0], -1 if kv[0][1] is SKIP else kv[0][1]))
-        ],
+        "dec_box_input": ["skip" if y is SKIP else y for y, _ in p.decoder],
+        "dec_guess": [[out, "skip" if y is SKIP else b, guess]
+                      for out, (y, guesses) in enumerate(p.decoder) for b, guess in enumerate(guesses)],
         "guess_remap": [],
     }
 
 
 def protocol_from_json(data: dict) -> AssistedProtocol:
-    """Protocol from its JSON form.  The file's ``guess_remap`` pairs
-    ``[raw, message]`` map raw guesses outside the messages onto messages;
-    they are folded into ``dec_guess``, and a pair that moves a message is
-    refused."""
+    """Protocol from its JSON form.  ``dec_guess`` entries
+    ``[output, outcome or "skip", guess]`` may come in any order.  An output
+    that skips the box takes its ``"skip"`` entry, and one without it is
+    refused; any other output takes its guesses on outcomes 0, 1, ... up to
+    the first outcome it lacks, and ``_check_compatible`` refuses too few.
+    The file's ``guess_remap`` pairs ``[raw, message]`` map raw guesses
+    outside the messages onto messages; they are folded into the guesses, and
+    a pair that moves a message is refused."""
     k = data["message_count"]
     remap = {raw: g for raw, g in data["guess_remap"]}
     if any(remap.get(g, g) != g for g in range(k)):
         raise ValueError("guess_remap must be the identity on messages")
+    entries = {}
+    for out, b, guess in data["dec_guess"]:
+        entries.setdefault(out, {})[b] = remap.get(guess, guess)
+    decoder = []
+    for out, y in enumerate(data["dec_box_input"]):
+        guesses = entries.get(out, {})
+        if y != "skip":
+            count = next(b for b in itertools.count() if b not in guesses)
+            decoder.append((y, tuple(guesses[b] for b in range(count))))
+        elif "skip" in guesses:
+            decoder.append((SKIP, (guesses["skip"],)))
+        else:
+            raise ValueError(f'output {out} skips the box but dec_guess has no "skip" entry for it')
     return AssistedProtocol(
         k,
         tuple(data["enc_box_input"]),
         {(g, a): cin for g, a, cin in data["enc_channel_input"]},
-        tuple(SKIP if y == "skip" else y for y in data["dec_box_input"]),
-        {(out, SKIP if b == "skip" else b): remap.get(guess, guess) for out, b, guess in data["dec_guess"]},
+        tuple(decoder),
     )

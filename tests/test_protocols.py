@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import itertools
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -63,10 +65,48 @@ def test_log_m_scheme_is_perfect(m):
 
 def test_protocol_validation():
     with pytest.raises(ValueError):
-        AssistedProtocol(2, (0,), {}, (), {})
+        AssistedProtocol(2, (0,), {}, ())
     data = protocol_to_json(make_theorem2_protocol(2))
     data["guess_remap"] = [[1, 0]]  # moves a message
     with pytest.raises(ValueError, match="identity on messages"):
+        protocol_from_json(data)
+
+
+def test_decoder_with_too_few_guesses_is_refused_at_every_entry_point():
+    # theorem2(2) whose output 2 reads the box but lacks its guess on outcome 1
+    channel, box = make_nm(2), make_extremal_box(2, 2)
+    data = protocol_to_json(make_theorem2_protocol(2))
+    data["dec_guess"] = [entry for entry in data["dec_guess"] if entry[:2] != [2, 1]]
+    protocol = protocol_from_json(data)
+    refusal = "decoder holds 1 guesses on output 2, fewer than the box's 2 outcomes"
+    for evaluate in (per_message_success, exact_success, is_zero_error):
+        with pytest.raises(ValueError, match=refusal):
+            evaluate(channel, box, protocol)
+    with pytest.raises(ValueError, match=refusal):
+        monte_carlo_success(channel, box, protocol, 100, seed=1)
+    assert protocol.decoder[2] == (1, (0,))
+
+
+@pytest.mark.parametrize("guesses", [(), (0, 1)])
+def test_skip_rule_without_exactly_one_guess_is_refused_at_every_entry_point(guesses):
+    channel, box, base = make_nm(2), make_extremal_box(2, 2), make_theorem2_protocol(2)
+    protocol = dataclasses.replace(base, decoder=((SKIP, guesses),) + base.decoder[1:])
+    refusal = f"decoder skips the box on output 0 but holds {len(guesses)} guesses, not 1"
+    for evaluate in (per_message_success, exact_success, is_zero_error):
+        with pytest.raises(ValueError, match=refusal):
+            evaluate(channel, box, protocol)
+    with pytest.raises(ValueError, match=refusal):
+        monte_carlo_success(channel, box, protocol, 100, seed=1)
+
+
+def test_protocol_file_whose_skip_output_lacks_its_skip_guess_is_refused():
+    data = protocol_to_json(make_theorem2_protocol(2))
+    assert data["dec_box_input"][1] == "skip"
+    data["dec_guess"] = [entry for entry in data["dec_guess"] if entry[:2] != [1, "skip"]]
+    with pytest.raises(ValueError, match='output 1 skips the box but dec_guess has no "skip" entry for it'):
+        protocol_from_json(data)
+    data["dec_guess"].append([1, 0, 1])  # an outcome guess does not stand in for the skip guess
+    with pytest.raises(ValueError, match='output 1 skips the box'):
         protocol_from_json(data)
 
 
@@ -308,7 +348,7 @@ def reference_assisted_search(c, box, k):
             assignment = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
             if assignment is None:
                 continue
-            protocol = AssistedProtocol(k, enc_box, enc_channel, *assignment)
+            protocol = AssistedProtocol(k, enc_box, enc_channel, assignment)
             if is_zero_error(c, box, protocol):
                 return True, protocol
     return False, None
@@ -316,14 +356,12 @@ def reference_assisted_search(c, box, k):
 
 def reference_complete_decoder(box, enc_box, reach, n_out):
     s = box.scenario
-    dec_box = []
-    dec_guess = {}
+    rules = []
     for out in range(n_out):
         hitters = reach.get(out, [])
         messages = {g for g, _ in hitters}
         if len(messages) <= 1:
-            dec_box.append(SKIP)
-            dec_guess[(out, SKIP)] = messages.pop() if messages else 0
+            rules.append((SKIP, (messages.pop() if messages else 0,)))
             continue
         choice = None
         for y in range(s.y_card):
@@ -342,10 +380,8 @@ def reference_complete_decoder(box, enc_box, reach, n_out):
         if choice is None:
             return None
         y, cells = choice
-        dec_box.append(y)
-        for b in range(s.b_card):
-            dec_guess[(out, b)] = cells.get(b, 0)
-    return tuple(dec_box), dec_guess
+        rules.append((y, tuple(cells.get(b, 0) for b in range(s.b_card))))
+    return tuple(rules)
 
 
 #: most encoders a random search may visit, so that the reference stays fast
@@ -444,7 +480,7 @@ def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes
                 _, reach = reference_encoder(c, box, enc_box, head[0] + block[0])
                 expected = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
                 assert protocols._complete_decoder(masks, (head,), block, c.n_outputs, s.b_card) == expected
-                reads_box += expected is not None and any(y is not SKIP for y in expected[0])
+                reads_box += expected is not None and any(y is not SKIP for y, _ in expected)
     assert reads_box == 1032
 
 
@@ -543,9 +579,28 @@ def test_exhaustive_search_budget_counts_encoders():
 
 
 def test_protocol_json_roundtrip():
-    for protocol in (make_theorem2_protocol(3), make_theorem3_protocol(3)):
-        again = protocol_from_json(protocol_to_json(protocol))
-        assert again == protocol
+    # every builder's protocols load back equal, also from files whose
+    # dec_guess and enc_channel_input entries come in another order
+    from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+
+    t2, pm2 = make_theorem2_protocol(2), make_extremal_box(2, 2)
+    built = [make_theorem2_protocol(m) for m in range(2, 7)] + [make_theorem3_protocol(m) for m in range(2, 7)]
+    built.append(tensor_protocols(t2, t2, make_nm(2), make_nm(2), pm2, pm2))
+    built.append(tensor_protocols(make_theorem3_protocol(3), t2, make_mm(3), make_nm(2), make_rtilde_box(3), pm2))
+    for family, m, box_family in (("Nm", 2, "pr"), ("Mm", 3, "rtilde"), ("Nm", 3, "pm")):
+        found, protocol = exhaustive_assisted_search(CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m), 2)
+        assert found
+        built.append(protocol)
+    rng = random.Random(18)
+    for protocol in built:
+        data = protocol_to_json(protocol)
+        assert protocol_from_json(data) == protocol
+        for _ in range(3):
+            shuffled = {**data, "dec_guess": list(data["dec_guess"]), "enc_channel_input": list(data["enc_channel_input"])}
+            rng.shuffle(shuffled["dec_guess"])
+            rng.shuffle(shuffled["enc_channel_input"])
+            assert shuffled["dec_guess"] != data["dec_guess"]
+            assert protocol_from_json(shuffled) == protocol
     data = protocol_to_json(make_theorem2_protocol(3))
     entry = next(entry for entry in data["dec_guess"] if entry[2] == 0)
     entry[2] = 2  # a raw guess outside the messages, folded back by the remap
