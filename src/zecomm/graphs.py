@@ -1,14 +1,21 @@
 """Confusability graphs, exact independence numbers, strong products and
 one-shot zero-error capacity.
 
-A graph is one bitmask row per vertex, and every graph is validated when it
-is constructed: the row count, no bit beyond the last vertex, no self-loop
-and symmetry, checked on the whole n x n bit matrix at once.  The builders
-work on whole rows too: the confusability graph ORs, per input, the masks of
-the inputs that reach each of its outputs, and a strong product row is one
-product of a row of the second factor with a spread neighbourhood of the
-first.  An edge list is the exception: its edges fill one n x n byte matrix,
-two byte stores per edge, which is packed into rows once.
+A graph is one bitmask row per vertex.  A graph constructed directly is
+validated: the row count, no bit beyond the last vertex, no self-loop and
+symmetry.  The last two are checked on the whole n x n bit matrix at once,
+held as one string of n * n "0"/"1" characters: the rows written most
+significant bit first, row n - 1 first, so that the string is the binary
+numeral of the sum of row v << v * n.  Its diagonal is the slice [::n + 1]
+(vertex n - 1 first) and column u, written like a row, is the slice
+[n - 1 - u::n].  The builders work on whole rows: the confusability graph
+ORs, per input, the masks of the inputs that reach each of its outputs, and
+a strong product row is one product of a row of the second factor with a
+spread neighbourhood of the first.  An edge list is the exception: its
+edges fill the same n * n layout in a byte string, two byte stores per
+edge, which is parsed into rows once.  The edge-list and strong-product
+builders make symmetric, loop-free rows by construction, so their graphs
+skip the check.
 
 The independence number of a complete or an edgeless graph is read off the
 edge count.  Every other graph goes to one exact solver: branch and bound
@@ -28,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .channels import Channel
 
@@ -53,11 +58,12 @@ class ConfusabilityGraph:
             raise ValueError("labels length mismatch")
         if any(row >> n for row in self.adjacency):  # a negative row included
             raise ValueError("adjacency bits beyond vertex range")
-        matrix = _bit_matrix(n, self.adjacency)
-        loops = np.flatnonzero(matrix.diagonal())
-        if loops.size:
-            raise ValueError(f"self-loop at vertex {loops[0]}")
-        if not np.array_equal(matrix, matrix.T):
+        rows = _bit_strings(n, self.adjacency)
+        cells = "".join(reversed(rows))
+        loop = cells[::n + 1].rfind("1")  # the diagonal, vertex n - 1 first
+        if loop >= 0:
+            raise ValueError(f"self-loop at vertex {n - 1 - loop}")
+        if any(cells[n - 1 - u::n] != row for u, row in enumerate(rows)):
             raise ValueError("adjacency not symmetric")
 
     def edge_count(self) -> int:
@@ -68,13 +74,23 @@ class ConfusabilityGraph:
         return self.edge_count() == n * (n - 1) // 2
 
 
+def _built(n: int, adjacency: tuple[int, ...], labels: Optional[tuple] = None) -> ConfusabilityGraph:
+    """The graph with these rows, which a builder made symmetric, loop-free
+    and within range, constructed without the check."""
+    g = object.__new__(ConfusabilityGraph)
+    g.__dict__.update(vertex_count=n, adjacency=adjacency, labels=labels)
+    return g
+
+
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityGraph:
     """The graph on ``n`` vertices with the given undirected edges.
 
     Duplicate edges and both orientations of an edge are allowed.  The edges
-    fill one n x n byte matrix, two byte stores per edge (cell u * n + v and
-    cell v * n + u), which is packed into bitmask rows once at the end and
-    freed before the rows are validated.
+    fill n * n bytes b"0"/b"1" in the layout of the validation's string: row
+    u is block n - 1 - u, most significant bit first, so bit v of row u is
+    cell n * n - 1 - u * n - v.  Each edge makes two byte stores (bit v of
+    row u and bit u of row v), so the rows come out symmetric, and each
+    block is parsed into its row once at the end.
 
     Refusals, decided by the first faulty edge in list order:
     - an endpoint that is not an int raises ``TypeError``;
@@ -85,28 +101,26 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     - an edge (v, v) with v in range raises ``ValueError("self-loops not
       allowed")``.
     """
-    cells = bytearray(n * n)
-    offsets = list(range(0, n * n, n or 1))  # offsets[v] = v * n; empty for n = 0
+    cells = bytearray(b"0" * (n * n))
+    offsets = list(range(n * n - 1, -1, -n or -1))  # offsets[v] = n * n - 1 - v * n; empty for n = 0
     try:
         for u, v in edges:
             if (u | v) < 0:  # list indexing would wrap a negative endpoint
                 raise IndexError
             # Both offsets are looked up before either store, so an endpoint
             # >= n is refused before its cell index lands on another row.
-            uv, vu = offsets[u] + v, offsets[v] + u
-            cells[uv] = cells[vu] = 1
+            uv, vu = offsets[u] - v, offsets[v] - u
+            cells[uv] = cells[vu] = 49  # b"1"
     except (IndexError, TypeError, ValueError) as fault:
         # Edges store nothing past a fault, and a self-loop stores only its
         # diagonal cell, so a set diagonal cell means a self-loop came first.
-        if 1 not in cells[::n + 1]:
+        if b"1" not in cells[::n + 1]:
             if isinstance(fault, TypeError):
                 raise
             raise ValueError(f"edge endpoint out of range for {n} vertices") from None
-    if 1 in cells[::n + 1]:
+    if b"1" in cells[::n + 1]:
         raise ValueError("self-loops not allowed")
-    rows = _bit_rows(np.frombuffer(cells, np.uint8).reshape(n, n))
-    del cells  # before the validation's own n x n matrices
-    return ConfusabilityGraph(n, tuple(rows))
+    return _built(n, tuple(int(cells[o - n + 1:o + 1], 2) for o in offsets))
 
 
 def cycle_graph(n: int) -> ConfusabilityGraph:
@@ -121,19 +135,10 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _bit_matrix(n: int, rows: Sequence[int]) -> np.ndarray:
-    """The n x n 0/1 matrix whose entry [v, u] is bit u of ``rows[v]``."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-
-
-def _bit_rows(matrix: np.ndarray) -> list[int]:
-    """The bitmask rows of an n x n 0/1 matrix, the inverse of ``_bit_matrix``."""
-    n, width = len(matrix), (matrix.shape[1] + 7) // 8
-    packed = np.packbits(matrix, axis=1, bitorder="little").tobytes()
-    from_bytes = int.from_bytes
-    return [from_bytes(packed[i:i + width], "little") for i in range(0, n * width, width or 1)]
+def _bit_strings(n: int, rows: Sequence[int]) -> list[str]:
+    """Each row as n "0"/"1" characters, most significant bit first."""
+    spec = f"0{n}b"
+    return [format(row, spec) for row in rows]
 
 
 def _clique_order(n: int, adj: Sequence[int]) -> list[int]:
@@ -235,11 +240,12 @@ def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT
     if edges == 0:
         return n
     # Relabel along a greedy clique partition, so that the solver's
-    # lowest-vertex-first covers start from its cliques.  matrix[:, order][order]
-    # is matrix[np.ix_(order, order)] in under half the time, and unlike
-    # matrix[order][:, order] it comes out C-contiguous, which packbits needs.
+    # lowest-vertex-first covers start from its cliques: new vertex v is
+    # order[v].  With the rows joined in reversed clique order, column u read
+    # as a row has bit w set iff order[w] ~ u, so it is the new row of u.
     order = _clique_order(n, g.adjacency)
-    return _max_independent_set_size(n, _bit_rows(_bit_matrix(n, g.adjacency)[:, order][order]))
+    cells = "".join(_bit_strings(n, [g.adjacency[u] for u in reversed(order)]))
+    return _max_independent_set_size(n, [int(cells[n - 1 - u::n], 2) for u in order])
 
 
 def strong_product(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> ConfusabilityGraph:
@@ -257,7 +263,7 @@ def strong_product(g1: ConfusabilityGraph, g2: ConfusabilityGraph) -> Confusabil
     labels = None
     if g1.labels is not None and g2.labels is not None:
         labels = tuple((l1, l2) for l1 in g1.labels for l2 in g2.labels)
-    return ConfusabilityGraph(n1 * n2, tuple(adj), labels)
+    return _built(n1 * n2, tuple(adj), labels)
 
 
 def zero_error_capacity_oneshot(c: Channel):

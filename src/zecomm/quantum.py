@@ -1,7 +1,10 @@
 """Small-dimension quantum kernel: states and measurements to behaviors, plus
 the two concrete entangled correlations used by the protocol evaluations.
 
-All linear algebra is double-precision numpy on dimensions <= 16.  Behaviors
+A matrix is a tuple of complex rows, of dimension at most 16, and all
+linear algebra is plain double-precision loops over them: Hermitian, trace
+and completeness checks entry by entry, positive semidefiniteness as a
+Cholesky pass, and Tr[(A kron B) rho] as an explicit index sum.  Behaviors
 produced here are float mode; the dyadic singlet table additionally has an
 exact-rational twin for zero-error bookkeeping.
 """
@@ -12,8 +15,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .behaviors import Behavior, Scenario, make_behavior
 from .numeric import FLOAT, RATIONAL
@@ -27,58 +28,93 @@ class QuantumValidationError(ValueError):
     pass
 
 
-def _as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _as_matrix(m) -> tuple:
+    """``m``, any square nested sequence of numbers (a numpy array included),
+    as a tuple of complex rows."""
+    try:
+        rows = tuple(tuple(map(complex, row)) for row in m)
+    except TypeError:  # not a sequence of sequences of numbers
+        rows = ()
+    d = len(rows)
+    if not d or any(len(row) != d for row in rows):
         raise QuantumValidationError("expected a square matrix")
-    if arr.shape[0] > 16:
+    if d > 16:
         raise QuantumValidationError("kernel limited to dimension 16")
-    return arr
+    return rows
 
 
-def check_density_matrix(rho) -> np.ndarray:
+def _is_hermitian(m: tuple) -> bool:
+    return all(abs(v - m[j][i].conjugate()) <= HERMITIAN_TOL for i, row in enumerate(m) for j, v in enumerate(row))
+
+
+def _is_psd(m: tuple) -> bool:
+    """Whether the Hermitian ``m`` plus ``PSD_TOL`` times the identity has a
+    Cholesky factor, that is, in exact arithmetic, whether the smallest
+    eigenvalue of ``m`` is at least ``-PSD_TOL``.
+
+    Gaussian elimination keeps the lower triangle of the Schur complement;
+    a PSD matrix has a positive pivot or, if the pivot is zero, a zero
+    column below it.
+    """
+    d = len(m)
+    a = [[m[i][j] + (PSD_TOL if i == j else 0.0) for j in range(i + 1)] for i in range(d)]
+    for k in range(d):
+        pivot = a[k][k].real
+        column = [a[i][k] for i in range(k + 1, d)]
+        if pivot <= 0:
+            if pivot < 0 or any(column):
+                return False
+            continue
+        for i, aik in enumerate(column, k + 1):
+            f = aik / pivot
+            row = a[i]
+            for j in range(k + 1, i + 1):
+                row[j] -= f * a[j][k].conjugate()
+    return True
+
+
+def check_density_matrix(rho) -> tuple:
     rho = _as_matrix(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITIAN_TOL:
+    if not _is_hermitian(rho):
         raise QuantumValidationError("state is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > HERMITIAN_TOL:
+    if abs(sum(rho[i][i] for i in range(len(rho))).real - 1.0) > HERMITIAN_TOL:
         raise QuantumValidationError("state trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
+    if not _is_psd(rho):
         raise QuantumValidationError("state is not positive semidefinite")
     return rho
 
 
-def check_measurement(elements) -> list[np.ndarray]:
-    mats = [_as_matrix(e) for e in elements]
-    d = mats[0].shape[0]
+def check_measurement(elements) -> tuple:
+    mats = tuple(_as_matrix(e) for e in elements)
+    d = len(mats[0])
     for e in mats:
-        if e.shape[0] != d:
+        if len(e) != d:
             raise QuantumValidationError("measurement elements of mixed dimension")
-        if np.max(np.abs(e - e.conj().T)) > HERMITIAN_TOL:
+        if not _is_hermitian(e):
             raise QuantumValidationError("measurement element is not Hermitian")
-        if np.linalg.eigvalsh(e).min() < -PSD_TOL:
+        if not _is_psd(e):
             raise QuantumValidationError("measurement element is not PSD")
-    if np.max(np.abs(sum(mats) - np.eye(d))) > COMPLETENESS_TOL:
+    if any(abs(sum(e[i][j] for e in mats) - (i == j)) > COMPLETENESS_TOL for i in range(d) for j in range(d)):
         raise QuantumValidationError("measurement elements do not sum to identity")
     return mats
 
 
 @dataclass(frozen=True)
 class QuantumModel:
-    """Bipartite state with per-input measurement collections for each party."""
+    """Bipartite state with per-input measurement collections for each party,
+    each matrix stored as a tuple of complex rows once it is validated."""
 
-    state: np.ndarray  # density matrix on d_A * d_B
+    state: tuple  # density matrix on d_A * d_B
     alice_meas: tuple  # alice_meas[x][a] on d_A
     bob_meas: tuple  # bob_meas[y][b] on d_B
 
     def __post_init__(self):
-        check_density_matrix(self.state)
-        for meas in self.alice_meas:
-            check_measurement(meas)
-        for meas in self.bob_meas:
-            check_measurement(meas)
-        da = self.alice_meas[0][0].shape[0]
-        db = self.bob_meas[0][0].shape[0]
-        if self.state.shape[0] != da * db:
+        object.__setattr__(self, "state", check_density_matrix(self.state))
+        object.__setattr__(self, "alice_meas", tuple(map(check_measurement, self.alice_meas)))
+        object.__setattr__(self, "bob_meas", tuple(map(check_measurement, self.bob_meas)))
+        da = len(self.alice_meas[0][0])
+        db = len(self.bob_meas[0][0])
+        if len(self.state) != da * db:
             raise QuantumValidationError("state dimension does not factor over the parties")
 
     @property
@@ -89,35 +125,41 @@ class QuantumModel:
 
 
 def behavior_from_quantum(q: QuantumModel) -> Behavior:
-    """p(a,b|x,y) = Re Tr[(A_x^a kron B_y^b) rho], float mode."""
+    """p(a,b|x,y) = Re Tr[(A_x^a kron B_y^b) rho], float mode.
+
+    Row (i, k) of the Kronecker product is i * d_B + k, so the trace is the
+    sum over (i, k) and (j, l) of A[i][j] B[k][l] rho[(j, l)][(i, k)].
+    """
     s = q.scenario
+    rho = q.state
+    da, db = len(q.alice_meas[0][0]), len(q.bob_meas[0][0])
+    ik = [(i, k, i * db + k) for i in range(da) for k in range(db)]
     table = [[[[0.0] * s.b_card for _ in range(s.a_card)] for _ in range(s.y_card)] for _ in range(s.x_card)]
     for x, y, a, b in itertools.product(range(s.x_card), range(s.y_card), range(s.a_card), range(s.b_card)):
-        value = np.trace(np.kron(q.alice_meas[x][a], q.bob_meas[y][b]) @ q.state)
+        am, bm = q.alice_meas[x][a], q.bob_meas[y][b]
+        value = sum(am[i][j] * bm[k][l] * rho[c][r] for i, k, r in ik for j, l, c in ik)
         if abs(value.imag) > PSD_TOL:
             raise QuantumValidationError(f"non-real probability at ({x},{y},{a},{b})")
         table[x][y][a][b] = value.real
     return make_behavior(s, FLOAT, table)
 
 
-def make_singlet() -> np.ndarray:
+def make_singlet() -> tuple:
     """Density matrix of (|01> - |10>)/sqrt(2)."""
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1 / math.sqrt(2)
-    psi[2] = -1 / math.sqrt(2)
-    return np.outer(psi, psi.conj())
+    psi = (0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
+    return tuple(tuple(complex(u * v) for v in psi) for u in psi)
 
 
-def planar_qubit_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def planar_qubit_projectors(theta: float) -> tuple[tuple, tuple]:
     """Rank-1 projectors (I +/- (sin(theta) X + cos(theta) Z)) / 2.
 
     The projector along the +Bloch direction is labeled outcome 0.
     """
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    n = math.sin(theta) * x + math.cos(theta) * z
-    eye = np.eye(2, dtype=complex)
-    return (eye + n) / 2, (eye - n) / 2
+    c, s = math.cos(theta), math.sin(theta)
+    return (
+        ((complex((1 + c) / 2), complex(s / 2)), (complex(s / 2), complex((1 - c) / 2))),
+        ((complex((1 - c) / 2), complex(-s / 2)), (complex(-s / 2), complex((1 + c) / 2))),
+    )
 
 
 #: planar measurement angles (radians from the Z axis) for the singlet model

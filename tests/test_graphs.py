@@ -310,6 +310,34 @@ def test_graph_from_edges_matches_reference_on_random_edge_lists(n):
         assert not any(g.adjacency[v] for v in isolated)
 
 
+def revalidated(g: ConfusabilityGraph) -> ConfusabilityGraph:
+    """``g`` constructed again through the checking constructor."""
+    return ConfusabilityGraph(g.vertex_count, g.adjacency, g.labels)
+
+
+@pytest.mark.parametrize("n", [0, 1, 64, 65, 512])
+def test_graphs_built_from_edges_pass_the_check_they_skip(n):
+    rng = random.Random(20261119 + n)
+    for density in (0.0, 0.05, 0.5, 1.0):
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = graph_from_edges(n, edges)
+        assert revalidated(g) == g
+
+
+def test_strong_products_pass_the_check_they_skip():
+    rng = random.Random(20261119)
+    for _ in range(40):
+        factors = []
+        for _ in range(2):
+            n, density = rng.randrange(0, 23), rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+            labels = tuple(range(n)) if rng.random() < 0.5 else None
+            factors.append(ConfusabilityGraph(n, graph_from_edges(n, edges).adjacency, labels))
+        g = strong_product(*factors)
+        assert revalidated(g) == g
+
+
 def nm4_cube_relabelled() -> tuple[ConfusabilityGraph, list[int], list[tuple[int, int]]]:
     nm4 = nm_graph(4)
     cube = strong_product(strong_product(nm4, nm4), nm4)
@@ -368,8 +396,8 @@ def traced_peak(build) -> int:
 
 
 def test_graph_from_edges_peak_memory_stays_near_the_validation():
-    # The validation unpacks the rows into n x n matrices of its own; the
-    # byte matrix of the build is freed before it, or the peak grows by n * n.
+    # The build holds one n * n byte string and the rows it parses from it,
+    # no more than the validation's own n * n string and row strings.
     _, _, edges = nm4_cube_relabelled()
     rows = graph_from_edges(512, edges).adjacency
     validation = traced_peak(lambda: ConfusabilityGraph(512, rows))
