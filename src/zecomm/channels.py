@@ -16,8 +16,7 @@ a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
 from __future__ import annotations
 
 import json
-import random
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
@@ -262,36 +261,33 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
     return Channel(input_space, output_space, weights, c1.denominator * c2.denominator)
 
 
-def _sampling_table(column, denominator=None) -> tuple:
-    """Cumulative table of one distribution for ``_sample_column``.
+def _sampling_table(column, denominator=None) -> tuple[list, list]:
+    """Threshold table ``(indices, bounds)`` of one distribution: a key k
+    draws ``indices[bisect_right(bounds, k)]``.
 
     ``column`` is int numerators over ``denominator``, or floats when
-    ``denominator`` is None.  The table lists the indices of the positive
-    entries and their running totals (shifted left 64 bits in the integer
-    case); a column with no positive entry samples index 0.
+    ``denominator`` is None.  ``indices`` lists the positive entries.  For
+    an integer column, k is a 64-bit draw r and the bound of an entry with
+    running numerator N is ceil(N * 2**64 / denominator), so r falls below
+    it exactly when r / 2**64 < N / denominator; the draw lies on a 2**-64
+    grid, so each entry is sampled to within 2**-64 (1/3, say, not exactly).
+    An exact draw, ``randrange(denominator)``, would only change the key and
+    the bounds (to N itself), but it would change every seeded estimate.
+    For a float column, k is ``rng.random()`` and the bounds are the running
+    float sums.  The last bound is infinite in both cases, so a key beyond
+    the last total (float round-off) draws the last positive entry; a column
+    with no positive entry is ``([0], [inf])``.
     """
     indices, bounds, total = [], [], 0
     for idx, w in enumerate(column):
         if w > 0:
             total += w
             indices.append(idx)
-            bounds.append(total << 64 if denominator else total)
-    return indices or [0], bounds, denominator
-
-
-def _sample_column(table, rng: random.Random) -> int:
-    """Index drawn from a ``_sampling_table``.
-
-    An integer table draws a 64-bit r and returns the first positive entry
-    whose running numerator N has r * denominator < N << 64, which is exactly
-    r / 2**64 < N / denominator.  The draw lies on a 2**-64 grid, so an entry
-    such as 1/3 is sampled with an error below 2**-64, not exactly.  A float
-    table compares ``rng.random()`` with the running float sums.  A draw
-    beyond the last total (float round-off) returns the last positive entry.
-    """
-    indices, bounds, denominator = table
-    key = rng.getrandbits(64) * denominator if denominator else rng.random()
-    return indices[min(bisect_right(bounds, key), len(indices) - 1)]
+            bounds.append(total if denominator is None else -(-(total << 64) // denominator))
+    if not indices:
+        return [0], [math.inf]
+    bounds[-1] = math.inf
+    return indices, bounds
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -208,8 +208,10 @@ def cmd_success(args) -> int:
         if args.seed is None:
             raise CliError("--mc requires an explicit --seed")
         estimate, stderr = protocols.monte_carlo_success(c, box, p, args.mc, args.seed)
-        payload = {"success": estimate, "stderr": stderr, "trials": args.mc, "seed": args.seed}
-        _emit(payload, args, f"success ~= {estimate:.6f} +/- {stderr:.6f} ({args.mc} trials, seed {args.seed})")
+        lo, hi = protocols.wilson_interval(estimate, args.mc)
+        payload = {"success": estimate, "stderr": stderr, "interval": [lo, hi], "trials": args.mc, "seed": args.seed}
+        _emit(payload, args, f"success ~= {estimate:.6f} +/- {stderr:.6f}, 95% Wilson interval [{lo:.6f}, {hi:.6f}] "
+                             f"({args.mc} trials, seed {args.seed})")
         return EXIT_OK
     per_message = protocols.per_message_success(c, box, p)
     value = protocols.average_success(per_message)

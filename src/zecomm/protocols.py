@@ -12,8 +12,10 @@ directly and refuse signaling boxes, which are outside the model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +24,6 @@ from .channels import (
     Channel,
     _mm_spaces,
     _nm_spaces,
-    _sample_column,
     _sampling_table,
     mm_block_anchor,
     mm_block_of,
@@ -36,6 +37,9 @@ UNASSISTED_ENCODER_LIMIT = 10**7
 
 #: decoder marker for "do not use the box on this channel output"
 SKIP = None
+
+#: standard normal quantile of a two-sided 95 % interval
+WILSON_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -236,41 +240,71 @@ def is_zero_error(c: Channel, box: Behavior, p: AssistedProtocol) -> bool:
 def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: int, seed: int):
     """Frequency estimate of the success probability with its standard error.
 
-    Deterministic given the seed.  The message is drawn uniformly.  Box
-    outcomes are sampled sequentially: Alice's marginal ``alice[x]`` first,
-    then Bob's conditional ``weights[x][y][a]`` over ``alice[x][a]``; a
-    signaling box raises ValueError.  The message, marginal, conditional and
-    channel sampling tables are built once per call.
+    Deterministic given the int ``seed``; ``trials`` is a positive int.  The
+    message is drawn uniformly.  Box outcomes are sampled sequentially:
+    Alice's marginal ``alice[x]`` first, then Bob's conditional
+    ``weights[x][y][a]`` over ``alice[x][a]``; a signaling box raises
+    ValueError.  Each draw is one bisection of a ``_sampling_table`` on a key:
+    a 64-bit ``rng.getrandbits`` for the message, the channel and a rational
+    box, ``rng.random()`` for a float box, so each rational entry is sampled to
+    within 2**-64.  Every table is built once per call: per message, its
+    box input's marginal and the channel table for each outcome a; per box
+    input x, Bob's tables by y and a.
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials <= 0:
         raise ValueError("trials must be positive")
     _check_compatible(c, box, p)
-    message_table = _sampling_table([1] * p.message_count, p.message_count)
-    rational = box.mode == RATIONAL
-    alice = {}
-    bob = {}
-    for x in set(p.enc_box_input):
-        alice[x] = _sampling_table(box.alice[x], box.denominator if rational else None)
-        for y in {y for y, _ in p.decoder} - {SKIP}:
-            for a, pa in enumerate(box.alice[x]):
-                if pa > 0:
-                    cell = box.weights[x][y][a]
-                    bob[(x, y, a)] = _sampling_table(cell, pa) if rational else _sampling_table([w / pa for w in cell])
-    channel = {cin: _sampling_table(c.weights[cin], c.denominator) for cin in set(p.enc_channel_input.values())}
+    s, rational = box.scenario, box.mode == RATIONAL
+
+    def bob_table(cell, pa):
+        if pa <= 0:  # Alice never sees this outcome
+            return None
+        return _sampling_table(cell, pa) if rational else _sampling_table([w / pa for w in cell])
+
+    bob = {x: [list(map(bob_table, box.weights[x][y], box.alice[x])) for y in range(s.y_card)]
+           for x in set(p.enc_box_input)}
+    plans = []
+    for g, x in enumerate(p.enc_box_input):
+        alice_indices, alice_bounds = _sampling_table(box.alice[x], box.denominator if rational else None)
+        channel = [_sampling_table(c.weights[p.enc_channel_input[(g, a)]], c.denominator) for a in range(s.a_card)]
+        plans.append((alice_indices, alice_bounds, channel, bob[x]))
+    message_indices, message_bounds = _sampling_table([1] * p.message_count, p.message_count)
+    decoder = p.decoder
 
     rng = random.Random(seed)
+    bits = functools.partial(rng.getrandbits, 64)
+    box_key = bits if rational else rng.random
     hits = 0
     for _ in range(trials):
-        g = _sample_column(message_table, rng)
-        x = p.enc_box_input[g]
-        a = _sample_column(alice[x], rng)
-        out = _sample_column(channel[p.enc_channel_input[(g, a)]], rng)
-        y, guesses = p.decoder[out]
-        guess = guesses[0] if y is SKIP else guesses[_sample_column(bob[(x, y, a)], rng)]
+        g = message_indices[bisect_right(message_bounds, bits())]
+        alice_indices, alice_bounds, channel, bob_x = plans[g]
+        a = alice_indices[bisect_right(alice_bounds, box_key())]
+        out_indices, out_bounds = channel[a]
+        y, guesses = decoder[out_indices[bisect_right(out_bounds, bits())]]
+        if y is SKIP:
+            guess = guesses[0]
+        else:
+            b_indices, b_bounds = bob_x[y][a]
+            guess = guesses[b_indices[bisect_right(b_bounds, box_key())]]
         hits += guess == g
     estimate = hits / trials
     stderr = (estimate * (1 - estimate) / trials) ** 0.5
     return estimate, stderr
+
+
+def wilson_interval(estimate: float, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval (Wilson 1927) of a success frequency
+    ``estimate`` over ``trials``.  Unlike estimate +/- stderr it keeps a width
+    at 0 and 1: every trial a success gives (trials / (trials + z**2), 1).
+    The endpoint at 0 or 1 is set exactly, since the formula may round past it."""
+    z2 = WILSON_Z * WILSON_Z
+    scale = 1 + z2 / trials
+    center = (estimate + z2 / (2 * trials)) / scale
+    half = WILSON_Z * ((estimate * (1 - estimate) + z2 / (4 * trials)) / trials) ** 0.5 / scale
+    return (0.0 if estimate == 0 else center - half, 1.0 if estimate == 1 else center + half)
 
 
 # --- unassisted and exhaustive searches -------------------------------------

@@ -1,6 +1,8 @@
 """Independent oracles that more than one test module checks the package
 against.  None of them calls the code it checks."""
 
+from bisect import bisect_right
+
 #: the brute force is unconditional up to this many vertices
 BRUTE_FORCE_LIMIT = 24
 
@@ -41,3 +43,28 @@ def independence_number_bruteforce(g) -> int:
         if ok:
             best = size
     return best
+
+
+def cumulative_table(column, denominator=None) -> tuple:
+    """Reference sampling table of one distribution for ``sample_column``:
+    the indices of the positive entries, their running totals (shifted left
+    64 bits when ``column`` holds int numerators over ``denominator``; float
+    sums when ``denominator`` is None) and the denominator."""
+    indices, totals, total = [], [], 0
+    for idx, w in enumerate(column):
+        if w > 0:
+            total += w
+            indices.append(idx)
+            totals.append(total if denominator is None else total << 64)
+    return indices or [0], totals, denominator
+
+
+def sample_column(table, rng) -> int:
+    """Index drawn from a ``cumulative_table`` by multiply and compare: a
+    64-bit r gives the first positive entry whose running numerator N has
+    r * denominator < N << 64; a float table compares ``rng.random()`` with
+    the running sums.  A draw beyond the last total gives the last positive
+    entry."""
+    indices, totals, denominator = table
+    key = rng.random() if denominator is None else rng.getrandbits(64) * denominator
+    return indices[min(bisect_right(totals, key), len(indices) - 1)]

@@ -1,16 +1,17 @@
 import json
+import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flatten
+from oracles import cumulative_table, flatten, sample_column
 from zecomm import reference
 from zecomm.channels import (
     IndexSpace,
-    _sample_column,
     _sampling_table,
     channel_from_json,
     channel_to_json,
@@ -108,7 +109,8 @@ def unflatten(space, flat):
 def draw(c, input_flat, seed):
     """One output of ``c`` for ``input_flat``, drawn as Monte-Carlo sampling
     draws a channel output."""
-    return _sample_column(_sampling_table(c.weights[input_flat], c.denominator), random.Random(seed))
+    indices, bounds = _sampling_table(c.weights[input_flat], c.denominator)
+    return indices[bisect_right(bounds, random.Random(seed).getrandbits(64))]
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -282,6 +284,41 @@ def test_sample_output_frequencies():
         counts[draw(c, 0, seed=s)] += 1
     for o in support:
         assert abs(counts[o] / trials - 0.25) < 0.03
+
+
+class FixedBits:
+    """A stand-in rng whose every 64-bit draw is ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def getrandbits(self, k):
+        return self.r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**30), min_size=1, max_size=12).filter(any), st.integers(0, 10**30))
+def test_threshold_draw_matches_multiply_and_compare(column, shortfall):
+    # a column summing to less than its denominator checks the last entry's
+    # catch-all bound against the reference's clamp
+    denominator = sum(column) + shortfall
+    indices, bounds = _sampling_table(column, denominator)
+    reference = cumulative_table(column, denominator)
+    keys = {0, 2**64 - 1}
+    keys.update(k for bound in bounds if bound != math.inf for k in (bound - 1, bound) if 0 <= k < 2**64)
+    for r in keys:
+        assert indices[bisect_right(bounds, r)] == sample_column(reference, FixedBits(r))
+
+
+def test_float_table_past_the_rounded_total_draws_the_last_positive_entry():
+    column = [0.1] * 10 + [0.0]
+    rounded_total = sum(column)
+    assert rounded_total < 1.0
+    indices, bounds = _sampling_table(column)
+    for key in (math.nextafter(rounded_total, 1.0), math.nextafter(1.0, 0.0)):
+        assert indices[bisect_right(bounds, key)] == 9
+    assert _sampling_table([0, 0.0]) == ([0], [math.inf])
+    assert _sampling_table([0, 0], 5) == ([0], [math.inf])
 
 
 def test_channel_json_roundtrip():

@@ -91,6 +91,16 @@ def test_success_command_monte_carlo(capsys):
     assert code == EXIT_OK
     payload = json.loads(stdout)
     assert payload["success"] == 1.0 and payload["seed"] == 5
+    assert payload["stderr"] == 0.0 and payload["trials"] == 200
+    lo, hi = payload["interval"]
+    assert hi == 1.0 and lo == pytest.approx(200 / (200 + 1.959963984540054**2))
+    code, stdout, _ = run(
+        capsys, "success", "--family", "Nm", "--m", "3", "--box-family", "pm",
+        "--scheme", "theorem2", "--mc", "200", "--seed", "5",
+    )
+    assert code == EXIT_OK
+    assert stdout.strip() == "success ~= 1.000000 +/- 0.000000, 95% Wilson interval [0.981155, 1.000000] " \
+                             "(200 trials, seed 5)"
 
 
 def test_search_classical_command(capsys):

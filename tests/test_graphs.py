@@ -212,7 +212,7 @@ def test_graph_validation():
             ConfusabilityGraph(n, tuple(rows))
         assert str(info.value) == message
 
-    for n in (1, 8, 9, 64, 65, 512):  # across byte and word boundaries of the packed rows
+    for n in (1, 8, 9, 64, 65, 512):  # the validation reads each row as n "0"/"1" characters
         full = (1 << n) - 1
         complete = [full & ~(1 << v) for v in range(n)]
         assert ConfusabilityGraph(n, tuple(complete)).is_complete()

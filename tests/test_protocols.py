@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import cumulative_table, sample_column
 from zecomm import protocols
 from zecomm.behaviors import (
     Behavior,
@@ -35,6 +36,7 @@ from zecomm.protocols import (
     protocol_from_json,
     protocol_to_json,
     tensor_protocols,
+    wilson_interval,
 )
 from zecomm.numeric import FLOAT, RATIONAL, integer_rows
 from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
@@ -184,6 +186,81 @@ def test_monte_carlo_seeded_estimates(family, m, box_family, scheme, expected):
     channel, box, protocol = CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m), SCHEMES[scheme][0](m)
     for seed, estimate in expected.items():
         assert monte_carlo_success(channel, box, protocol, 1000, seed) == estimate
+
+
+def monte_carlo_reference(c, box, p, trials, seed):
+    """``monte_carlo_success`` on the reference sampler: the same draws in
+    the same order, each by multiply and compare on a cumulative table."""
+    rational = box.mode == RATIONAL
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(trials):
+        g = sample_column(cumulative_table([1] * p.message_count, p.message_count), rng)
+        x = p.enc_box_input[g]
+        a = sample_column(cumulative_table(box.alice[x], box.denominator if rational else None), rng)
+        cin = p.enc_channel_input[(g, a)]
+        y, guesses = p.decoder[sample_column(cumulative_table(c.weights[cin], c.denominator), rng)]
+        if y is SKIP:
+            guess = guesses[0]
+        else:
+            cell, pa = box.weights[x][y][a], box.alice[x][a]
+            table = cumulative_table(cell, pa) if rational else cumulative_table([w / pa for w in cell])
+            guess = guesses[sample_column(table, rng)]
+        hits += guess == g
+    estimate = hits / trials
+    return estimate, (estimate * (1 - estimate) / trials) ** 0.5
+
+
+def _family_case(family, m, box_family, scheme):
+    from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+    from zecomm.protocols import SCHEMES
+
+    return CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m), SCHEMES[scheme][0](m)
+
+
+def _tensor_rtilde_case():
+    c, box, p = make_mm(3), make_rtilde_box(3), make_theorem3_protocol(3)
+    return tensor_channels(c, c), tensor_behaviors(box, box), tensor_protocols(p, p, c, c, box, box)
+
+
+@pytest.mark.parametrize("case", [
+    functools.partial(_family_case, "Mm", 3, "i3322", "theorem3"),
+    functools.partial(_family_case, "Nm", 3, "pm", "theorem2"),
+    functools.partial(_family_case, "Mm", 5, "rtilde", "theorem3"),
+    functools.partial(_family_case, "Nm", 3, "cglmp", "theorem2"),
+    functools.partial(_family_case, "Mm", 3, "i3322-float", "theorem3"),
+    _tensor_rtilde_case,
+], ids=["i3322", "pm", "rtilde", "cglmp", "i3322-float", "rtilde-squared"])
+def test_monte_carlo_matches_the_reference_sampler(case):
+    channel, box, protocol = case()
+    for seed in range(30):
+        assert monte_carlo_success(channel, box, protocol, 200, seed) == \
+            monte_carlo_reference(channel, box, protocol, 200, seed)
+
+
+@pytest.mark.parametrize("trials, seed, refused", [
+    (True, 1, "trials"), (2.5, 1, "trials"), ("10", 1, "trials"),
+    (10, None, "seed"), (10, False, "seed"), (10, 1.0, "seed"), (10, "1", "seed"),
+])
+def test_monte_carlo_refuses_non_int_trials_and_seed(trials, seed, refused):
+    channel, box, protocol = make_nm(2), make_extremal_box(2, 2), make_theorem2_protocol(2)
+    with pytest.raises(ValueError, match=f"^{refused} must be an int"):
+        monte_carlo_success(channel, box, protocol, trials, seed)
+
+
+@pytest.mark.parametrize("hits, trials", [(0, 10), (10, 10), (50, 100), (849, 1000), (1, 1), (0, 1), (500, 500)])
+def test_wilson_interval_solves_the_score_equation(hits, trials):
+    # each endpoint p of a Wilson interval solves (estimate - p)**2 = z**2 p (1 - p) / trials
+    z = protocols.WILSON_Z
+    estimate = hits / trials
+    lo, hi = wilson_interval(estimate, trials)
+    assert 0.0 <= lo <= estimate <= hi <= 1.0 and lo < hi
+    for p in (lo, hi):
+        assert (estimate - p) ** 2 == pytest.approx(z * z * p * (1 - p) / trials, abs=1e-12)
+    if hits == trials:
+        assert hi == 1.0 and lo == pytest.approx(trials / (trials + z * z), abs=1e-15)
+    if hits == 0:
+        assert lo == 0.0 and hi == pytest.approx(z * z / (trials + z * z), abs=1e-15)
 
 
 def test_best_unassisted_optima():
