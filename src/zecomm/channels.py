@@ -48,10 +48,7 @@ class IndexSpace:
 
     @property
     def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f
-        return n
+        return math.prod(self.factors)
 
     def labels(self):
         """Every label in flat-index order."""

@@ -114,7 +114,7 @@ def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
         writer.writerow(["x", "y", "a", "b", "p"])
         for x, y in b.inputs():
             for a, bo in b.outputs():
-                writer.writerow([x, y, a, bo, format_value(b.prob(x, y, a, bo), b.mode)])
+                writer.writerow([x, y, a, bo, format_value(b.prob(x, y, a, bo))])
 
 
 def cmd_channel(args) -> int:
@@ -217,7 +217,7 @@ def cmd_success(args) -> int:
     value = protocols.average_success(per_message)
     exact_mode = box.mode == RATIONAL
     zero_error = exact_mode and all(v == 1 for v in per_message)
-    rendered = format_value(value, RATIONAL if exact_mode else FLOAT, as_float=args.float)
+    rendered = format_value(value, as_float=args.float)
     payload = {
         "success": rendered,
         "zero_error": zero_error,
@@ -230,7 +230,7 @@ def cmd_success(args) -> int:
 def cmd_search_classical(args) -> int:
     c = _load_channel_arg(args)
     value, encoder = protocols.best_unassisted_success(c, args.messages)
-    rendered = format_value(value, RATIONAL, as_float=args.float)
+    rendered = format_value(value, as_float=args.float)
     payload = {"success": rendered, "encoder": list(encoder)}
     _emit(payload, args, f"best unassisted success = {rendered}, encoder = {list(encoder)}")
     return EXIT_OK
@@ -256,12 +256,12 @@ def cmd_search_assisted(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = verify.run_verification()
+    checks = verify.run_verification()
     if args.json:
-        print(json.dumps(report.to_json(), indent=1))
+        print(json.dumps(verify.report_json(checks), indent=1))
     else:
-        print(verify.format_report(report))
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+        print(verify.format_report(checks))
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
 def _add_channel_source(sub):

@@ -52,6 +52,7 @@ class ConfusabilityGraph:
 
     def __post_init__(self):
         n = self.vertex_count
+        _check_vertex_count(n)
         if len(self.adjacency) != n:
             raise ValueError("adjacency length mismatch")
         if self.labels is not None and len(self.labels) != n:
@@ -74,6 +75,13 @@ class ConfusabilityGraph:
         return self.edge_count() == n * (n - 1) // 2
 
 
+def _check_vertex_count(n) -> None:
+    if type(n) is not int:
+        raise TypeError(f"vertex count {n!r} is not an int")
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
+
+
 def _built(n: int, adjacency: tuple[int, ...], labels: Optional[tuple] = None) -> ConfusabilityGraph:
     """The graph with these rows, which a builder made symmetric, loop-free
     and within range, constructed without the check."""
@@ -92,7 +100,9 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     row u and bit u of row v), so the rows come out symmetric, and each
     block is parsed into its row once at the end.
 
-    Refusals, decided by the first faulty edge in list order:
+    Refusals: first a vertex count that is not an int (``TypeError``, a bool
+    included) or is negative (``ValueError``); then the first faulty edge in
+    list order decides:
     - an endpoint that is not an int raises ``TypeError``;
     - an endpoint that is negative or at least ``n``, or an edge that is not
       a pair, raises ``ValueError("edge endpoint out of range for n
@@ -101,6 +111,7 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
     - an edge (v, v) with v in range raises ``ValueError("self-loops not
       allowed")``.
     """
+    _check_vertex_count(n)
     cells = bytearray(b"0" * (n * n))
     offsets = list(range(n * n - 1, -1, -n or -1))  # offsets[v] = n * n - 1 - v * n; empty for n = 0
     try:

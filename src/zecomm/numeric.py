@@ -127,8 +127,9 @@ def ratio_text(numerator: int, denominator: int) -> str:
     return f"{numerator // g}/{denominator // g}"
 
 
-def format_value(value, mode: str, as_float: bool = False) -> str:
-    if mode == RATIONAL and not as_float:
-        f = Fraction(value)
-        return ratio_text(f.numerator, f.denominator)
+def format_value(value, as_float: bool = False) -> str:
+    """An int or Fraction as "num/den" (a decimal with ``as_float``); any
+    other number as a 12-significant-digit decimal."""
+    if type(value) in _RATIONAL_TYPES and not as_float:
+        return ratio_text(value.numerator, value.denominator)
     return f"{float(value):.12g}"

@@ -62,6 +62,9 @@ class AssistedProtocol:
     def __post_init__(self):
         if len(self.enc_box_input) != self.message_count:
             raise ValueError("enc_box_input must be total on messages")
+        stray = set(itertools.chain.from_iterable(rule[1] for rule in self.decoder)) - set(range(self.message_count))
+        if stray:
+            raise ValueError(f"decoder guesses {sorted(stray, key=repr)} are not messages 0..{self.message_count - 1}")
 
 
 # --- the two protocol families ---------------------------------------------
@@ -136,15 +139,10 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
     s1, s2 = box1.scenario, box2.scenario
     n_in2 = c2.n_inputs
 
-    enc_box = tuple(p1.enc_box_input[g1] * s2.x_card + p2.enc_box_input[g2] for g1 in range(k1) for g2 in range(k2))
-    enc_channel = {}
-    for g1 in range(k1):
-        for g2 in range(k2):
-            g = g1 * k2 + g2
-            for a1 in range(s1.a_card):
-                for a2 in range(s2.a_card):
-                    a = a1 * s2.a_card + a2
-                    enc_channel[(g, a)] = p1.enc_channel_input[(g1, a1)] * n_in2 + p2.enc_channel_input[(g2, a2)]
+    enc_box = tuple(x1 * s2.x_card + x2 for x1 in p1.enc_box_input for x2 in p2.enc_box_input)
+    enc1, enc2 = p1.enc_channel_input, p2.enc_channel_input
+    enc_channel = {(g1 * k2 + g2, a1 * s2.a_card + a2): enc1[g1, a1] * n_in2 + enc2[g2, a2]
+                   for g1 in range(k1) for g2 in range(k2) for a1 in range(s1.a_card) for a2 in range(s2.a_card)}
 
     rules1 = [(0, guesses * s1.b_card) if y is SKIP else (y, guesses) for y, guesses in p1.decoder]
     rules2 = [(0, guesses * s2.b_card) if y is SKIP else (y, guesses) for y, guesses in p2.decoder]

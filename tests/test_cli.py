@@ -166,7 +166,7 @@ def test_verify_paper_reports_a_crashed_check_and_runs_the_rest(monkeypatch):
         raise RuntimeError("no table")
 
     monkeypatch.setattr(verify, "make_cglmp_behavior", broken)
-    checks = verify.run_verification().checks
+    checks = verify.run_verification()
     assert [c.name for c in checks] == VERIFY_CHECKS
     crashed = [c for c in checks if not c.passed]
     # both CGLMP checks build the box, so both fail; the other 12 still run and pass

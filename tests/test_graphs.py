@@ -271,6 +271,18 @@ def test_graph_from_edges_refuses_endpoints_that_are_not_ints(edge):
         graph_from_edges(3, [edge])
 
 
+@pytest.mark.parametrize("n, error", [(True, TypeError), (2.0, TypeError), ("3", TypeError),
+                                      (-1, ValueError), (-3, ValueError)])
+def test_a_vertex_count_that_is_not_a_count_is_refused(n, error):
+    with pytest.raises(error, match="^vertex count"):
+        graph_from_edges(n, [])
+    with pytest.raises(error, match="^vertex count"):
+        ConfusabilityGraph(n, (0,))
+    if error is ValueError:
+        with pytest.raises(ValueError, match=f"^vertex count {n} is negative$"):
+            cycle_graph(n)
+
+
 def test_graph_from_edges_refuses_a_far_endpoint_before_shifting_by_it():
     # 1 << 10**8 alone would take 12 MiB.
     tracemalloc.start()

@@ -76,8 +76,10 @@ def test_json_roundtrip():
 
 
 def test_format_value():
-    assert format_value(Fraction(6, 7), RATIONAL) == "6/7"
-    assert format_value(Fraction(1, 2), RATIONAL, as_float=True) == "0.5"
+    assert format_value(Fraction(6, 7)) == "6/7"
+    assert format_value(1) == "1/1"
+    assert format_value(Fraction(1, 2), as_float=True) == "0.5"
+    assert format_value(0.9008) == "0.9008"
     assert float(Fraction(1, 4)) == 0.25
 
 

@@ -74,6 +74,21 @@ def test_protocol_validation():
         protocol_from_json(data)
 
 
+def test_decoder_guesses_that_are_not_messages_are_refused():
+    base = make_theorem2_protocol(2)
+    y, guesses = base.decoder[5]
+    assert y is not SKIP and len(guesses) == 2
+    refusal = r"^decoder guesses \[7\] are not messages 0\.\.1$"
+    with pytest.raises(ValueError, match=refusal):
+        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (7, 7)),) + base.decoder[6:])
+    data = protocol_to_json(base)
+    for entry in data["dec_guess"]:
+        if entry[0] == 5:
+            entry[2] = 7
+    with pytest.raises(ValueError, match=refusal):
+        protocol_from_json(data)
+
+
 def test_decoder_with_too_few_guesses_is_refused_at_every_entry_point():
     # theorem2(2) whose output 2 reads the box but lacks its guess on outcome 1
     channel, box = make_nm(2), make_extremal_box(2, 2)

@@ -5,16 +5,22 @@ built from their layer rule and the decoders from one per-output rule; the
 found protocols (decoder included) before the search decided each encoder
 from its prefix's accumulated masks.  A digest that changes means a file
 written by ``zecomm channel``, a protocol file or a ``search-assisted``
-answer differs from the recorded one."""
+answer differs from the recorded one.  The ``verify-paper`` report is pinned
+too, as text with its time column masked and as ``--json`` with every time
+set to 0, in the order printed; it was recorded before the checks became one
+table of module-level functions."""
 
+import contextlib
 import hashlib
+import io
 import json
+import re
 
 import pytest
 
 from zecomm.behaviors import make_extremal_box, make_rtilde_box
 from zecomm.channels import channel_to_json, make_mm, make_nm
-from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES, main
 from zecomm.protocols import (
     exhaustive_assisted_search,
     make_theorem2_protocol,
@@ -82,6 +88,8 @@ RECORDED = {
     "search Mm(4) pr K=2": "42520388c7efdb3022c408e557cc194d3e7e236ec8efa86f3ad03d2dcf067178",
     "search Nm(3) pm K=2": "06bb5ada9c526e58bdd38f33666e6f2c7e6be7d717fdb8cae7c5fa7f312880f4",
     "search Mm(3) rtilde K=3": "bfda6dfb82f0af25e822a65bc254237e8f49ceca17b9b326ff64f6a4e50b798b",
+    "verify-paper": "1bad4695a5fe71c8dc5703840f1ea8dc776e801f4531569ee4956223fc21aca8",
+    "verify-paper --json": "929e5ebf4985919df39231e1f2beec72c348014a654f82d76a717c46b4a3872d",
 }
 
 
@@ -129,6 +137,24 @@ def mm3_times_nm2():
                             make_rtilde_box(3), make_extremal_box(2, 2))
 
 
+def verify_paper(*flags) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-paper", *flags]) == 0
+    return out.getvalue()
+
+
+def verify_paper_text():
+    return re.sub(r"^(\[\w+\] \S+ +)\d+\.\d{3}s", r"\1-", verify_paper(), flags=re.M)
+
+
+def verify_paper_json():
+    payload = json.loads(verify_paper("--json"))
+    for check in payload["checks"]:
+        check["elapsed_seconds"] = 0
+    return json.dumps(payload, indent=1)  # a string, so the digest keeps the key order
+
+
 BUILDS = {
     **{f"Nm({m})": lambda m=m: channel_to_json(make_nm(m)) for m in range(2, 13)},
     **{f"Mm({m})": lambda m=m: channel_to_json(make_mm(m)) for m in range(2, 10)},
@@ -137,6 +163,8 @@ BUILDS = {
     "Nm2xNm2": lambda: protocol_to_json(nm2_squared()),
     "Mm3xNm2": lambda: protocol_to_json(mm3_times_nm2()),
     **{f"search {f}({m}) {b} K={k}": lambda case=(f, m, b, k): found_protocol(*case) for f, m, b, k in FOUND_SEARCHES},
+    "verify-paper": verify_paper_text,
+    "verify-paper --json": verify_paper_json,
 }
 
 
