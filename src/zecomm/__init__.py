@@ -22,7 +22,6 @@ from .channels import (
     pi_hat,
     pi_perm,
     tensor_channels,
-    validate_channel,
 )
 from .graphs import (
     ConfusabilityGraph,

@@ -21,10 +21,10 @@ from typing import Iterable, Sequence
 from .numeric import (
     FLOAT_TOL,
     RATIONAL,
-    as_prob,
     check_mode,
     check_table_size,
     integer_rows,
+    prob_parser,
     ratio_text,
     require_same_mode,
     table_problems,
@@ -95,11 +95,9 @@ class Behavior:
 def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
     """Build and validate a behavior from a nested table ``values[x][y][a][b]``
     of outside entries: ints, Fractions, "num/den" strings or floats, each
-    coerced once."""
-    check_mode(mode)
-    return Behavior(scenario, mode, [
-        [[[as_prob(v, mode) for v in row] for row in block] for block in xs] for xs in values
-    ])
+    distinct entry coerced once."""
+    parse = prob_parser(check_mode(mode))
+    return Behavior(scenario, mode, [[[list(map(parse, row)) for row in block] for block in xs] for xs in values])
 
 
 def validate_behavior(b: Behavior) -> list[str]:

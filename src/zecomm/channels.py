@@ -5,9 +5,10 @@ extremal no-signaling assistance.
 A channel is an integer table: ``weights[input][output]`` holds the numerator
 of p(o|i) over one common ``denominator`` (in lowest terms), and each column
 (fixed input) sums exactly to the denominator.  Channels are always exact;
-only boxes (:mod:`zecomm.behaviors`) may hold floats.  Both families are
-layered and built from their layer rule o2 = o2_of(o1, i1, i2): one output per
-(input, first output coordinate), each of numerator 1 over the layer count.
+only boxes (:mod:`zecomm.behaviors`) may hold floats.  Every table is built
+by one core from sparse columns: per input, its outputs in increasing order
+and their numerators.  Both families are layered: each layer is one list, o2
+of every flat input, read off one table of the rotations ``pi_perm``.
 Alphabets are :class:`IndexSpace` objects, whose labels are display tuples in
 flat-index order; the first output factor of the structured families carries
 a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
@@ -20,9 +21,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, product
+from operator import lt
 from typing import Sequence
 
-from .numeric import RATIONAL, as_prob, check_table_size, integer_rows, ratio_text, table_problems
+from .numeric import RATIONAL, RATIONAL_TYPES, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,10 @@ class Channel:
     ``weights[input_flat][output_flat]`` holds p(o|i) as an int numerator over
     ``denominator``, in lowest terms by ``integer_rows`` so that equal
     channels compare equal; Fraction numerators given on construction are
-    converted.  Every channel is validated on construction, and each input's
-    support is computed once.
+    converted.  ``supports[input_flat]`` lists the outputs of positive weight.
+    The dense constructor checks the table's shape and the type of every
+    entry, then hands its nonzero entries to the core, ``_set_table``, that
+    builds every channel.
     """
 
     input_space: IndexSpace
@@ -73,16 +77,57 @@ class Channel:
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(tuple(row) for row in self.weights)
-        object.__setattr__(self, "weights", weights)
-        problems = validate_channel(self)
+        weights = tuple(tuple(column) for column in self.weights)
+        n_out = self.n_outputs
+        if len(weights) == self.n_inputs:  # otherwise the core refuses the column count
+            short = [f"column {i} has wrong length" for i, column in enumerate(weights) if len(column) != n_out]
+            if short:
+                raise ValueError("invalid channel: " + "; ".join(short))
+        # A column with a non-rational entry, zero or not, is handed over whole
+        # for the core to refuse, so that a 0.0 or False zero is refused too.
+        outputs = range(n_out)
+        self._set_table([(outputs, column) if not set(map(type, column)) <= RATIONAL_TYPES
+                         else (list(compress(outputs, column)), list(compress(column, column)))
+                         for column in weights], self.denominator)
+
+    @classmethod
+    def _from_columns(cls, input_space: IndexSpace, output_space: IndexSpace, columns, denominator: int) -> Channel:
+        """The channel of the sparse ``columns`` (see ``_set_table``)."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "input_space", input_space)
+        object.__setattr__(c, "output_space", output_space)
+        c._set_table(columns, denominator)
+        return c
+
+    def _set_table(self, columns, denominator: int) -> None:
+        """The construction core: ``weights``, ``denominator`` and
+        ``supports`` from one ``(outputs, numerators)`` pair per input, the
+        outputs strictly increasing.  It checks the column count, the outputs
+        and, by the table rule, every numerator given, one block per column,
+        then brings them to lowest terms; every other entry is its own int 0."""
+        n_out = self.n_outputs
+        if len(columns) != self.n_inputs:
+            problems = ["column count does not match input space"]
+        else:
+            problems = [f"column {i} does not give one numerator per output, the outputs increasing in 0..{n_out - 1}"
+                        for i, (outputs, numerators) in enumerate(columns)
+                        if len(outputs) != len(numerators) or outputs and not (
+                            0 <= outputs[0] and outputs[-1] < n_out and all(map(lt, outputs, outputs[1:])))]
+            blocks = ((f"column {i}", numerators) for i, (_, numerators) in enumerate(columns))
+            problems = problems or table_problems(blocks, denominator, rational=True)
         if problems:
             raise ValueError("invalid channel: " + "; ".join(problems))
-        weights, denominator = integer_rows(weights, self.denominator)
-        object.__setattr__(self, "weights", weights)
+        rows, denominator = integer_rows([numerators for _, numerators in columns], denominator)
+        weights, supports = [], []
+        for (outputs, _), row in zip(columns, rows):
+            column = [0] * n_out
+            for o, w in zip(outputs, row):
+                column[o] = w
+            weights.append(tuple(column))
+            supports.append(tuple(compress(outputs, row)))
+        object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "denominator", denominator)
-        n_out = self.n_outputs
-        object.__setattr__(self, "supports", tuple(tuple(compress(range(n_out), row)) for row in weights))
+        object.__setattr__(self, "supports", tuple(supports))
 
     def prob(self, output_flat: int, input_flat: int) -> Fraction:
         return Fraction(self.weights[input_flat][output_flat], self.denominator)
@@ -96,17 +141,6 @@ class Channel:
         return self.output_space.size
 
 
-def validate_channel(c: Channel) -> list[str]:
-    """Violated constraints of ``c``'s table: its shape, then the shared
-    table rule (:func:`~zecomm.numeric.table_problems`), one block per
-    column."""
-    if len(c.weights) != c.n_inputs:
-        return ["column count does not match input space"]
-    report = [f"column {i} has wrong length" for i, column in enumerate(c.weights) if len(column) != c.n_outputs]
-    return report or table_problems(((f"column {i}", column) for i, column in enumerate(c.weights)),
-                                    c.denominator, rational=True)
-
-
 def make_channel(
     matrix: Sequence[Sequence[object]],
     input_space: IndexSpace,
@@ -114,21 +148,19 @@ def make_channel(
 ) -> Channel:
     """Build and validate a channel from a column-major matrix
     (``matrix[input][output]``) of outside entries: ints, Fractions, "num/den"
-    strings or floats, each coerced once to an exact rational."""
-    return Channel(input_space, output_space, [[as_prob(v, RATIONAL) for v in column] for column in matrix])
+    strings or floats, each distinct entry coerced once to an exact rational."""
+    parse = prob_parser(RATIONAL)
+    return Channel(input_space, output_space, [list(map(parse, column)) for column in matrix])
 
 
-def _layered(input_space: IndexSpace, output_space: IndexSpace, o2_of) -> Channel:
-    """Channel with o1 (labels 1..L) uniform and o2 = ``o2_of(o1, i1, i2)``:
-    column (i1, i2) has numerator 1 over L at (o1, o2) for each layer o1."""
-    layers, m = output_space.factors
-    weights = []
-    for i1, i2 in input_space.labels():
-        row = [0] * output_space.size
-        for o1 in range(1, layers + 1):  # output (o1, o2) is flat index (o1 - 1) * m + o2
-            row[(o1 - 1) * m + o2_of(o1, i1, i2)] = 1
-        weights.append(row)
-    return Channel(input_space, output_space, weights, layers)
+def _layered(input_space: IndexSpace, output_space: IndexSpace, layers) -> Channel:
+    """Channel with o1 (labels 1..L) uniform and o2 given by one list per
+    layer: column i has numerator 1 over L at (o1, ``layers[o1 - 1][i]``)
+    for each layer o1."""
+    n_layers, m = output_space.factors
+    flat = [[base + o2 for o2 in layer] for base, layer in zip(range(0, n_layers * m, m), layers)]
+    ones = (1,) * len(layers)
+    return Channel._from_columns(input_space, output_space, [(outputs, ones) for outputs in zip(*flat)], n_layers)
 
 
 # --- permutation algebra ----------------------------------------------------
@@ -151,6 +183,11 @@ def pi_hat(m: int, u: int) -> int:
     if not 0 <= u < m:
         raise ValueError("symbol out of range")
     return (m - u) % m
+
+
+def _rotations(m: int) -> list[list[int]]:
+    """``rot[shift][i2] = pi_perm(m, shift, i2)`` for every shift."""
+    return [[pi_perm(m, shift, i2) for i2 in range(m)] for shift in range(m - 1)]
 
 
 # --- channel families -------------------------------------------------------
@@ -176,14 +213,11 @@ def make_nm(m: int) -> Channel:
     double-cover other pairs), so the graph is not complete; the one-bit
     assisted scheme still succeeds with certainty for every m.
     """
-    def o2_of(o1: int, i1: int, i2: int) -> int:
-        if o1 == 1:
-            return i1
-        if o1 == 2:
-            return i2
-        return (i1 + pi_perm(m, o1 - 3, i2)) % m
-
-    return _layered(*_nm_spaces(m), o2_of)
+    input_space, output_space = _nm_spaces(m)
+    labels = list(input_space.labels())
+    layers = [[i1 for i1, _ in labels], [i2 for _, i2 in labels]]
+    layers += [[(i1 + rot[i2]) % m for i1, i2 in labels] for rot in _rotations(m)]
+    return _layered(input_space, output_space, layers)
 
 
 def mm_block_anchor(m: int, j: int) -> int:
@@ -217,21 +251,22 @@ def make_mm(m: int) -> Channel:
     exactly two positive entries, and the confusability graph is complete on
     2m vertices.
     """
-    def o2_of(o1: int, i1: int, i2: int) -> int:
-        if o1 == 1:
-            return i1
-        j = mm_block_of(m, o1)
-        shift = o1 - mm_block_anchor(m, j)
-        flip = 1 if (j != 0 and i1 == j) else 0
-        return (i1 + pi_perm(m, shift, i2 ^ flip)) % m
-
-    return _layered(*_mm_spaces(m), o2_of)
+    input_space, output_space = _mm_spaces(m)
+    labels = list(input_space.labels())
+    block0 = [[(i1 + rot[i2]) % m for i1, i2 in labels] for rot in _rotations(m)]
+    layers = [[i1 for i1, _ in labels]] + block0
+    for j in range(1, m):  # the xor flip: block 0 with inputs (j, 0) and (j, 1), flat 2j and 2j + 1, swapped
+        for layer in block0:
+            layer = layer.copy()
+            layer[2 * j], layer[2 * j + 1] = layer[2 * j + 1], layer[2 * j]
+            layers.append(layer)
+    return _layered(input_space, output_space, layers)
 
 
 def identity_channel(n: int) -> Channel:
     space = IndexSpace((n,))
     check_table_size(n * n)
-    return Channel(space, space, [[1 if o == i else 0 for o in range(n)] for i in range(n)])
+    return Channel._from_columns(space, space, [((i,), (1,)) for i in range(n)], 1)
 
 
 def tensor_channels(c1: Channel, c2: Channel) -> Channel:
@@ -246,16 +281,13 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
         c1.output_space.offsets + c2.output_space.offsets,
     )
     n_out2 = c2.n_outputs
-    weights = []
+    sparse2 = [(support, [row[o] for o in support]) for row, support in zip(c2.weights, c2.supports)]
+    columns = []
     for row1, support1 in zip(c1.weights, c1.supports):
-        for row2, support2 in zip(c2.weights, c2.supports):
-            row = [0] * output_space.size
-            for o1 in support1:
-                w1, base = row1[o1], o1 * n_out2
-                for o2 in support2:
-                    row[base + o2] = w1 * row2[o2]
-            weights.append(row)
-    return Channel(input_space, output_space, weights, c1.denominator * c2.denominator)
+        bases, weights1 = [o1 * n_out2 for o1 in support1], [row1[o1] for o1 in support1]
+        columns += [([base + o2 for base in bases for o2 in support2], [w1 * w2 for w1 in weights1 for w2 in weights2])
+                    for support2, weights2 in sparse2]
+    return Channel._from_columns(input_space, output_space, columns, c1.denominator * c2.denominator)
 
 
 def _sampling_table(column, denominator=None) -> tuple[list, list]:

@@ -27,7 +27,8 @@ POS_EPS = 1e-12
 MAX_TABLE_ENTRIES = 10**6
 
 
-_RATIONAL_TYPES = frozenset((int, Fraction))
+#: the entry types of a rational table
+RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 class ModeMismatchError(ValueError):
@@ -71,6 +72,22 @@ def as_prob(value, mode: str):
     return min(1.0, max(0.0, v))
 
 
+def prob_parser(mode: str):
+    """``as_prob`` in ``mode`` for the entries of one table, each distinct
+    entry coerced once.  Entries are told apart by type as well as value:
+    True, 1 and Fraction(1) are equal and hash alike, and a bool must still
+    be refused."""
+    memo = {}
+
+    def parse(value):
+        key = (type(value), value)
+        if key not in memo:
+            memo[key] = as_prob(value, mode)
+        return memo[key]
+
+    return parse
+
+
 def integer_rows(rows, denominator: int) -> tuple[tuple, int]:
     """The rationals ``rows[i][j] / denominator`` (int or Fraction entries)
     as rows of int numerators over one denominator in lowest terms: Fractions
@@ -98,7 +115,7 @@ def table_problems(blocks, denominator, rational: bool) -> list[str]:
         return [f"denominator {denominator!r} is not a positive integer (1 in float mode)"]
     report = []
     for name, entries in blocks:
-        if rational and not set(map(type, entries)) <= _RATIONAL_TYPES:
+        if rational and not set(map(type, entries)) <= RATIONAL_TYPES:
             report.append(f"non-rational numerator at {name}")
             continue
         if not rational and not all(isinstance(v, Real) and type(v) is not bool and math.isfinite(v) for v in entries):
@@ -130,6 +147,6 @@ def ratio_text(numerator: int, denominator: int) -> str:
 def format_value(value, as_float: bool = False) -> str:
     """An int or Fraction as "num/den" (a decimal with ``as_float``); any
     other number as a 12-significant-digit decimal."""
-    if type(value) in _RATIONAL_TYPES and not as_float:
+    if type(value) in RATIONAL_TYPES and not as_float:
         return ratio_text(value.numerator, value.denominator)
     return f"{float(value):.12g}"

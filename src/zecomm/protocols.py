@@ -24,11 +24,11 @@ from .channels import (
     Channel,
     _mm_spaces,
     _nm_spaces,
+    _rotations,
     _sampling_table,
     mm_block_anchor,
     mm_block_of,
     pi_hat,
-    pi_perm,
 )
 from .numeric import RATIONAL
 
@@ -62,7 +62,10 @@ class AssistedProtocol:
     def __post_init__(self):
         if len(self.enc_box_input) != self.message_count:
             raise ValueError("enc_box_input must be total on messages")
-        stray = set(itertools.chain.from_iterable(rule[1] for rule in self.decoder)) - set(range(self.message_count))
+        guesses = tuple(itertools.chain.from_iterable(rule[1] for rule in self.decoder))
+        stray = set(guesses) - set(range(self.message_count))
+        if set(map(type, guesses)) - {int}:  # True == 1 and 1.0 == 1, so the set difference misses them
+            stray = {g for g in guesses if type(g) is not int} | stray
         if stray:
             raise ValueError(f"decoder guesses {sorted(stray, key=repr)} are not messages 0..{self.message_count - 1}")
 
@@ -81,14 +84,16 @@ def make_theorem2_protocol(m: int) -> AssistedProtocol:
     an extremal box.
     """
     in_space, out_space = _nm_spaces(m)
+    inverses = [[pi_hat(m, u) for u in rot] for rot in _rotations(m)]
 
     def decode(o1: int, o2: int):
         if o1 == 1:
             y, raw = SKIP, [o2]
         elif o1 == 2:
-            y, raw = 1, [(pi_hat(m, o2) + b) % m for b in range(m)]
+            u = pi_hat(m, o2)
+            y, raw = 1, [(u + b) % m for b in range(m)]
         else:
-            y, raw = 0, [(o2 + pi_hat(m, pi_perm(m, o1 - 3, b))) % m for b in range(m)]
+            y, raw = 0, [(o2 + u) % m for u in inverses[o1 - 3]]
         return y, tuple(g if g < 2 else 0 for g in raw)
 
     enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
@@ -105,13 +110,13 @@ def make_theorem3_protocol(m: int) -> AssistedProtocol:
     o2 + pi_hat(pi_perm(o1 - anchor(j), b)).
     """
     in_space, out_space = _mm_spaces(m)
+    inverses = [[pi_hat(m, u) for u in rot[:2]] for rot in _rotations(m)]
 
     def decode(o1: int, o2: int):
         if o1 == 1:
             return SKIP, (o2,)
         j = mm_block_of(m, o1)
-        shift = o1 - mm_block_anchor(m, j)
-        return j, tuple((o2 + pi_hat(m, pi_perm(m, shift, b))) % m for b in range(2))
+        return j, tuple((o2 + u) % m for u in inverses[o1 - mm_block_anchor(m, j)])
 
     enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
     return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(itertools.starmap(decode, out_space.labels())))
@@ -133,8 +138,11 @@ def tensor_protocols(p1: AssistedProtocol, p2: AssistedProtocol,
 
     Messages, box inputs and outcomes flatten row-major (first factor most
     significant).  A component that skips its box feeds y=0 to that factor and
-    ignores the corresponding outcome.
+    ignores the corresponding outcome.  Each factor must fit its channel and
+    box, as the evaluators require.
     """
+    _check_compatible(c1, box1, p1)
+    _check_compatible(c2, box2, p2)
     k1, k2 = p1.message_count, p2.message_count
     s1, s2 = box1.scenario, box2.scenario
     n_in2 = c2.n_inputs

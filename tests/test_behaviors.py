@@ -23,7 +23,7 @@ from zecomm.behaviors import (
     uniform_behavior,
     validate_behavior,
 )
-from zecomm.numeric import RATIONAL, as_prob
+from zecomm.numeric import FLOAT, RATIONAL, as_prob
 from zecomm.quantum import make_cglmp_behavior, make_i3322_rational_table
 
 
@@ -277,6 +277,29 @@ def test_json_roundtrip(tmp_path):
     data = behavior_to_json(box)
     again = behavior_from_json(data)
     assert again == box
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_extremal_box(4, 3),
+    lambda: make_rtilde_box(4),
+    lambda: make_jones_box(3, 4, [(1, 2), (2, 3)]),
+    lambda: make_local_deterministic([1, 0, 1], [2, 0], Scenario(3, 2, 2, 3)),
+    lambda: uniform_behavior(Scenario(2, 3, 3, 2)),
+    lambda: tensor_behaviors(make_extremal_box(2, 2), make_rtilde_box(3)),
+    make_i3322_rational_table,
+], ids=["extremal", "rtilde", "jones", "local", "uniform", "tensor", "i3322"])
+def test_json_roundtrip_of_every_rational_family(make):
+    box = make()
+    again = behavior_from_json(json.loads(json.dumps(behavior_to_json(box))))
+    assert again == box and again.alice == box.alice
+
+
+def test_make_behavior_refuses_a_bool_after_an_equal_int():
+    # True == 1 and both hash alike: the parse of the 1 must not be reused for True
+    s = Scenario(2, 1, 1, 1)
+    for mode in (RATIONAL, FLOAT):
+        with pytest.raises(ValueError, match="^probability True is a bool, not a number$"):
+            make_behavior(s, mode, [[[[1]]], [[[True]]]])
 
 
 def test_json_rejects_invalid():

@@ -16,6 +16,7 @@ from zecomm.numeric import (
     as_prob,
     check_mode,
     format_value,
+    prob_parser,
     ratio_text,
     require_same_mode,
     table_problems,
@@ -73,6 +74,22 @@ def test_json_roundtrip():
     assert ratio_text(2, 6) == "1/3"
     assert as_prob("1/3", RATIONAL) == Fraction(1, 3)
     assert as_prob(0.25, FLOAT) == 0.25
+
+
+def test_prob_parser_coerces_each_distinct_entry_once(monkeypatch):
+    calls = []
+
+    def counting(value, mode):
+        calls.append(value)
+        return as_prob(value, mode)
+
+    monkeypatch.setattr(numeric, "as_prob", counting)
+    parse = prob_parser(RATIONAL)
+    entries = ("1/2", 0, "1/2", 0, 1, Fraction(1), 1)
+    assert list(map(parse, entries)) == [Fraction(1, 2), 0, Fraction(1, 2), 0, 1, 1, 1]
+    assert calls == ["1/2", 0, 1, Fraction(1)]
+    with pytest.raises(ValueError, match="bool"):
+        parse(True)
 
 
 def test_format_value():

@@ -89,6 +89,39 @@ def test_decoder_guesses_that_are_not_messages_are_refused():
         protocol_from_json(data)
 
 
+@pytest.mark.parametrize("guess", [True, 1.0], ids=["bool", "float"])
+def test_decoder_guesses_equal_to_a_message_but_not_int_are_refused(guess):
+    # True == 1 == 1.0, so only the type tells these guesses from message 1
+    base = make_theorem2_protocol(2)
+    y, _ = base.decoder[5]
+    refusal = rf"^decoder guesses \[{guess!r}\] are not messages 0\.\.1$"
+    with pytest.raises(ValueError, match=refusal):
+        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (0, guess)),) + base.decoder[6:])
+    data = protocol_to_json(base)
+    for entry in data["dec_guess"]:
+        if entry[:2] == [5, 1]:
+            entry[2] = guess
+    with pytest.raises(ValueError, match=refusal):
+        protocol_from_json(data)
+    with pytest.raises(ValueError, match=r"^decoder guesses \[7, True\] are not messages 0\.\.1$"):
+        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (7, True)),) + base.decoder[6:])
+
+
+def test_tensor_protocols_refuses_a_box_that_does_not_fit_its_factor():
+    # theorem 2 for m = 2 sends channel inputs on outcomes 0 and 1 only, so a
+    # 3-outcome box leaves enc_channel_input[(0, 2)] undefined
+    c, p = make_nm(2), make_theorem2_protocol(2)
+    fitting, wide = make_extremal_box(2, 2), make_extremal_box(3, 3)
+    with pytest.raises(ValueError, match=r"^enc_channel_input missing \(0,2\)$"):
+        tensor_protocols(p, p, c, c, fitting, wide)
+    with pytest.raises(ValueError, match=r"^enc_channel_input missing \(0,2\)$"):
+        tensor_protocols(p, p, c, c, wide, fitting)
+    with pytest.raises(ValueError, match="^decoder must be total on channel outputs$"):
+        tensor_protocols(p, p, make_nm(3), c, fitting, fitting)
+    assert is_zero_error(tensor_channels(c, c), tensor_behaviors(fitting, fitting),
+                         tensor_protocols(p, p, c, c, fitting, fitting))
+
+
 def test_decoder_with_too_few_guesses_is_refused_at_every_entry_point():
     # theorem2(2) whose output 2 reads the box but lacks its guess on outcome 1
     channel, box = make_nm(2), make_extremal_box(2, 2)
