@@ -315,6 +315,13 @@ def wilson_interval(estimate: float, trials: int) -> tuple[float, float]:
 
 # --- unassisted and exhaustive searches -------------------------------------
 
+def _check_message_count(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValueError(f"message count K must be an int, got {k!r}")
+    if k < 1:
+        raise ValueError(f"message count K = {k} must be at least 1")
+
+
 def best_unassisted_success(c: Channel, k: int):
     """Exact optimum over deterministic encoders with per-output MAP decoding,
     for k equiprobable messages.
@@ -324,20 +331,25 @@ def best_unassisted_success(c: Channel, k: int):
     (a mixture of deterministic codes is bounded by the best one).
     Returns ``(success, encoder)`` with the first optimal encoder in
     canonical order.  Encoders are compared in integers, by the sum over
-    outputs of the largest channel numerator among their codewords.  Raises
-    ValueError beyond ``UNASSISTED_ENCODER_LIMIT`` encoders.
+    outputs of the largest channel numerator among their codewords: the
+    column-wise maxima of each (K-1)-prefix are taken once, and each last
+    codeword is scored against them.  Raises ValueError for a K that is not
+    an int or is below 1, and beyond ``UNASSISTED_ENCODER_LIMIT`` encoders.
     """
-    if k < 1:
-        raise ValueError(f"message count K = {k} must be at least 1")
+    _check_message_count(k)
     n = c.n_inputs
     if n**k > UNASSISTED_ENCODER_LIMIT:
         raise ValueError(f"encoder count {n}^{k} exceeds limit {UNASSISTED_ENCODER_LIMIT}")
-    best = None
+    rows = c.weights
+    zeros = [0] * len(rows[0])  # numerators are non-negative, so a zero column leaves every maximum as it is
+    best = -1
     best_encoder = None
-    for encoder in itertools.product(range(n), repeat=k):
-        success = sum(map(max, zip(*(c.weights[cin] for cin in encoder))))
-        if best is None or success > best:
-            best, best_encoder = success, encoder
+    for prefix in itertools.product(range(n), repeat=k - 1):
+        top = list(map(max, zip(zeros, *(rows[cin] for cin in prefix))))
+        for cin, row in enumerate(rows):
+            success = sum(map(max, top, row))
+            if success > best:
+                best, best_encoder = success, prefix + (cin,)
     return Fraction(best, k * c.denominator), best_encoder
 
 
@@ -371,29 +383,45 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     product, over the messages, of one block table per box input, built once
     per call and only as far as the enumeration reaches (see ``_blocks`` and
     ``_walk``).  The first K-1 messages are walked depth first, each prefix
-    carrying its accumulated masks (``_extend``); each block of the last
-    message's table then completes one encoder, decided from those masks and
-    that block alone.
-    Raises ValueError for a signaling box or for k < 1.
+    carrying its accumulated masks (``_extend``), from which one
+    ``_context`` is built per prefix; each block of the last message's table
+    then completes one encoder, decided from that context and that block
+    alone.  Once the last table is complete and the budget covers all of it,
+    the prefix's encoders are decided over the plain list with one budget
+    check for the whole prefix; otherwise the table is walked with the
+    budget checked before each encoder.
+    Raises ValueError for a signaling box, for a K that is not an int or is
+    below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
-    if k < 1:
-        raise ValueError(f"message count K = {k} must be at least 1")
+    _check_message_count(k)
+    if isinstance(max_branches, bool) or not isinstance(max_branches, int):
+        raise ValueError(f"max_branches must be an int, got {max_branches!r}")
+    if max_branches < 1:
+        raise ValueError(f"max_branches must be at least 1, got {max_branches}")
     if box.mode != RATIONAL:
         raise ValueError("exhaustive search requires rational mode")
     _check_no_signaling(box)
     s = box.scenario
     n_out, b_card = c.n_outputs, s.b_card  # n_outputs is recomputed on every read
+    size = c.n_inputs ** s.a_card  # blocks in a complete table
+    low = _low_bits(n_out, b_card)
     tables = [([], _blocks(c, box, x)) for x in range(s.x_card)]
     empty = (0, 0, [0] * s.y_card, [0] * s.y_card)
     branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         *outer, last = [tables[x] for x in enc_box]
+        built = last[0]
         for prefix, masks in _prefixes(outer, (), empty):
-            for block in _walk(last):
-                if branches >= max_branches:
-                    raise SearchLimitExceeded(branches, enc_box)
-                branches += 1
-                decoder = _complete_decoder(masks, prefix, block, n_out, b_card)
+            context = _context(masks, low)
+            whole = len(built) == size and branches + size <= max_branches
+            if whole:
+                branches += size
+            for block in built if whole else _walk(last):
+                if not whole:
+                    if branches >= max_branches:
+                        raise SearchLimitExceeded(branches, enc_box)
+                    branches += 1
+                decoder = _complete_decoder(context, prefix, block, n_out, b_card)
                 if decoder is None:
                     continue
                 leaf = prefix + (block,)
@@ -404,15 +432,22 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     return False, None
 
 
+def _low_bits(n_out: int, b_card: int) -> int:
+    """The B-1 low bits of every output's B-bit cell group (0 when B = 1)."""
+    group = (1 << b_card - 1) - 1
+    return sum(group << out * b_card for out in range(n_out))
+
+
 def _blocks(c: Channel, box: Behavior, x: int):
     """Every encoder block of one message sent with box input x, in
     ``itertools.product`` order.
 
     A block is ``(cins, reach, cells)``: ``cins[a]`` is the channel input
-    sent on outcome a; ``reach`` has bit ``out * B`` set for each output
-    reached through an outcome a with ``alice[x][a] > 0``; ``cells[y]`` packs
-    B bits per output, bit ``out * B + b`` set when such an a reaches the
-    output and ``p(a, b | x, y) > 0``.
+    sent on outcome a; ``reach`` has the top bit ``out * B + B - 1`` of an
+    output's cell group set for each output reached through an outcome a
+    with ``alice[x][a] > 0``; ``cells[y]`` packs B bits per output, bit
+    ``out * B + b`` set when such an a reaches the output and
+    ``p(a, b | x, y) > 0``.
     """
     s = box.scenario
     spread = [sum(1 << out * s.b_card for out in support) for support in c.supports]
@@ -429,7 +464,7 @@ def _blocks(c: Channel, box: Behavior, x: int):
             for a in used:
                 packed |= spread[cins[a]] * row[a]
             cells.append(packed)
-        yield cins, reach, tuple(cells)
+        yield cins, reach << s.b_card - 1, tuple(cells)
 
 
 def _walk(table):
@@ -462,11 +497,12 @@ def _prefixes(tables, prefix, masks):
 def _extend(masks, block):
     """The masks ``(hit, multi, seen, shared)`` of a block tuple, extended by
     one more message's block.  ``hit`` marks the outputs reached, ``multi``
-    those reached by two or more messages; per box input y, ``seen[y]``
-    marks the positive outcome cells and ``shared[y]`` those positive for
-    two or more messages.  ``seen`` and ``shared`` are lists: a tuple built
-    from a generator is allocated oversized and shrunk, and each one freed
-    then idles on the interpreter's tuple free list."""
+    those reached by two or more messages (each on the top bit of the
+    output's cell group); per box input y, ``seen[y]`` marks the positive
+    outcome cells and ``shared[y]`` those positive for two or more messages.
+    ``seen`` and ``shared`` are lists: a tuple built from a generator is
+    allocated oversized and shrunk, and each one freed then idles on the
+    interpreter's tuple free list."""
     hit, multi, seen, shared = masks
     _, reach, cells = block
     return (hit | reach, multi | hit & reach,
@@ -474,40 +510,49 @@ def _extend(masks, block):
             [both | old & new for both, old, new in zip(shared, seen, cells)])
 
 
-def _complete_decoder(masks, prefix, block, n_out: int, b_card: int):
+def _context(masks, low: int):
+    """What ``_complete_decoder`` reads of a prefix's ``_extend`` masks, built
+    once per prefix: ``(hit, multi, pairs, low)`` with ``pairs[y] =
+    (shared[y], seen[y])`` and ``low`` from ``_low_bits``."""
+    hit, multi, seen, shared = masks
+    return hit, multi, tuple(zip(shared, seen)), low
+
+
+def _complete_decoder(context, prefix, block, n_out: int, b_card: int):
     """The forced decoder of one encoder, as its ``(y, guesses)`` rules, or
     None when some output admits no box input (or skip) whose outcome cells
     are message-pure.
 
     The encoder is ``prefix`` (one ``_blocks`` block per message but the
-    last) plus ``block``, and ``masks`` are the prefix's ``_extend`` masks.
+    last) plus ``block``, and ``context`` is the prefix's ``_context``.
     The encoder fails iff some output hit by two or more messages has, on
-    every y, an outcome cell that two messages share.  Otherwise an output
-    hit by at most one message skips the box and guesses that message (or
-    0); a multi-hit output takes the first clash-free y and guesses, per
-    outcome b, the message whose cell is positive (or 0).
+    every y, an outcome cell that two messages share.  ``bad`` holds those
+    outputs on the top bit of their cell groups; on each y, the clash mask
+    ``g`` has some bit of an output's group set iff the top bit of
+    ``((g & low) + low) | g`` is set, and no carry crosses into the next
+    group because ``(g & low) + low < 2**B`` within each group.  Otherwise
+    an output hit by at most one message skips the box and guesses that
+    message (or 0); a multi-hit output takes the first clash-free y and
+    guesses, per outcome b, the message whose cell is positive (or 0).
     """
-    hit, multi, seen, shared = masks
+    hit, multi, pairs, low = context
     _, reach, cells = block
     bad = multi | hit & reach
-    for y, cell in enumerate(cells):
-        if not bad:
-            break
-        clash = shared[y] | seen[y] & cell
-        spread = clash
-        for shift in range(1, b_card):  # any shared outcome cell of an output lands on its bit out * B
-            spread |= clash >> shift
-        bad &= spread
+    for (both, seen), cell in zip(pairs, cells):
+        clash = both | seen & cell
+        bad &= (clash & low) + low | clash
     if bad:
         return None
     leaf = prefix + (block,)
-    _, multi, _, shared = _extend(masks, block)
+    multi |= hit & reach
+    shared = [both | seen & cell for (both, seen), cell in zip(pairs, cells)]
     cell_bits = (1 << b_card) - 1
     rules = []
     for out in range(n_out):
         bit = 1 << out * b_card
-        if not multi & bit:
-            rules.append((SKIP, (next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0),)))
+        top = bit << b_card - 1
+        if not multi & top:
+            rules.append((SKIP, (next((g for g, (_, reach, _) in enumerate(leaf) if reach & top), 0),)))
             continue
         y = next(y for y, both in enumerate(shared) if not both >> out * b_card & cell_bits)
         rules.append((y, tuple(next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cumulative_table, sample_column
+from oracles import budgeted_assisted_search, cumulative_table, sample_column
 from zecomm import protocols
 from zecomm.behaviors import (
     Behavior,
@@ -583,28 +583,30 @@ def test_complete_decoder_matches_reference_on_random_encoders(case, data):
     enc_box, leaf = draw_leaf(c, box, k, data)
     *prefix, block = leaf
     masks = functools.reduce(protocols._extend, prefix, no_masks(box))
+    context = protocols._context(masks, protocols._low_bits(c.n_outputs, box.scenario.b_card))
     enc_channel_flat = tuple(cin for cins, _, _ in leaf for cin in cins)
     _, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
-    assert (protocols._complete_decoder(masks, tuple(prefix), block, c.n_outputs, box.scenario.b_card)
+    assert (protocols._complete_decoder(context, tuple(prefix), block, c.n_outputs, box.scenario.b_card)
             == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
 
 
 def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes():
-    # B = 3, which the random cases above rarely draw: a clash spread onto
-    # bit out * B from the wrong bits would mark the neighbouring output.
+    # B = 3, which the random cases above rarely draw: a carry out of the
+    # wrong bits would mark the neighbouring output's top bit.
     # Every encoder of the 3-input noiseless channel with K = 2 and the 2-2-3
     # extremal box: 2,916 encoders, of which 1,032 read the box.
     c, box = identity_channel(3), make_extremal_box(3, 3)
     s = box.scenario
+    low = protocols._low_bits(c.n_outputs, s.b_card)
     reads_box = 0  # decoders that read the box on some output
     for enc_box in itertools.product(range(s.x_card), repeat=2):
         first, last = (list(protocols._blocks(c, box, x)) for x in enc_box)
         for head in first:
-            masks = protocols._extend(no_masks(box), head)
+            context = protocols._context(protocols._extend(no_masks(box), head), low)
             for block in last:
                 _, reach = reference_encoder(c, box, enc_box, head[0] + block[0])
                 expected = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
-                assert protocols._complete_decoder(masks, (head,), block, c.n_outputs, s.b_card) == expected
+                assert protocols._complete_decoder(context, (head,), block, c.n_outputs, s.b_card) == expected
                 reads_box += expected is not None and any(y is not SKIP for y, _ in expected)
     assert reads_box == 1032
 
@@ -702,6 +704,97 @@ def test_exhaustive_search_budget_counts_encoders():
     assert (stop.value.branches, stop.value.enc_box) == (MM3_I3322_LEAVES - 1, (2, 2))
     assert exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES) == (False, None)
 
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
+def test_searches_refuse_a_message_count_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match=f"message count K must be an int, got {k!r}"):
+        exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), k)
+    with pytest.raises(ValueError, match=f"message count K must be an int, got {k!r}"):
+        best_unassisted_success(make_nm(2), k)
+
+
+@pytest.mark.parametrize("budget, problem", [
+    (True, "an int, got True"), (False, "an int, got False"), (5.0, "an int, got 5.0"), ("5", "an int, got '5'"),
+    (None, "an int, got None"), (0, "at least 1, got 0"), (-3, "at least 1, got -3"),
+])
+def test_exhaustive_search_refuses_a_budget_that_is_not_a_positive_int(budget, problem):
+    with pytest.raises(ValueError, match=f"max_branches must be {problem}"):
+        exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 2, max_branches=budget)
+
+
+def search_outcome(search, c, box, k, max_branches):
+    """The answer of a budgeted search, or where its budget stopped it."""
+    try:
+        return search(c, box, k, max_branches)
+    except SearchLimitExceeded as stop:
+        return "stopped", stop.branches, stop.enc_box
+
+
+def canonical_rank(c, box, protocol):
+    """1-based rank of a protocol's encoder in the search's canonical order."""
+    enc_box, flat = encoder_of(protocol)
+    box_rank = functools.reduce(lambda rank, x: rank * box.scenario.x_card + x, enc_box, 0)
+    channel_rank = functools.reduce(lambda rank, cin: rank * c.n_inputs + cin, flat, 0)
+    return box_rank * c.n_inputs ** len(flat) + channel_rank + 1
+
+
+#: every table boundary is swept over the first this many encoders, and
+#: only the box-input tuple boundaries beyond: the whole of Nm(2)/pr K=2, the
+#: first box-input tuple of Mm(3)/i3322 K=2 and the first prefixes of the
+#: second (each tuple's first prefix walks its last table fresh, the others
+#: the whole table) and the first 87 prefixes of Nm(2)/pr K=3
+SWEEP_TABLE_ENCODERS = 1400
+
+
+@pytest.mark.parametrize("family, m, box_family, k", [
+    ("Nm", 2, "pr", 2), ("Nm", 2, "pr", 3), ("Mm", 3, "i3322", 2),
+])
+def test_exhaustive_search_budget_sweep_matches_the_per_encoder_reference(family, m, box_family, k):
+    # every budget at a table boundary (the end of one prefix's walk of the
+    # last table) and at a box-input tuple boundary, +-1, and at the hit's
+    # rank (or the whole space) +-1
+    from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
+
+    c, box = CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m)
+    s = box.scenario
+    table = c.n_inputs ** s.a_card
+    per_tuple = table**k
+    space = s.x_card**k * per_tuple
+    found, protocol = exhaustive_assisted_search(c, box, k)
+    ends = {canonical_rank(c, box, protocol) if found else space}
+    ends.update(range(table, min(space, SWEEP_TABLE_ENCODERS) + 1, table))
+    ends.update(range(per_tuple, space + 1, per_tuple))
+    for budget in sorted({end + step for end in ends for step in (-1, 0, 1)} - {0}):
+        assert (search_outcome(exhaustive_assisted_search, c, box, k, budget)
+                == search_outcome(budgeted_assisted_search, c, box, k, budget)), budget
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.data())
+def test_exhaustive_search_matches_the_per_encoder_reference_on_random_budgets(case, data):
+    c, box, k = case
+    s = box.scenario
+    budget = data.draw(st.integers(1, s.x_card**k * c.n_inputs ** (k * s.a_card) + 1))
+    assert (search_outcome(exhaustive_assisted_search, c, box, k, budget)
+            == search_outcome(budgeted_assisted_search, c, box, k, budget))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda b_card: st.tuples(
+    st.just(b_card), st.lists(st.integers(0, (1 << b_card) - 1), min_size=1, max_size=8))))
+@example((1, [1, 0, 1]))
+@example((3, [0, 7]))  # the highest output full: its carry must stay inside its group
+@example((4, [15, 0, 15, 0]))
+def test_group_test_marks_the_outputs_with_a_set_cell(case):
+    # the top bit of ((g & low) + low) | g is set iff some bit of the
+    # output's B-bit group of g is set, and nothing spills past the group
+    b_card, groups = case
+    low = protocols._low_bits(len(groups), b_card)
+    mask = sum(group << out * b_card for out, group in enumerate(groups))
+    flags = (mask & low) + low | mask
+    for out, group in enumerate(groups):
+        assert flags >> out * b_card + b_card - 1 & 1 == (group != 0)
+    assert flags >> len(groups) * b_card == 0
 
 def test_protocol_json_roundtrip():
     # every builder's protocols load back equal, also from files whose
