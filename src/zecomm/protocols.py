@@ -386,10 +386,8 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     carrying its accumulated masks (``_extend``), from which one
     ``_context`` is built per prefix; each block of the last message's table
     then completes one encoder, decided from that context and that block
-    alone.  Once the last table is complete and the budget covers all of it,
-    the prefix's encoders are decided over the plain list with one budget
-    check for the whole prefix; otherwise the table is walked with the
-    budget checked before each encoder.
+    alone.  Once the last table is complete it is read as a plain list,
+    without ``_walk``; the budget is checked before each encoder.
     Raises ValueError for a signaling box, for a K that is not an int or is
     below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
@@ -413,14 +411,10 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
         built = last[0]
         for prefix, masks in _prefixes(outer, (), empty):
             context = _context(masks, low)
-            whole = len(built) == size and branches + size <= max_branches
-            if whole:
-                branches += size
-            for block in built if whole else _walk(last):
-                if not whole:
-                    if branches >= max_branches:
-                        raise SearchLimitExceeded(branches, enc_box)
-                    branches += 1
+            for block in built if len(built) == size else _walk(last):
+                if branches >= max_branches:
+                    raise SearchLimitExceeded(branches, enc_box)
+                branches += 1
                 decoder = _complete_decoder(context, prefix, block, n_out, b_card)
                 if decoder is None:
                     continue

@@ -1,9 +1,6 @@
-"""Independent oracles that the tests check the package against.  None of
-them calls the code it checks; the search reference builds and rechecks its
-hit with the package's ``AssistedProtocol`` and ``is_zero_error``, as the
-search does."""
+"""Independent oracles that more than one test module checks the package
+against.  None of them calls the code it checks."""
 
-import itertools
 from bisect import bisect_right
 
 #: the brute force is unconditional up to this many vertices
@@ -71,112 +68,3 @@ def sample_column(table, rng) -> int:
     indices, totals, denominator = table
     key = rng.random() if denominator is None else rng.getrandbits(64) * denominator
     return indices[min(bisect_right(totals, key), len(indices) - 1)]
-
-
-def budgeted_assisted_search(c, box, k, max_branches):
-    """Reference for ``protocols.exhaustive_assisted_search``: the per-encoder
-    loop it replaced, which walks every block table through a generator and
-    checks the budget before each encoder.
-
-    Encoders come in canonical order (box inputs, then the flat channel-input
-    tuple, each in ``itertools.product`` order), as the product over the
-    messages of one lazily built block table per box input.  Each encoder is
-    decided from its prefix's masks and its last block, with the clash of
-    each output's B-bit cell group shifted down onto the group's bit
-    ``out * B``.  Returns ``(found, protocol_or_None)``, or raises
-    ``SearchLimitExceeded(branches, enc_box)`` on the first encoder beyond
-    ``max_branches``.  The box is taken to be rational and no-signaling."""
-    from zecomm.protocols import SKIP, AssistedProtocol, SearchLimitExceeded, is_zero_error
-
-    s = box.scenario
-    n_out, b_card = c.n_outputs, s.b_card
-
-    def blocks(x):
-        spread = [sum(1 << out * b_card for out in support) for support in c.supports]
-        used = [a for a, pa in enumerate(box.alice[x]) if pa]
-        patterns = [[sum(1 << b for b, w in enumerate(box.weights[x][y][a]) if w) for a in range(s.a_card)]
-                    for y in range(s.y_card)]
-        for cins in itertools.product(range(c.n_inputs), repeat=s.a_card):
-            reach = 0
-            for a in used:
-                reach |= spread[cins[a]]
-            cells = []
-            for row in patterns:
-                packed = 0
-                for a in used:
-                    packed |= spread[cins[a]] * row[a]
-                cells.append(packed)
-            yield cins, reach, tuple(cells)
-
-    def walk(table):
-        built, source = table
-        for i in itertools.count():
-            if i == len(built):
-                block = next(source, None)
-                if block is None:
-                    return
-                built.append(block)
-            yield built[i]
-
-    def extend(masks, block):
-        hit, multi, seen, shared = masks
-        _, reach, cells = block
-        return (hit | reach, multi | hit & reach,
-                [old | new for old, new in zip(seen, cells)],
-                [both | old & new for both, old, new in zip(shared, seen, cells)])
-
-    def prefixes(tables, prefix, masks):
-        if not tables:
-            yield prefix, masks
-            return
-        first, *rest = tables
-        for block in walk(first):
-            yield from prefixes(rest, prefix + (block,), extend(masks, block))
-
-    def complete_decoder(masks, prefix, block):
-        hit, multi, seen, shared = masks
-        _, reach, cells = block
-        bad = multi | hit & reach
-        for y, cell in enumerate(cells):
-            if not bad:
-                break
-            clash = shared[y] | seen[y] & cell
-            spread = clash
-            for shift in range(1, b_card):
-                spread |= clash >> shift
-            bad &= spread
-        if bad:
-            return None
-        leaf = prefix + (block,)
-        _, multi, _, shared = extend(masks, block)
-        cell_bits = (1 << b_card) - 1
-        rules = []
-        for out in range(n_out):
-            bit = 1 << out * b_card
-            if not multi & bit:
-                rules.append((SKIP, (next((g for g, (_, reach, _) in enumerate(leaf) if reach & bit), 0),)))
-                continue
-            y = next(y for y, both in enumerate(shared) if not both >> out * b_card & cell_bits)
-            rules.append((y, tuple(next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
-                                   for b in range(b_card))))
-        return tuple(rules)
-
-    tables = [([], blocks(x)) for x in range(s.x_card)]
-    empty = (0, 0, [0] * s.y_card, [0] * s.y_card)
-    branches = 0
-    for enc_box in itertools.product(range(s.x_card), repeat=k):
-        *outer, last = [tables[x] for x in enc_box]
-        for prefix, masks in prefixes(outer, (), empty):
-            for block in walk(last):
-                if branches >= max_branches:
-                    raise SearchLimitExceeded(branches, enc_box)
-                branches += 1
-                decoder = complete_decoder(masks, prefix, block)
-                if decoder is None:
-                    continue
-                leaf = prefix + (block,)
-                enc_channel = {(g, a): cin for g, (cins, _, _) in enumerate(leaf) for a, cin in enumerate(cins)}
-                protocol = AssistedProtocol(k, enc_box, enc_channel, decoder)
-                if is_zero_error(c, box, protocol):
-                    return True, protocol
-    return False, None

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import budgeted_assisted_search, cumulative_table, sample_column
+from oracles import cumulative_table, sample_column
 from zecomm import protocols
 from zecomm.behaviors import (
     Behavior,
@@ -462,13 +462,18 @@ def reference_encoder(c, box, enc_box, enc_channel_flat):
     return enc_channel, reach
 
 
-def reference_assisted_search(c, box, k):
+def reference_assisted_search(c, box, k, max_branches=None):
     """Reference: the earlier search, which built the encoder's dicts and
     then the decoder, one output at a time, for every encoder in canonical
-    order."""
+    order.  With ``max_branches``, raises SearchLimitExceeded on the first
+    encoder beyond it."""
     s = box.scenario
+    branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         for enc_channel_flat in itertools.product(range(c.n_inputs), repeat=k * s.a_card):
+            if branches == max_branches:
+                raise SearchLimitExceeded(branches, enc_box)
+            branches += 1
             enc_channel, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
             assignment = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
             if assignment is None:
@@ -766,7 +771,7 @@ def test_exhaustive_search_budget_sweep_matches_the_per_encoder_reference(family
     ends.update(range(per_tuple, space + 1, per_tuple))
     for budget in sorted({end + step for end in ends for step in (-1, 0, 1)} - {0}):
         assert (search_outcome(exhaustive_assisted_search, c, box, k, budget)
-                == search_outcome(budgeted_assisted_search, c, box, k, budget)), budget
+                == search_outcome(reference_assisted_search, c, box, k, budget)), budget
 
 
 @settings(max_examples=100, deadline=None)
@@ -776,7 +781,7 @@ def test_exhaustive_search_matches_the_per_encoder_reference_on_random_budgets(c
     s = box.scenario
     budget = data.draw(st.integers(1, s.x_card**k * c.n_inputs ** (k * s.a_card) + 1))
     assert (search_outcome(exhaustive_assisted_search, c, box, k, budget)
-            == search_outcome(budgeted_assisted_search, c, box, k, budget))
+            == search_outcome(reference_assisted_search, c, box, k, budget))
 
 
 @settings(max_examples=200, deadline=None)
@@ -795,6 +800,7 @@ def test_group_test_marks_the_outputs_with_a_set_cell(case):
     for out, group in enumerate(groups):
         assert flags >> out * b_card + b_card - 1 & 1 == (group != 0)
     assert flags >> len(groups) * b_card == 0
+
 
 def test_protocol_json_roundtrip():
     # every builder's protocols load back equal, also from files whose
