@@ -86,9 +86,14 @@ class Channel:
         # A column with a non-rational entry, zero or not, is handed over whole
         # for the core to refuse, so that a 0.0 or False zero is refused too.
         outputs = range(n_out)
-        self._set_table([(outputs, column) if not set(map(type, column)) <= RATIONAL_TYPES
-                         else (list(compress(outputs, column)), list(compress(column, column)))
-                         for column in weights], self.denominator)
+        columns = []
+        for column in weights:
+            if set(map(type, column)) <= RATIONAL_TYPES:
+                keep = list(map(bool, column))  # one truth test per entry, for both selections
+                columns.append((list(compress(outputs, keep)), list(compress(column, keep))))
+            else:
+                columns.append((outputs, column))
+        self._set_table(columns, self.denominator)
 
     @classmethod
     def _from_columns(cls, input_space: IndexSpace, output_space: IndexSpace, columns, denominator: int) -> Channel:

@@ -21,13 +21,14 @@ The independence number of a complete or an edgeless graph is read off the
 edge count.  Every other graph goes to one exact solver: branch and bound
 on bitmask rows, in the bitboard style of San Segundo's BBMC and Tomita's
 MCQ.  Each node covers its candidates with cliques of the graph, grown greedily
-from the lowest vertex and kept as one bitmask each; an independent set
+from the highest vertex and kept as one bitmask each; an independent set
 takes at most one vertex per clique, so the number of cliques bounds the
-branch.  As in both papers, the vertices are first put in a good initial
-order, once per call: a greedy clique partition, each clique started at the
-vertex with the most uncovered neighbours, with the rows relabelled through
-the bit matrix.  So the covers the search starts from depend on the input
-labelling only through ties.
+branch, which takes each clique's vertices lowest first.  As in both papers,
+the vertices are first put in a good initial order, once per call: a greedy
+clique partition, each clique started at the vertex with the most uncovered
+neighbours, with the rows relabelled through the bit matrix in reversed
+clique order, the first clique on the highest labels.  So the covers the
+search starts from depend on the input labelling only through ties.
 """
 
 from __future__ import annotations
@@ -200,38 +201,42 @@ def confusability_graph(c: Channel) -> ConfusabilityGraph:
 def _max_independent_set_size(n: int, adj: Sequence[int]) -> int:
     """Size of a maximum independent set; ``adj[v]`` is the neighbor bitmask
     of v."""
+    bit = [1 << v for v in range(n)]
     nonadj = [~row for row in adj]
     best = 0
 
     def expand(cand: int, size: int) -> None:
         nonlocal best
-        # Cover cand with cliques of G, each grown greedily from its lowest
+        # Cover cand with cliques of G, each grown greedily from its highest
         # vertex: an independent set takes at most one vertex per clique.
+        # Finding the highest vertex allocates nothing, so each step of a
+        # clique makes two big ints, the OR and the AND.
         cliques = []
         uncovered = cand
         while uncovered:
-            low = uncovered & -uncovered
-            clique = low
-            avail = uncovered & adj[low.bit_length() - 1]
+            v = uncovered.bit_length() - 1
+            clique = bit[v]
+            avail = uncovered & adj[v]
             while avail:
-                low = avail & -avail
-                clique |= low
-                avail &= adj[low.bit_length() - 1]
+                v = avail.bit_length() - 1
+                clique |= bit[v]
+                avail &= adj[v]
             uncovered ^= clique
             cliques.append(clique)
-        # Branch from the last clique down: a vertex of the k-th clique can
-        # start a set of at most k vertices among those not yet branched on.
+        # Branch from the last clique down, lowest vertex first: a vertex of
+        # the k-th clique can start a set of at most k vertices among those
+        # not yet branched on.
         for k in range(len(cliques), 0, -1):
             clique = cliques[k - 1]
             while clique:
                 if size + k <= best:
                     return
-                v = clique.bit_length() - 1
-                clique ^= 1 << v
-                cand ^= 1 << v
+                low = clique & -clique
+                clique ^= low
+                cand ^= low
                 if size >= best:
                     best = size + 1
-                nxt = cand & nonadj[v]
+                nxt = cand & nonadj[low.bit_length() - 1]
                 if nxt:
                     expand(nxt, size + 1)
 
@@ -250,11 +255,13 @@ def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT
         return min(n, 1)
     if edges == 0:
         return n
-    # Relabel along a greedy clique partition, so that the solver's
-    # lowest-vertex-first covers start from its cliques: new vertex v is
-    # order[v].  With the rows joined in reversed clique order, column u read
-    # as a row has bit w set iff order[w] ~ u, so it is the new row of u.
+    # Relabel along a greedy clique partition, in reverse, so that the
+    # solver's highest-vertex-first covers start from its cliques: new vertex
+    # v is order[v], the first clique on top.  With the rows joined in
+    # reversed order, column u read as a row has bit w set iff order[w] ~ u,
+    # so it is the new row of u.
     order = _clique_order(n, g.adjacency)
+    order.reverse()
     cells = "".join(_bit_strings(n, [g.adjacency[u] for u in reversed(order)]))
     return _max_independent_set_size(n, [int(cells[n - 1 - u::n], 2) for u in order])
 

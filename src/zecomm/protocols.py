@@ -334,11 +334,17 @@ def best_unassisted_success(c: Channel, k: int):
     outputs of the largest channel numerator among their codewords: the
     column-wise maxima of each (K-1)-prefix are taken once, and each last
     codeword is scored against them.  Raises ValueError for a K that is not
-    an int or is below 1, and beyond ``UNASSISTED_ENCODER_LIMIT`` encoders.
+    an int or is below 1, and beyond ``UNASSISTED_ENCODER_LIMIT`` encoders,
+    where a one-input channel's one encoder counts as 2^K: it still reads K
+    codewords.
     """
     _check_message_count(k)
     n = c.n_inputs
-    if n**k > UNASSISTED_ENCODER_LIMIT:
+    # from k = the limit's bit length on even 2^k exceeds it: refused without building the power
+    if k >= UNASSISTED_ENCODER_LIMIT.bit_length() or max(n, 2)**k > UNASSISTED_ENCODER_LIMIT:
+        if n == 1:
+            raise ValueError(f"K = {k} messages on a one-input channel count as 2^{k} encoders, "
+                             f"beyond limit {UNASSISTED_ENCODER_LIMIT}")
         raise ValueError(f"encoder count {n}^{k} exceeds limit {UNASSISTED_ENCODER_LIMIT}")
     rows = c.weights
     zeros = [0] * len(rows[0])  # numerators are non-negative, so a zero column leaves every maximum as it is
@@ -409,7 +415,7 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         *outer, last = [tables[x] for x in enc_box]
         built = last[0]
-        for prefix, masks in _prefixes(outer, (), empty):
+        for prefix, masks in _prefixes(outer, empty):
             context = _context(masks, low)
             for block in built if len(built) == size else _walk(last):
                 if branches >= max_branches:
@@ -477,15 +483,30 @@ def _walk(table):
         yield built[i]
 
 
-def _prefixes(tables, prefix, masks):
-    """Every tuple of one block per table, extending ``prefix``, in
-    ``itertools.product`` order, each with ``masks`` extended by its blocks."""
+def _prefixes(tables, masks):
+    """Every tuple of one block per table, in ``itertools.product`` order,
+    each with ``masks`` extended by its blocks.  The tables are walked on an
+    explicit stack, one ``_walk`` per table entered, with the blocks taken
+    and their masks, so that no K is bounded by the recursion limit."""
     if not tables:
-        yield prefix, masks
+        yield (), masks
         return
-    first, *rest = tables
-    for block in _walk(first):
-        yield from _prefixes(rest, prefix + (block,), _extend(masks, block))
+    last = len(tables) - 1
+    prefix, stack, walks = [], [masks], [_walk(tables[0])]
+    while walks:
+        depth = len(walks) - 1
+        block = next(walks[depth], None)
+        if block is None:
+            walks.pop()
+            if depth:
+                prefix.pop()
+                stack.pop()
+        elif depth == last:
+            yield (*prefix, block), _extend(stack[depth], block)
+        else:
+            prefix.append(block)
+            stack.append(_extend(stack[depth], block))
+            walks.append(_walk(tables[depth + 1]))
 
 
 def _extend(masks, block):

@@ -330,6 +330,20 @@ def test_best_unassisted_limit():
         best_unassisted_success(make_mm(3), 12)
 
 
+def test_best_unassisted_limit_refuses_a_large_k_without_building_n_to_the_k():
+    # 6**(10**7) alone takes seconds to build
+    with pytest.raises(ValueError, match="encoder count 6\\^10000000 exceeds limit"):
+        best_unassisted_success(make_mm(3), 10**7)
+
+
+def test_best_unassisted_limit_counts_a_one_input_channel_as_two_inputs():
+    # one encoder, but it reads K codewords: K = 10**6 is refused before
+    # any is read, and 2**23 is still within the limit
+    with pytest.raises(ValueError, match="K = 1000000 messages on a one-input channel count as 2\\^1000000"):
+        best_unassisted_success(identity_channel(1), 10**6)
+    assert best_unassisted_success(identity_channel(1), 23) == (Fraction(1, 23), (0,) * 23)
+
+
 def prior_scaled_unassisted(c, k):
     """Reference: the earlier enumeration that weighted messages by a prior,
     at the uniform prior.  The prior is scaled to int weights, which multiply
@@ -638,7 +652,7 @@ def test_prefix_walk_then_last_table_walk_is_the_product(case, data):
         tables = [([], protocols._blocks(c, box, x)) for x in range(s.x_card)]
         *outer, last = [tables[x] for x in enc_box]
         walked = []
-        for prefix, masks in protocols._prefixes(outer, (), no_masks(box)):
+        for prefix, masks in protocols._prefixes(outer, no_masks(box)):
             assert masks == whole_leaf_masks(prefix, s.y_card)
             walked.extend(prefix + (block,) for block in protocols._walk(last))
         assert walked == list(itertools.product(*(list(protocols._blocks(c, box, x)) for x in enc_box)))
@@ -708,6 +722,15 @@ def test_exhaustive_search_budget_counts_encoders():
         exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES - 1)
     assert (stop.value.branches, stop.value.enc_box) == (MM3_I3322_LEAVES - 1, (2, 2))
     assert exhaustive_assisted_search(c, box, 2, max_branches=MM3_I3322_LEAVES) == (False, None)
+
+
+def test_exhaustive_search_walks_prefixes_deeper_than_the_recursion_limit():
+    # 1,499 prefix tables, one per message but the last; no encoder of 1,500
+    # messages on two noiseless inputs is zero-error, so the budget stops it
+    c, box = identity_channel(2), uniform_behavior(Scenario(1, 1, 1, 1))
+    with pytest.raises(SearchLimitExceeded) as stop:
+        exhaustive_assisted_search(c, box, 1500, max_branches=5)
+    assert (stop.value.branches, stop.value.enc_box) == (5, (0,) * 1500)
 
 
 @pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
