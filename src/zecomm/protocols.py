@@ -12,6 +12,7 @@ directly and refuse signaling boxes, which are outside the model.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import random
@@ -246,7 +247,8 @@ def is_zero_error(c: Channel, box: Behavior, p: AssistedProtocol) -> bool:
 def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: int, seed: int):
     """Frequency estimate of the success probability with its standard error.
 
-    Deterministic given the int ``seed``; ``trials`` is a positive int.  The
+    Deterministic given the non-negative int ``seed`` (``random.Random``
+    seeds with its absolute value); ``trials`` is a positive int.  The
     message is drawn uniformly.  Box outcomes are sampled sequentially:
     Alice's marginal ``alice[x]`` first, then Bob's conditional
     ``weights[x][y][a]`` over ``alice[x][a]``; a signaling box raises
@@ -262,6 +264,8 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: 
             raise ValueError(f"{name} must be an int, got {value!r}")
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     _check_compatible(c, box, p)
     s, rational = box.scenario, box.mode == RATIONAL
 
@@ -387,13 +391,14 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     Message g's channel inputs ``enc_channel_input[(g, a)]``, a = 0..A-1, are
     one encoder block, at flat positions g*A .. g*A+A-1.  So the search is the
     product, over the messages, of one block table per box input, built once
-    per call and only as far as the enumeration reaches (see ``_blocks`` and
-    ``_walk``).  The first K-1 messages are walked depth first, each prefix
-    carrying its accumulated masks (``_extend``), from which one
-    ``_context`` is built per prefix; each block of the last message's table
-    then completes one encoder, decided from that context and that block
-    alone.  Once the last table is complete it is read as a plain list,
-    without ``_walk``; the budget is checked before each encoder.
+    per call and only as far as the enumeration reaches: a table is an
+    ``itertools.tee`` of ``_blocks`` that is never advanced itself, and each
+    walk of it iterates over a copy, so all walks share one buffer and a block
+    is built when the first walk reaches it.  The first K-1 messages are
+    walked depth first (``_prefixes``), each prefix carrying its accumulated
+    masks (``_extend``); each block of the last message's table then
+    completes one encoder, decided from those masks and that block alone.
+    The budget is checked before each encoder.
     Raises ValueError for a signaling box, for a K that is not an int or is
     below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
@@ -407,21 +412,19 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     _check_no_signaling(box)
     s = box.scenario
     n_out, b_card = c.n_outputs, s.b_card  # n_outputs is recomputed on every read
-    size = c.n_inputs ** s.a_card  # blocks in a complete table
     low = _low_bits(n_out, b_card)
-    tables = [([], _blocks(c, box, x)) for x in range(s.x_card)]
-    empty = (0, 0, [0] * s.y_card, [0] * s.y_card)
+    # each walk reads a copy.copy: what tee() returns for a tee input differs across Python versions
+    tables = [itertools.tee(_blocks(c, box, x), 1)[0] for x in range(s.x_card)]
+    empty = (0, 0, [(0, 0)] * s.y_card)
     branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         *outer, last = [tables[x] for x in enc_box]
-        built = last[0]
         for prefix, masks in _prefixes(outer, empty):
-            context = _context(masks, low)
-            for block in built if len(built) == size else _walk(last):
+            for block in copy.copy(last):
                 if branches >= max_branches:
                     raise SearchLimitExceeded(branches, enc_box)
                 branches += 1
-                decoder = _complete_decoder(context, prefix, block, n_out, b_card)
+                decoder = _complete_decoder(masks, prefix, block, low, n_out, b_card)
                 if decoder is None:
                     continue
                 leaf = prefix + (block,)
@@ -467,32 +470,16 @@ def _blocks(c: Channel, box: Behavior, x: int):
         yield cins, reach << s.b_card - 1, tuple(cells)
 
 
-def _walk(table):
-    """Every block of one table, in order.  A table is ``(built, source)``:
-    the blocks built so far and the generator of the rest, shared by every
-    position using the table.  Blocks are read from ``built`` by index and
-    taken from ``source`` at its end, so a search stopped early (a hit, or
-    the budget) builds only the blocks it reached."""
-    built, source = table
-    for i in itertools.count():
-        if i == len(built):
-            block = next(source, None)
-            if block is None:
-                return
-            built.append(block)
-        yield built[i]
-
-
 def _prefixes(tables, masks):
     """Every tuple of one block per table, in ``itertools.product`` order,
     each with ``masks`` extended by its blocks.  The tables are walked on an
-    explicit stack, one ``_walk`` per table entered, with the blocks taken
-    and their masks, so that no K is bounded by the recursion limit."""
+    explicit stack, one copy per table entered, with the blocks taken and
+    their masks, so that no K is bounded by the recursion limit."""
     if not tables:
         yield (), masks
         return
     last = len(tables) - 1
-    prefix, stack, walks = [], [masks], [_walk(tables[0])]
+    prefix, stack, walks = [], [masks], [copy.copy(tables[0])]
     while walks:
         depth = len(walks) - 1
         block = next(walks[depth], None)
@@ -506,40 +493,32 @@ def _prefixes(tables, masks):
         else:
             prefix.append(block)
             stack.append(_extend(stack[depth], block))
-            walks.append(_walk(tables[depth + 1]))
+            walks.append(copy.copy(tables[depth + 1]))
 
 
 def _extend(masks, block):
-    """The masks ``(hit, multi, seen, shared)`` of a block tuple, extended by
-    one more message's block.  ``hit`` marks the outputs reached, ``multi``
+    """The masks ``(hit, multi, pairs)`` of a block tuple, extended by one
+    more message's block.  ``hit`` marks the outputs reached, ``multi``
     those reached by two or more messages (each on the top bit of the
-    output's cell group); per box input y, ``seen[y]`` marks the positive
-    outcome cells and ``shared[y]`` those positive for two or more messages.
-    ``seen`` and ``shared`` are lists: a tuple built from a generator is
-    allocated oversized and shrunk, and each one freed then idles on the
-    interpreter's tuple free list."""
-    hit, multi, seen, shared = masks
+    output's cell group); per box input y, ``pairs[y] = (shared[y],
+    seen[y])``, where ``seen[y]`` marks the positive outcome cells and
+    ``shared[y]`` those positive for two or more messages.  ``pairs`` is a
+    list: a tuple built from a generator is allocated oversized and shrunk,
+    and each one freed then idles on the interpreter's tuple free list."""
+    hit, multi, pairs = masks
     _, reach, cells = block
     return (hit | reach, multi | hit & reach,
-            [old | new for old, new in zip(seen, cells)],
-            [both | old & new for both, old, new in zip(shared, seen, cells)])
+            [(both | seen & new, seen | new) for (both, seen), new in zip(pairs, cells)])
 
 
-def _context(masks, low: int):
-    """What ``_complete_decoder`` reads of a prefix's ``_extend`` masks, built
-    once per prefix: ``(hit, multi, pairs, low)`` with ``pairs[y] =
-    (shared[y], seen[y])`` and ``low`` from ``_low_bits``."""
-    hit, multi, seen, shared = masks
-    return hit, multi, tuple(zip(shared, seen)), low
-
-
-def _complete_decoder(context, prefix, block, n_out: int, b_card: int):
+def _complete_decoder(masks, prefix, block, low: int, n_out: int, b_card: int):
     """The forced decoder of one encoder, as its ``(y, guesses)`` rules, or
     None when some output admits no box input (or skip) whose outcome cells
     are message-pure.
 
     The encoder is ``prefix`` (one ``_blocks`` block per message but the
-    last) plus ``block``, and ``context`` is the prefix's ``_context``.
+    last) plus ``block``, ``masks`` are the prefix's ``_extend`` masks and
+    ``low`` comes from ``_low_bits``.
     The encoder fails iff some output hit by two or more messages has, on
     every y, an outcome cell that two messages share.  ``bad`` holds those
     outputs on the top bit of their cell groups; on each y, the clash mask
@@ -550,7 +529,7 @@ def _complete_decoder(context, prefix, block, n_out: int, b_card: int):
     message (or 0); a multi-hit output takes the first clash-free y and
     guesses, per outcome b, the message whose cell is positive (or 0).
     """
-    hit, multi, pairs, low = context
+    hit, multi, pairs = masks
     _, reach, cells = block
     bad = multi | hit & reach
     for (both, seen), cell in zip(pairs, cells):
@@ -597,14 +576,28 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
     the first outcome it lacks, and ``_check_compatible`` refuses too few.
     The file's ``guess_remap`` pairs ``[raw, message]`` map raw guesses
     outside the messages onto messages; they are folded into the guesses, and
-    a pair that moves a message is refused."""
+    a pair that moves a message is refused.  An ``enc_channel_input`` key
+    (message, outcome) or ``dec_guess`` key (output, outcome) given twice,
+    and a ``dec_guess`` entry for an output beyond ``dec_box_input``, are
+    refused too."""
     k = data["message_count"]
     remap = {raw: g for raw, g in data["guess_remap"]}
     if any(remap.get(g, g) != g for g in range(k)):
         raise ValueError("guess_remap must be the identity on messages")
+    n_out = len(data["dec_box_input"])
     entries = {}
     for out, b, guess in data["dec_guess"]:
-        entries.setdefault(out, {})[b] = remap.get(guess, guess)
+        if out not in range(n_out):
+            raise ValueError(f"dec_guess entry {[out, b, guess]} names output {out}, "
+                             f"not one of the {n_out} outputs of dec_box_input")
+        if b in entries.setdefault(out, {}):
+            raise ValueError(f"dec_guess entry {[out, b, guess]} repeats the key ({out}, {b!r})")
+        entries[out][b] = remap.get(guess, guess)
+    enc_channel = {}
+    for g, a, cin in data["enc_channel_input"]:
+        if (g, a) in enc_channel:
+            raise ValueError(f"enc_channel_input entry {[g, a, cin]} repeats the key ({g}, {a})")
+        enc_channel[g, a] = cin
     decoder = []
     for out, y in enumerate(data["dec_box_input"]):
         guesses = entries.get(out, {})
@@ -618,6 +611,6 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
     return AssistedProtocol(
         k,
         tuple(data["enc_box_input"]),
-        {(g, a): cin for g, a, cin in data["enc_channel_input"]},
+        enc_channel,
         tuple(decoder),
     )

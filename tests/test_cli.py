@@ -83,6 +83,17 @@ def test_success_command_monte_carlo_requires_seed(capsys):
     assert "seed" in stderr
 
 
+def test_success_command_monte_carlo_refuses_a_negative_seed(capsys):
+    # random.Random seeds with |seed|: -5 would print the estimate of seed 5
+    code, stdout, stderr = run(
+        capsys, "success", "--family", "Mm", "--m", "3", "--box-family", "i3322",
+        "--scheme", "theorem3", "--mc", "1000", "--seed", "-5",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "seed must be non-negative, got -5" in stderr
+
+
 def test_success_command_monte_carlo(capsys):
     code, stdout, _ = run(
         capsys, "success", "--family", "Nm", "--m", "3", "--box-family", "pm",

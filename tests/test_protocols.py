@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import itertools
@@ -160,6 +161,22 @@ def test_protocol_file_whose_skip_output_lacks_its_skip_guess_is_refused():
         protocol_from_json(data)
 
 
+@pytest.mark.parametrize("field, entry, refusal", [
+    # with the last entry winning, this file reloaded as a scheme of success 5/6
+    ("enc_channel_input", [0, 0, 3], r"^enc_channel_input entry \[0, 0, 3\] repeats the key \(0, 0\)$"),
+    ("dec_guess", [2, 1, 0], r"^dec_guess entry \[2, 1, 0\] repeats the key \(2, 1\)$"),
+    ("dec_guess", [0, "skip", 1], r"^dec_guess entry \[0, 'skip', 1\] repeats the key \(0, 'skip'\)$"),
+    ("dec_guess", [6, 0, 0], r"^dec_guess entry \[6, 0, 0\] names output 6, not one of the 6 outputs"),
+    ("dec_guess", [-1, "skip", 0], r"^dec_guess entry \[-1, 'skip', 0\] names output -1, not one of the 6"),
+])
+def test_protocol_file_with_a_repeated_key_or_a_stray_output_is_refused(field, entry, refusal):
+    data = protocol_to_json(make_theorem2_protocol(2))
+    assert len(data["dec_box_input"]) == 6
+    data[field].append(entry)
+    with pytest.raises(ValueError, match=refusal):
+        protocol_from_json(data)
+
+
 def test_mixed_mode_promotes_to_float():
     value = exact_success(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
     assert isinstance(value, float)
@@ -289,10 +306,11 @@ def test_monte_carlo_matches_the_reference_sampler(case):
 @pytest.mark.parametrize("trials, seed, refused", [
     (True, 1, "trials"), (2.5, 1, "trials"), ("10", 1, "trials"),
     (10, None, "seed"), (10, False, "seed"), (10, 1.0, "seed"), (10, "1", "seed"),
+    (10, -5, "seed"),  # random.Random seeds with |seed|, so -5 would draw as 5 does
 ])
 def test_monte_carlo_refuses_non_int_trials_and_seed(trials, seed, refused):
     channel, box, protocol = make_nm(2), make_extremal_box(2, 2), make_theorem2_protocol(2)
-    with pytest.raises(ValueError, match=f"^{refused} must be an int"):
+    with pytest.raises(ValueError, match=f"^{refused} must be (an int|non-negative)"):
         monte_carlo_success(channel, box, protocol, trials, seed)
 
 
@@ -571,12 +589,13 @@ def test_exhaustive_search_matches_reference_on_random_channels(case):
 
 def no_masks(box):
     """The masks of the empty block tuple, where the search starts."""
-    return 0, 0, [0] * box.scenario.y_card, [0] * box.scenario.y_card
+    return 0, 0, [(0, 0)] * box.scenario.y_card
 
 
 def whole_leaf_masks(leaf, y_card):
-    """Reference: ``(hit, multi, seen, shared)`` of a block tuple, each bit
-    set by counting the blocks that set it."""
+    """Reference: ``(hit, multi, pairs)`` of a block tuple, with ``pairs[y]
+    = (shared[y], seen[y])``, each bit set by counting the blocks that set
+    it."""
     def either(masks):
         return functools.reduce(operator.or_, masks, 0)
 
@@ -585,7 +604,7 @@ def whole_leaf_masks(leaf, y_card):
 
     reaches = [reach for _, reach, _ in leaf]
     cells = [[block_cells[y] for _, _, block_cells in leaf] for y in range(y_card)]
-    return either(reaches), twice(reaches), list(map(either, cells)), list(map(twice, cells))
+    return either(reaches), twice(reaches), list(zip(map(twice, cells), map(either, cells)))
 
 
 def draw_leaf(c, box, k, data):
@@ -602,10 +621,10 @@ def test_complete_decoder_matches_reference_on_random_encoders(case, data):
     enc_box, leaf = draw_leaf(c, box, k, data)
     *prefix, block = leaf
     masks = functools.reduce(protocols._extend, prefix, no_masks(box))
-    context = protocols._context(masks, protocols._low_bits(c.n_outputs, box.scenario.b_card))
+    low = protocols._low_bits(c.n_outputs, box.scenario.b_card)
     enc_channel_flat = tuple(cin for cins, _, _ in leaf for cin in cins)
     _, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
-    assert (protocols._complete_decoder(context, tuple(prefix), block, c.n_outputs, box.scenario.b_card)
+    assert (protocols._complete_decoder(masks, tuple(prefix), block, low, c.n_outputs, box.scenario.b_card)
             == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
 
 
@@ -621,11 +640,11 @@ def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes
     for enc_box in itertools.product(range(s.x_card), repeat=2):
         first, last = (list(protocols._blocks(c, box, x)) for x in enc_box)
         for head in first:
-            context = protocols._context(protocols._extend(no_masks(box), head), low)
+            masks = protocols._extend(no_masks(box), head)
             for block in last:
                 _, reach = reference_encoder(c, box, enc_box, head[0] + block[0])
                 expected = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
-                assert protocols._complete_decoder(context, (head,), block, c.n_outputs, s.b_card) == expected
+                assert protocols._complete_decoder(masks, (head,), block, low, c.n_outputs, s.b_card) == expected
                 reads_box += expected is not None and any(y is not SKIP for y, _ in expected)
     assert reads_box == 1032
 
@@ -649,12 +668,12 @@ def test_prefix_walk_then_last_table_walk_is_the_product(case, data):
     s = box.scenario
     drawn = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
     for enc_box in (drawn, (0,) * k):
-        tables = [([], protocols._blocks(c, box, x)) for x in range(s.x_card)]
+        tables = [itertools.tee(protocols._blocks(c, box, x), 1)[0] for x in range(s.x_card)]
         *outer, last = [tables[x] for x in enc_box]
         walked = []
         for prefix, masks in protocols._prefixes(outer, no_masks(box)):
             assert masks == whole_leaf_masks(prefix, s.y_card)
-            walked.extend(prefix + (block,) for block in protocols._walk(last))
+            walked.extend(prefix + (block,) for block in copy.copy(last))
         assert walked == list(itertools.product(*(list(protocols._blocks(c, box, x)) for x in enc_box)))
 
 
@@ -690,7 +709,9 @@ def test_exhaustive_search_decides_each_encoder_once(decoder_calls):
     assert len(decoder_calls) == MM3_I3322_LEAVES
 
 
-def test_exhaustive_search_builds_only_the_blocks_it_reaches(monkeypatch):
+@pytest.fixture
+def built_blocks(monkeypatch):
+    """The list that gets each block ``_blocks`` yields."""
     built = []
     blocks = protocols._blocks
 
@@ -700,14 +721,29 @@ def test_exhaustive_search_builds_only_the_blocks_it_reaches(monkeypatch):
             yield block
 
     monkeypatch.setattr(protocols, "_blocks", counting)
+    return built
+
+
+def test_exhaustive_search_builds_only_the_blocks_it_reaches(built_blocks):
     c, box = make_nm(5), make_extremal_box(5, 5)  # 10**5 encoder blocks per box input
     found, protocol = exhaustive_assisted_search(c, box, 1)
     assert found and encoder_of(protocol) == ((0,), (0, 0, 0, 0, 0))
-    assert len(built) == 1
-    built.clear()
+    assert len(built_blocks) == 1
+    built_blocks.clear()
     with pytest.raises(SearchLimitExceeded):
         exhaustive_assisted_search(c, box, 2, max_branches=100)
-    assert len(built) == 101  # the encoders (block 0, block j) for j = 0..100
+    assert len(built_blocks) == 101  # the encoders (block 0, block j) for j = 0..100
+
+
+def test_exhaustive_search_builds_each_table_once_whichever_positions_share_it(built_blocks):
+    # a refutation walks every box-input tuple, so each box input's table is
+    # read at every position, by prefix walks and last-table walks at once;
+    # it is still built once: x_card tables of n_in**A blocks each
+    assert exhaustive_assisted_search(make_mm(3), make_i3322_rational_table(), 2) == (False, None)
+    assert len(built_blocks) == 3 * 6**2
+    built_blocks.clear()
+    assert exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 3) == (False, None)
+    assert len(built_blocks) == 2 * 4**2
 
 
 def test_exhaustive_search_budget_counts_encoders():
