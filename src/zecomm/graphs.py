@@ -11,11 +11,12 @@ numeral of the sum of row v << v * n.  Its diagonal is the slice [::n + 1]
 [n - 1 - u::n].  The builders work on whole rows: the confusability graph
 ORs, per input, the masks of the inputs that reach each of its outputs, and
 a strong product row is one product of a row of the second factor with a
-spread neighbourhood of the first.  An edge list is the exception: its
-edges fill the same n * n layout in a byte string, two byte stores per
-edge, which is parsed into rows once.  The edge-list and strong-product
-builders make symmetric, loop-free rows by construction, so their graphs
-skip the check.
+spread neighbourhood of the first.  An edge list is the exception: it is
+filled bit by bit, into one byte string of "0"/"1" characters per vertex
+(character v of row u is bit v), two byte stores per edge, and each row is
+parsed once; only the validation and the relabelling before α use the
+one-string layout.  The edge-list and strong-product builders make
+symmetric, loop-free rows by construction, so their graphs skip the check.
 
 The independence number of a complete or an edgeless graph is read off the
 edge count.  Every other graph goes to one exact solver: branch and bound
@@ -94,12 +95,11 @@ def _built(n: int, adjacency: tuple[int, ...], labels: Optional[tuple] = None) -
 def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityGraph:
     """The graph on ``n`` vertices with the given undirected edges.
 
-    Duplicate edges and both orientations of an edge are allowed.  The edges
-    fill n * n bytes b"0"/b"1" in the layout of the validation's string: row
-    u is block n - 1 - u, most significant bit first, so bit v of row u is
-    cell n * n - 1 - u * n - v.  Each edge makes two byte stores (bit v of
-    row u and bit u of row v), so the rows come out symmetric, and each
-    block is parsed into its row once at the end.
+    Duplicate edges and both orientations of an edge are allowed.  Each
+    vertex u has its own row of n bytes b"0"/b"1", least significant bit
+    first, so byte v of row u is bit v.  Each edge makes two byte stores
+    (bit v of row u and bit u of row v), so the rows come out symmetric, and
+    each row is parsed, reversed, into its int once at the end.
 
     Refusals: first a vertex count that is not an int (``TypeError``, a bool
     included) or is negative (``ValueError``); then the first faulty edge in
@@ -113,26 +113,22 @@ def graph_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> ConfusabilityG
       allowed")``.
     """
     _check_vertex_count(n)
-    cells = bytearray(b"0" * (n * n))
-    offsets = list(range(n * n - 1, -1, -n or -1))  # offsets[v] = n * n - 1 - v * n; empty for n = 0
+    rows = [bytearray(b"0" * n) for _ in range(n)]  # rows[u][v] is bit v of row u
     try:
         for u, v in edges:
             if (u | v) < 0:  # list indexing would wrap a negative endpoint
                 raise IndexError
-            # Both offsets are looked up before either store, so an endpoint
-            # >= n is refused before its cell index lands on another row.
-            uv, vu = offsets[u] - v, offsets[v] - u
-            cells[uv] = cells[vu] = 49  # b"1"
+            rows[u][v] = rows[v][u] = 49  # b"1"; both endpoints are looked up before the first store
     except (IndexError, TypeError, ValueError) as fault:
         # Edges store nothing past a fault, and a self-loop stores only its
         # diagonal cell, so a set diagonal cell means a self-loop came first.
-        if b"1" not in cells[::n + 1]:
+        if not any(row[v] == 49 for v, row in enumerate(rows)):
             if isinstance(fault, TypeError):
                 raise
             raise ValueError(f"edge endpoint out of range for {n} vertices") from None
-    if b"1" in cells[::n + 1]:
+    if any(row[v] == 49 for v, row in enumerate(rows)):
         raise ValueError("self-loops not allowed")
-    return _built(n, tuple(int(cells[o - n + 1:o + 1], 2) for o in offsets))
+    return _built(n, tuple(int(row[::-1], 2) for row in rows))
 
 
 def cycle_graph(n: int) -> ConfusabilityGraph:

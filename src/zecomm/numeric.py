@@ -115,18 +115,24 @@ def table_problems(blocks, denominator, rational: bool) -> list[str]:
         return [f"denominator {denominator!r} is not a positive integer (1 in float mode)"]
     report = []
     for name, entries in blocks:
-        if rational and not set(map(type, entries)) <= RATIONAL_TYPES:
-            report.append(f"non-rational numerator at {name}")
-            continue
-        if not rational and not all(isinstance(v, Real) and type(v) is not bool and math.isfinite(v) for v in entries):
+        scale = 1
+        if rational:
+            types = set(map(type, entries))
+            if not types <= RATIONAL_TYPES:
+                report.append(f"non-rational numerator at {name}")
+                continue
+            if Fraction in types:  # ints over the lcm of the denominators: no Fraction arithmetic per entry
+                scale = math.lcm(*[v.denominator for v in entries])
+                entries = [v.numerator * (scale // v.denominator) for v in entries]
+        elif not all(isinstance(v, Real) and type(v) is not bool and math.isfinite(v) for v in entries):
             report.append(f"non-numeric or non-finite entry at {name}")
             continue
         if min(entries, default=0) < 0:
             report.append(f"negative entry at {name}")
         total = sum(entries)
         if rational:
-            if total != denominator:
-                report.append(f"normalization violated at {name}: sum={Fraction(total, denominator)}")
+            if total != denominator * scale:
+                report.append(f"normalization violated at {name}: sum={Fraction(total, denominator * scale)}")
         elif abs(total - 1.0) > FLOAT_TOL:
             report.append(f"normalization violated at {name}: sum={total}")
     return report

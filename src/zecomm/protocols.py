@@ -578,8 +578,11 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
     outside the messages onto messages; they are folded into the guesses, and
     a pair that moves a message is refused.  An ``enc_channel_input`` key
     (message, outcome) or ``dec_guess`` key (output, outcome) given twice,
-    and a ``dec_guess`` entry for an output beyond ``dec_box_input``, are
-    refused too."""
+    an ``enc_channel_input`` entry for a message outside 0..message_count - 1,
+    a ``dec_guess`` entry for an output beyond ``dec_box_input``, and a
+    ``dec_guess`` entry that the output's rule never reads (an outcome on an
+    output that skips the box, or an outcome past the first one it lacks),
+    are refused too."""
     k = data["message_count"]
     remap = {raw: g for raw, g in data["guess_remap"]}
     if any(remap.get(g, g) != g for g in range(k)):
@@ -592,9 +595,11 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
                              f"not one of the {n_out} outputs of dec_box_input")
         if b in entries.setdefault(out, {}):
             raise ValueError(f"dec_guess entry {[out, b, guess]} repeats the key ({out}, {b!r})")
-        entries[out][b] = remap.get(guess, guess)
+        entries[out][b] = guess
     enc_channel = {}
     for g, a, cin in data["enc_channel_input"]:
+        if g not in range(k):
+            raise ValueError(f"enc_channel_input entry {[g, a, cin]} names message {g}, not one of the {k} messages")
         if (g, a) in enc_channel:
             raise ValueError(f"enc_channel_input entry {[g, a, cin]} repeats the key ({g}, {a})")
         enc_channel[g, a] = cin
@@ -602,12 +607,16 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
     for out, y in enumerate(data["dec_box_input"]):
         guesses = entries.get(out, {})
         if y != "skip":
-            count = next(b for b in itertools.count() if b not in guesses)
-            decoder.append((y, tuple(guesses[b] for b in range(count))))
+            keys = range(next(b for b in itertools.count() if b not in guesses))
+            rule = f"stops at outcome {len(keys)}, the first it lacks"
         elif "skip" in guesses:
-            decoder.append((SKIP, (guesses["skip"],)))
+            y, keys, rule = SKIP, ["skip"], "skips the box"
         else:
             raise ValueError(f'output {out} skips the box but dec_guess has no "skip" entry for it')
+        for b, guess in guesses.items():
+            if b not in keys:
+                raise ValueError(f"dec_guess entry {[out, b, guess]} is never read: output {out} {rule}")
+        decoder.append((y, tuple(remap.get(guesses[b], guesses[b]) for b in keys)))
     return AssistedProtocol(
         k,
         tuple(data["enc_box_input"]),

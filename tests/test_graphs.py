@@ -368,6 +368,11 @@ def test_graph_from_edges_builds_the_relabelled_nm4_cube():
     assert reference_graph_from_edges(512, edges).adjacency == tuple(permuted)
 
 
+def test_graph_from_edges_reads_a_one_pass_generator_like_the_list():
+    _, _, edges = nm4_cube_relabelled()
+    assert graph_from_edges(512, (edge for edge in edges)).adjacency == graph_from_edges(512, edges).adjacency
+
+
 @pytest.mark.parametrize("n, edges", [
     (3, [(0, 0), (0, 5)]),
     (3, [(0, 5), (0, 0)]),
@@ -386,6 +391,10 @@ def test_graph_from_edges_builds_the_relabelled_nm4_cube():
     (3, [(0, 1), (1, 2), (2, 0), (1, 1)]),
     (3, [(0, 1), (1, 2), (2, 0)]),
     (0, [(0, 0)]),
+    (3, [(2, 3), (1, 1)]),  # row 2 exists, so the far endpoint fails at its column
+    (3, [(3, 2), (1, 1)]),
+    (3, [(1, 1), (2, 3)]),
+    (3, [(True, 2)]),  # a bool indexes like the int it equals, in both builds
 ], ids=str)
 def test_graph_from_edges_first_faulty_edge_decides_as_in_reference(n, edges):
     assert build_outcome(graph_from_edges, n, edges) == build_outcome(reference_graph_from_edges, n, edges)
@@ -408,8 +417,9 @@ def traced_peak(build) -> int:
 
 
 def test_graph_from_edges_peak_memory_stays_near_the_validation():
-    # The build holds one n * n byte string and the rows it parses from it,
-    # no more than the validation's own n * n string and row strings.
+    # The build holds one n-byte row per vertex, n * n bytes in all, and the
+    # rows it parses from them, no more than the validation's own n * n
+    # string and row strings.
     _, _, edges = nm4_cube_relabelled()
     rows = graph_from_edges(512, edges).adjacency
     validation = traced_peak(lambda: ConfusabilityGraph(512, rows))

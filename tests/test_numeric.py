@@ -128,6 +128,28 @@ def test_both_table_kinds_refuse_through_the_shared_check(entries, denominator, 
         Channel(IndexSpace((1,)), IndexSpace((2,)), [entries], denominator)
 
 
+def test_fraction_blocks_report_their_sum_and_sign_as_exact_fractions():
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    blocks = [
+        ("short", [third, Fraction(1, 4), 0]),  # 7/12
+        ("negative", [Fraction(3, 2), Fraction(-1, 2)]),  # sums to 1
+        ("both", [-third, sixth, 2]),  # 11/6
+        ("mixed", [Fraction(1, 2), 1, 0]),  # 3/2
+        ("exact", [third, sixth, Fraction(1, 2)]),
+    ]
+    assert table_problems(blocks, 1, rational=True) == [
+        "normalization violated at short: sum=7/12",
+        "negative entry at negative",
+        "negative entry at both",
+        "normalization violated at both: sum=11/6",
+        "normalization violated at mixed: sum=3/2",
+    ]
+    assert table_problems(blocks, 3, rational=True)[0] == "normalization violated at short: sum=7/36"
+    assert table_problems([("whole", [Fraction(3, 2), Fraction(1, 2)])], 2, rational=True) == []
+    assert table_problems([("whole", [Fraction(3, 2), Fraction(3, 2)])], 2, rational=True) == [
+        "normalization violated at whole: sum=3/2"]
+
+
 @pytest.mark.parametrize("build", [
     make_cglmp_behavior,
     lambda: behavior_from_quantum(make_i3322_model()),

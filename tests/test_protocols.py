@@ -177,6 +177,24 @@ def test_protocol_file_with_a_repeated_key_or_a_stray_output_is_refused(field, e
         protocol_from_json(data)
 
 
+@pytest.mark.parametrize("field, entry, refusal", [
+    # each of these was dropped without a word, and the file reloaded as the perfect scheme
+    ("dec_guess", [1, 0, 1], r"^dec_guess entry \[1, 0, 1\] is never read: output 1 skips the box$"),
+    ("dec_guess", [2, 5, 1], r"^dec_guess entry \[2, 5, 1\] is never read: output 2 stops at outcome 2, "
+                             r"the first it lacks$"),
+    ("dec_guess", [2, "skip", 0], r"^dec_guess entry \[2, 'skip', 0\] is never read: output 2 stops at outcome 2"),
+    ("enc_channel_input", [7, 0, 3], r"^enc_channel_input entry \[7, 0, 3\] names message 7, not one of the 2 "
+                                     r"messages$"),
+])
+def test_protocol_file_with_an_entry_it_never_reads_is_refused(field, entry, refusal):
+    data = protocol_to_json(make_theorem2_protocol(2))
+    assert data["dec_box_input"][1] == "skip" and data["dec_box_input"][2] == 1 and data["message_count"] == 2
+    assert exact_success(make_nm(2), make_extremal_box(2, 2), protocol_from_json(data)) == 1
+    data[field].append(entry)
+    with pytest.raises(ValueError, match=refusal):
+        protocol_from_json(data)
+
+
 def test_mixed_mode_promotes_to_float():
     value = exact_success(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
     assert isinstance(value, float)
