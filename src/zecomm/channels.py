@@ -5,10 +5,10 @@ extremal no-signaling assistance.
 A channel is an integer table: ``weights[input][output]`` holds the numerator
 of p(o|i) over one common ``denominator`` (in lowest terms), and each column
 (fixed input) sums exactly to the denominator.  Channels are always exact;
-only boxes (:mod:`zecomm.behaviors`) may hold floats.  Every table is built
-by one core from sparse columns: per input, its outputs in increasing order
-and their numerators.  Both families are layered: each layer is one list, o2
-of every flat input, read off one table of the rotations ``pi_perm``.
+only boxes (:mod:`zecomm.behaviors`) may hold floats.  ``Channel(...)``, the
+one constructor, takes sparse columns: per input, its outputs in increasing
+order and their numerators.  Both families are layered: each layer is one
+list, o2 of every flat input, read off one table of the rotations ``pi_perm``.
 Alphabets are :class:`IndexSpace` objects, whose labels are display tuples in
 flat-index order; the first output factor of the structured families carries
 a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
@@ -24,7 +24,7 @@ from itertools import compress, product
 from operator import lt
 from typing import Sequence
 
-from .numeric import RATIONAL, RATIONAL_TYPES, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
+from .numeric import RATIONAL, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
 
 
 @dataclass(frozen=True)
@@ -61,78 +61,48 @@ class IndexSpace:
 class Channel:
     """Column-stochastic table with structured input/output alphabets.
 
-    ``weights[input_flat][output_flat]`` holds p(o|i) as an int numerator over
-    ``denominator``, in lowest terms by ``integer_rows`` so that equal
-    channels compare equal; Fraction numerators given on construction are
-    converted.  ``supports[input_flat]`` lists the outputs of positive weight.
-    The dense constructor checks the table's shape and the type of every
-    entry, then hands its nonzero entries to the core, ``_set_table``, that
-    builds every channel.
+    The one constructor takes sparse columns: ``columns[input_flat]`` is an
+    ``(outputs, numerators)`` pair, the outputs ints strictly increasing in
+    0..n_outputs-1 and the numerators ints or Fractions over ``denominator``,
+    summing to it.  Every column given is checked, then stored canonically:
+    positive entries only, in lowest terms by ``integer_rows``, as tuples, so
+    that equal channels compare and hash equal.  ``weights[input_flat]`` is
+    the same column dense and ``supports[input_flat]`` its outputs.  A dense
+    table of outside entries is built by :func:`make_channel`.
     """
 
     input_space: IndexSpace
     output_space: IndexSpace
-    weights: tuple  # weights[input_flat][output_flat]
+    columns: tuple  # columns[input_flat] = (outputs, numerators)
     denominator: int = 1
+    weights: tuple = field(init=False, repr=False, compare=False)  # weights[input_flat][output_flat]
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(tuple(column) for column in self.weights)
-        n_out = self.n_outputs
-        if len(weights) == self.n_inputs:  # otherwise the core refuses the column count
-            short = [f"column {i} has wrong length" for i, column in enumerate(weights) if len(column) != n_out]
-            if short:
-                raise ValueError("invalid channel: " + "; ".join(short))
-        # A column with a non-rational entry, zero or not, is handed over whole
-        # for the core to refuse, so that a 0.0 or False zero is refused too.
-        outputs = range(n_out)
-        columns = []
-        for column in weights:
-            if set(map(type, column)) <= RATIONAL_TYPES:
-                keep = list(map(bool, column))  # one truth test per entry, for both selections
-                columns.append((list(compress(outputs, keep)), list(compress(column, keep))))
-            else:
-                columns.append((outputs, column))
-        self._set_table(columns, self.denominator)
-
-    @classmethod
-    def _from_columns(cls, input_space: IndexSpace, output_space: IndexSpace, columns, denominator: int) -> Channel:
-        """The channel of the sparse ``columns`` (see ``_set_table``)."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "input_space", input_space)
-        object.__setattr__(c, "output_space", output_space)
-        c._set_table(columns, denominator)
-        return c
-
-    def _set_table(self, columns, denominator: int) -> None:
-        """The construction core: ``weights``, ``denominator`` and
-        ``supports`` from one ``(outputs, numerators)`` pair per input, the
-        outputs strictly increasing.  It checks the column count, the outputs
-        and, by the table rule, every numerator given, one block per column,
-        then brings them to lowest terms; every other entry is its own int 0."""
-        n_out = self.n_outputs
+        columns, n_out = tuple(self.columns), self.n_outputs
         if len(columns) != self.n_inputs:
             problems = ["column count does not match input space"]
         else:
-            problems = [f"column {i} does not give one numerator per output, the outputs increasing in 0..{n_out - 1}"
-                        for i, (outputs, numerators) in enumerate(columns)
-                        if len(outputs) != len(numerators) or outputs and not (
-                            0 <= outputs[0] and outputs[-1] < n_out and all(map(lt, outputs, outputs[1:])))]
+            problems = [problem for i, column in enumerate(columns) if (problem := _shape_problem(i, column, n_out))]
             blocks = ((f"column {i}", numerators) for i, (_, numerators) in enumerate(columns))
-            problems = problems or table_problems(blocks, denominator, rational=True)
+            problems = problems or table_problems(blocks, self.denominator, rational=True)
         if problems:
             raise ValueError("invalid channel: " + "; ".join(problems))
-        rows, denominator = integer_rows([numerators for _, numerators in columns], denominator)
-        weights, supports = [], []
+        rows, denominator = integer_rows([numerators for _, numerators in columns], self.denominator)
+        canonical, weights = [], []
         for (outputs, _), row in zip(columns, rows):
+            if 0 in row:  # positive entries only
+                outputs, row = compress(outputs, row), tuple(compress(row, row))
+            outputs = tuple(outputs)
+            canonical.append((outputs, row))
             column = [0] * n_out
             for o, w in zip(outputs, row):
                 column[o] = w
             weights.append(tuple(column))
-            supports.append(tuple(compress(outputs, row)))
-        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "columns", tuple(canonical))
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "supports", tuple(supports))
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "supports", tuple(outputs for outputs, _ in canonical))
 
     def prob(self, output_flat: int, input_flat: int) -> Fraction:
         return Fraction(self.weights[input_flat][output_flat], self.denominator)
@@ -146,16 +116,38 @@ class Channel:
         return self.output_space.size
 
 
+def _shape_problem(i: int, column, n_out: int):
+    """What is wrong with the shape of sparse column ``i``, or None."""
+    if not (isinstance(column, (tuple, list)) and len(column) == 2 and isinstance(column[0], (tuple, list))
+            and isinstance(column[1], (tuple, list)) and set(map(type, column[0])) <= {int}):
+        return f"column {i} is not an (outputs, numerators) pair of tuples or lists with int outputs"
+    outputs, numerators = column
+    if len(outputs) != len(numerators) or outputs and not (
+            0 <= outputs[0] and outputs[-1] < n_out and all(map(lt, outputs, outputs[1:]))):
+        return f"column {i} does not give one numerator per output, the outputs increasing in 0..{n_out - 1}"
+
+
 def make_channel(
     matrix: Sequence[Sequence[object]],
     input_space: IndexSpace,
     output_space: IndexSpace,
 ) -> Channel:
-    """Build and validate a channel from a column-major matrix
+    """Build and validate a channel from a dense column-major matrix
     (``matrix[input][output]``) of outside entries: ints, Fractions, "num/den"
-    strings or floats, each distinct entry coerced once to an exact rational."""
+    strings or floats, each distinct entry coerced once to an exact rational,
+    its positive entries handed to ``Channel(...)`` as sparse columns."""
     parse = prob_parser(RATIONAL)
-    return Channel(input_space, output_space, [list(map(parse, column)) for column in matrix])
+    matrix = [list(map(parse, column)) for column in matrix]
+    n_out = output_space.size
+    if len(matrix) == input_space.size:  # otherwise Channel refuses the column count
+        short = [f"column {i} has wrong length" for i, column in enumerate(matrix) if len(column) != n_out]
+        if short:
+            raise ValueError("invalid channel: " + "; ".join(short))
+    outputs, columns = range(n_out), []
+    for column in matrix:
+        keep = list(map(bool, column))  # one truth test per entry, for both selections
+        columns.append((list(compress(outputs, keep)), list(compress(column, keep))))
+    return Channel(input_space, output_space, columns)
 
 
 def _layered(input_space: IndexSpace, output_space: IndexSpace, layers) -> Channel:
@@ -165,7 +157,7 @@ def _layered(input_space: IndexSpace, output_space: IndexSpace, layers) -> Chann
     n_layers, m = output_space.factors
     flat = [[base + o2 for o2 in layer] for base, layer in zip(range(0, n_layers * m, m), layers)]
     ones = (1,) * len(layers)
-    return Channel._from_columns(input_space, output_space, [(outputs, ones) for outputs in zip(*flat)], n_layers)
+    return Channel(input_space, output_space, [(outputs, ones) for outputs in zip(*flat)], n_layers)
 
 
 # --- permutation algebra ----------------------------------------------------
@@ -271,7 +263,7 @@ def make_mm(m: int) -> Channel:
 def identity_channel(n: int) -> Channel:
     space = IndexSpace((n,))
     check_table_size(n * n)
-    return Channel._from_columns(space, space, [((i,), (1,)) for i in range(n)], 1)
+    return Channel(space, space, [((i,), (1,)) for i in range(n)])
 
 
 def tensor_channels(c1: Channel, c2: Channel) -> Channel:
@@ -286,13 +278,12 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
         c1.output_space.offsets + c2.output_space.offsets,
     )
     n_out2 = c2.n_outputs
-    sparse2 = [(support, [row[o] for o in support]) for row, support in zip(c2.weights, c2.supports)]
     columns = []
-    for row1, support1 in zip(c1.weights, c1.supports):
-        bases, weights1 = [o1 * n_out2 for o1 in support1], [row1[o1] for o1 in support1]
+    for support1, weights1 in c1.columns:
+        bases = [o1 * n_out2 for o1 in support1]
         columns += [([base + o2 for base in bases for o2 in support2], [w1 * w2 for w1 in weights1 for w2 in weights2])
-                    for support2, weights2 in sparse2]
-    return Channel._from_columns(input_space, output_space, columns, c1.denominator * c2.denominator)
+                    for support2, weights2 in c2.columns]
+    return Channel(input_space, output_space, columns, c1.denominator * c2.denominator)
 
 
 def _sampling_table(column, denominator=None) -> tuple[list, list]:

@@ -108,7 +108,6 @@ def _write_csv_channel(c: channels.Channel, path: str) -> None:
 
 
 def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
-    s = b.scenario
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "a", "b", "p"])

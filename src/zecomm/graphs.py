@@ -15,8 +15,9 @@ spread neighbourhood of the first.  An edge list is the exception: it is
 filled bit by bit, into one byte string of "0"/"1" characters per vertex
 (character v of row u is bit v), two byte stores per edge, and each row is
 parsed once; only the validation and the relabelling before α use the
-one-string layout.  The edge-list and strong-product builders make
-symmetric, loop-free rows by construction, so their graphs skip the check.
+one-string layout.  Every builder (confusability graph, edge list and strong
+product) makes symmetric, loop-free rows by construction, so its graphs skip
+the check.
 
 The independence number of a complete or an edgeless graph is read off the
 edge count.  Every other graph goes to one exact solver: branch and bound
@@ -190,8 +191,7 @@ def confusability_graph(c: Channel) -> ConfusabilityGraph:
         for o in support:
             row |= reached_by[o]
         adj.append(row & ~(1 << i))
-    labels = tuple(c.input_space.labels())
-    return ConfusabilityGraph(c.n_inputs, tuple(adj), labels)
+    return _built(c.n_inputs, tuple(adj), tuple(c.input_space.labels()))
 
 
 def _max_independent_set_size(n: int, adj: Sequence[int]) -> int:

@@ -181,6 +181,11 @@ def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
                 raise ValueError(f"enc_channel_input missing ({g},{a})")
             if not 0 <= p.enc_channel_input[(g, a)] < c.n_inputs:
                 raise ValueError("encoder channel input out of range")
+    if len(p.enc_channel_input) != p.message_count * s.a_card:  # every key inside is there: the rest are strays
+        inside = set(itertools.product(range(p.message_count), range(s.a_card)))
+        strays = [key for key in p.enc_channel_input if key not in inside]
+        raise ValueError(f"enc_channel_input holds keys outside messages 0..{p.message_count - 1} x box outcomes "
+                         f"0..{s.a_card - 1}: {', '.join(map(repr, strays))}")
     if len(p.decoder) != c.n_outputs:
         raise ValueError("decoder must be total on channel outputs")
     for out, (y, guesses) in enumerate(p.decoder):

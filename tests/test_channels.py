@@ -257,21 +257,25 @@ def test_make_channel_validates():
     with pytest.raises(ValueError):
         make_channel([[Fraction(1, 2), Fraction(1, 4)], [0, 1]], space, space)
     c = identity_channel(3)
-    assert Channel(c.input_space, c.output_space, c.weights, c.denominator) == c
+    assert Channel(c.input_space, c.output_space, c.columns, c.denominator) == c
 
 
 @pytest.mark.parametrize("column0, refusal", [
-    ([1, 0.0], "non-rational numerator at column 0"),
-    ([1, False], "non-rational numerator at column 0"),
-    ([True, 0], "non-rational numerator at column 0"),
-    ([2, -1], "negative entry at column 0"),
+    (((0, 1), (1, 0.0)), "non-rational numerator at column 0"),
+    (((0, 1), (1, False)), "non-rational numerator at column 0"),
+    (((0, 1), (True, 0)), "non-rational numerator at column 0"),
+    (((0, 1), (2, -1)), "negative entry at column 0"),
     ([1], "column 0 has wrong length"),
 ], ids=["float-zero", "bool-zero", "bool-one", "negative", "short"])
 def test_dense_channel_refusals(column0, refusal):
-    # the dense constructor checks every entry, zeros included
+    # the constructor checks every numerator given, zeros included; a short
+    # dense column is refused by make_channel, the dense builder
     space = IndexSpace((2,))
     with pytest.raises(ValueError, match=f"^invalid channel: {refusal}$"):
-        Channel(space, space, [column0, [0, 1]])
+        if refusal.endswith("wrong length"):
+            make_channel([column0, [0, 1]], space, space)
+        else:
+            Channel(space, space, [column0, ((1,), (1,))])
 
 
 def test_dense_channel_reports_every_faulty_column_in_order():
@@ -279,9 +283,9 @@ def test_dense_channel_reports_every_faulty_column_in_order():
     refusal = ("invalid channel: non-rational numerator at column 0; negative entry at column 1; "
                "normalization violated at column 2: sum=1/2")
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-        Channel(space, space, [[0.0, 1, 0], [2, -1, 0], [0, 0, Fraction(1, 2)]])
+        Channel(space, space, [((0, 1), (0.0, 1)), ((0, 1), (2, -1)), ((2,), (Fraction(1, 2),))])
     with pytest.raises(ValueError, match="^invalid channel: column count does not match input space$"):
-        Channel(space, space, [[1, 0, 0], [0, 1]])
+        Channel(space, space, [((0,), (1,)), ((1,), (1,))])
 
 
 @pytest.mark.parametrize("columns", [
@@ -295,18 +299,55 @@ def test_sparse_core_refuses_outputs_that_are_not_increasing_and_in_range(column
     space = IndexSpace((2,))
     refusal = "invalid channel: column 0 does not give one numerator per output, the outputs increasing in 0..1"
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
-        Channel._from_columns(space, space, columns, 1)
+        Channel(space, space, columns)
 
 
 def test_sparse_core_checks_the_column_count_and_the_given_numerators():
     space = IndexSpace((2,))
     with pytest.raises(ValueError, match="^invalid channel: column count does not match input space$"):
-        Channel._from_columns(space, space, [((0,), (1,))], 1)
+        Channel(space, space, [((0,), (1,))])
     with pytest.raises(ValueError, match="^invalid channel: non-rational numerator at column 1$"):
-        Channel._from_columns(space, space, [((0,), (1,)), ((1,), (True,))], 1)
-    c = Channel._from_columns(space, space, [((0, 1), (2, 2)), ((1,), (4,))], 4)
+        Channel(space, space, [((0,), (1,)), ((1,), (True,))])
+    c = Channel(space, space, [((0, 1), (2, 2)), ((1,), (4,))], 4)
     assert c == make_channel([["1/2", "1/2"], [0, 1]], space, space)
     assert c.denominator == 2 and c.weights == ((1, 1), (0, 2)) and c.supports == ((0, 1), (1,))
+
+
+@pytest.mark.parametrize("column0", [(0, 1), ((0,), (1,), ()), "ab", (0, (1,)), ((0.0,), (1,)), ((True,), (1,)),
+                                     (("0",), (1,))],
+                         ids=["ints", "triple", "string", "int-outputs", "float-output", "bool-output", "str-output"])
+def test_sparse_core_refuses_a_column_that_is_not_a_pair_or_has_non_int_outputs(column0):
+    space = IndexSpace((2,))
+    refusal = "invalid channel: column 0 is not an (outputs, numerators) pair of tuples or lists with int outputs"
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        Channel(space, space, [column0, ((1,), (1,))])
+
+
+@st.composite
+def random_channels(draw):
+    """A channel of small integer weights on up to 8 inputs and outputs, as
+    the graph and protocol tests draw them."""
+    n_in, n_out = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    columns = [draw(st.lists(st.integers(0, 3), min_size=n_out, max_size=n_out).filter(any)) for _ in range(n_in)]
+    return make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
+                        IndexSpace((n_in,)), IndexSpace((n_out,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_channels(), st.integers(2, 10**12))
+def test_equal_tables_build_equal_channels_whatever_their_form(c, k):
+    same = Channel(c.input_space, c.output_space, c.columns, c.denominator)
+    scaled = Channel(c.input_space, c.output_space,
+                     [(outputs, [k * w for w in numerators]) for outputs, numerators in c.columns], k * c.denominator)
+    with_zeros = Channel(c.input_space, c.output_space,
+                         [(list(range(c.n_outputs)), list(column)) for column in c.weights], c.denominator)
+    dense = make_channel([[f"{w}/{c.denominator}" for w in column] for column in c.weights],
+                         c.input_space, c.output_space)
+    for other in (same, scaled, with_zeros, dense):
+        assert other == c and hash(other) == hash(c)
+        assert other.columns == c.columns and other.weights == c.weights and other.supports == c.supports
+    assert all(0 not in numerators for _, numerators in c.columns)
+    assert all(support is outputs for support, (outputs, _) in zip(c.supports, c.columns))
 
 
 def test_make_channel_refuses_a_bool_after_an_equal_int():
@@ -339,7 +380,7 @@ def test_tensor_channels():
         assert prod.prob(i, i) == 1
     double = tensor_channels(make_nm(2), make_nm(2))
     assert prob_of_labels(double, (1, 0, 1, 0), (0, 0, 0, 0)) == Fraction(1, 9)
-    assert Channel(double.input_space, double.output_space, double.weights, double.denominator) == double
+    assert Channel(double.input_space, double.output_space, double.columns, double.denominator) == double
 
 
 def test_sample_output_identity_and_determinism():

@@ -203,7 +203,9 @@ def test_confusability_graph_matches_pair_loop_on_random_channels(data):
                for _ in range(n_in)]
     c = make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
                      IndexSpace((n_in,)), IndexSpace((n_out,)))
-    assert_same_graph(confusability_graph(c), confusability_pairs(c))
+    g = confusability_graph(c)
+    assert_same_graph(g, confusability_pairs(c))
+    assert ConfusabilityGraph(n_in, g.adjacency, g.labels) == g  # the validation accepts the unchecked rows
 
 
 def test_graph_validation():

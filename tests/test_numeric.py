@@ -125,7 +125,7 @@ def test_both_table_kinds_refuse_through_the_shared_check(entries, denominator, 
         Behavior(Scenario(1, 1, 1, 2), mode, [[[entries]]], denominator)
     channel_problem = pattern("column 0") if rational else "non-rational numerator at column 0"
     with pytest.raises(ValueError, match="invalid channel: " + channel_problem):
-        Channel(IndexSpace((1,)), IndexSpace((2,)), [entries], denominator)
+        Channel(IndexSpace((1,)), IndexSpace((2,)), [((0, 1), entries)], denominator)
 
 
 def test_fraction_blocks_report_their_sum_and_sign_as_exact_fractions():

@@ -195,6 +195,20 @@ def test_protocol_file_with_an_entry_it_never_reads_is_refused(field, entry, ref
         protocol_from_json(data)
 
 
+def test_scheme_with_encoder_keys_outside_messages_times_outcomes_is_refused():
+    # the file reloads, since it does not know the box; each evaluation refuses it
+    data = protocol_to_json(make_theorem2_protocol(2))
+    data["enc_channel_input"] += [[0, 5, 3], [1, -1, 0]]
+    protocol = protocol_from_json(data)
+    assert len(protocol.enc_channel_input) == 6
+    refusal = r"^enc_channel_input holds keys outside messages 0\.\.1 x box outcomes 0\.\.1: \(0, 5\), \(1, -1\)$"
+    with pytest.raises(ValueError, match=refusal):
+        exact_success(make_nm(2), make_extremal_box(2, 2), protocol)
+    del protocol.enc_channel_input[0, 0]
+    with pytest.raises(ValueError, match=r"^enc_channel_input missing \(0,0\)$"):
+        exact_success(make_nm(2), make_extremal_box(2, 2), protocol)
+
+
 def test_mixed_mode_promotes_to_float():
     value = exact_success(make_nm(3), make_cglmp_behavior(), make_theorem2_protocol(3))
     assert isinstance(value, float)
