@@ -19,7 +19,6 @@ from .channels import (
     make_channel,
     make_mm,
     make_nm,
-    pi_hat,
     pi_perm,
     tensor_channels,
 )

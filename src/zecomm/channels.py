@@ -8,7 +8,9 @@ of p(o|i) over one common ``denominator`` (in lowest terms), and each column
 only boxes (:mod:`zecomm.behaviors`) may hold floats.  ``Channel(...)``, the
 one constructor, takes sparse columns: per input, its outputs in increasing
 order and their numerators.  Both families are layered: each layer is one
-list, o2 of every flat input, read off one table of the rotations ``pi_perm``.
+list, o2 of every flat input, read off one table of the rotations ``pi_perm``;
+the theorem schemes of :mod:`zecomm.protocols` read their decoders off the
+same lists.
 Alphabets are :class:`IndexSpace` objects, whose labels are display tuples in
 flat-index order; the first output factor of the structured families carries
 a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
@@ -41,8 +43,9 @@ class IndexSpace:
     def __post_init__(self):
         if self.offsets is None:
             object.__setattr__(self, "offsets", (0,) * len(self.factors))
-        if not all(type(v) is int for v in self.factors + self.offsets):
-            raise ValueError(f"factors {self.factors} and offsets {self.offsets} must be ints")
+        if not (type(self.factors) is tuple and type(self.offsets) is tuple
+                and all(type(v) is int for v in self.factors + self.offsets)):
+            raise ValueError(f"factors {self.factors!r} and offsets {self.offsets!r} must be tuples of ints")
         if any(f < 1 for f in self.factors):
             raise ValueError("factor cardinalities must be >= 1")
         if len(self.offsets) != len(self.factors):
@@ -79,6 +82,11 @@ class Channel:
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("input_space", "output_space"):
+            if not isinstance(getattr(self, name), IndexSpace):
+                raise ValueError(f"invalid channel: {name} {getattr(self, name)!r} is not an IndexSpace")
+        if not isinstance(self.columns, (tuple, list)):
+            raise ValueError(f"invalid channel: columns {self.columns!r} are not a tuple or list")
         columns, n_out = tuple(self.columns), self.n_outputs
         if len(columns) != self.n_inputs:
             problems = ["column count does not match input space"]
@@ -175,13 +183,6 @@ def pi_perm(m: int, shift: int, i2: int) -> int:
     return (i2 - 1 + shift) % (m - 1) + 1
 
 
-def pi_hat(m: int, u: int) -> int:
-    """Additive inverse mod m: u + pi_hat(m, u) = 0 (mod m)."""
-    if not 0 <= u < m:
-        raise ValueError("symbol out of range")
-    return (m - u) % m
-
-
 def _rotations(m: int) -> list[list[int]]:
     """``rot[shift][i2] = pi_perm(m, shift, i2)`` for every shift."""
     return [[pi_perm(m, shift, i2) for i2 in range(m)] for shift in range(m - 1)]
@@ -210,21 +211,16 @@ def make_nm(m: int) -> Channel:
     double-cover other pairs), so the graph is not complete; the one-bit
     assisted scheme still succeeds with certainty for every m.
     """
+    return _layered(*_nm_layers(m))
+
+
+def _nm_layers(m: int) -> tuple[IndexSpace, IndexSpace, list[list[int]]]:
+    """Input and output alphabets and layers of ``make_nm(m)``."""
     input_space, output_space = _nm_spaces(m)
     labels = list(input_space.labels())
     layers = [[i1 for i1, _ in labels], [i2 for _, i2 in labels]]
     layers += [[(i1 + rot[i2]) % m for i1, i2 in labels] for rot in _rotations(m)]
-    return _layered(input_space, output_space, layers)
-
-
-def mm_block_anchor(m: int, j: int) -> int:
-    """First o1 label of block j in the m-block channel: (m-1)*j + 2."""
-    return (m - 1) * j + 2
-
-
-def mm_block_of(m: int, o1: int) -> int:
-    """Block index j such that o1 lies in {(m-1)j+2 .. (m-1)j+m}; o1 >= 2."""
-    return (o1 - 2) // (m - 1)
+    return input_space, output_space, layers
 
 
 def _mm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
@@ -240,14 +236,21 @@ def make_mm(m: int) -> Channel:
     {1..m(m-1)+1} x {0..m-1}.
 
     The first output coordinate is uniform with weight 1/(m(m-1)+1).  For
-    o1 = 1, o2 = i1.  The remaining labels split into m blocks of width m-1;
-    within block j the rule is o2 = i1 + pi_perm(m, o1 - anchor(j), i2') mod m
+    o1 = 1, o2 = i1.  The remaining labels split into m blocks of width m-1,
+    block j from o1 = (m-1)j + 2; within block j the rule is
+    o2 = i1 + pi_perm(m, o1 - (m-1)j - 2, i2') mod m
     with i2' = i2 xor [i1 = j] for j >= 1 and i2' = i2 for block 0.  (The
     block-0 rule has no xor flip; with it the per-block intersection pattern
     that completes the confusability graph would break.)  Every output row has
     exactly two positive entries, and the confusability graph is complete on
     2m vertices.
     """
+    return _layered(*_mm_layers(m))
+
+
+def _mm_layers(m: int) -> tuple[IndexSpace, IndexSpace, list[list[int]]]:
+    """Input and output alphabets and layers of ``make_mm(m)``: layer 1,
+    then block j's m - 1 layers for j = 0..m-1."""
     input_space, output_space = _mm_spaces(m)
     labels = list(input_space.labels())
     block0 = [[(i1 + rot[i2]) % m for i1, i2 in labels] for rot in _rotations(m)]
@@ -257,7 +260,7 @@ def make_mm(m: int) -> Channel:
             layer = layer.copy()
             layer[2 * j], layer[2 * j + 1] = layer[2 * j + 1], layer[2 * j]
             layers.append(layer)
-    return _layered(input_space, output_space, layers)
+    return input_space, output_space, layers
 
 
 def identity_channel(n: int) -> Channel:

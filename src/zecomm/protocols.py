@@ -21,16 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .behaviors import Behavior, Scenario, is_no_signaling
-from .channels import (
-    Channel,
-    _mm_spaces,
-    _nm_spaces,
-    _rotations,
-    _sampling_table,
-    mm_block_anchor,
-    mm_block_of,
-    pi_hat,
-)
+from .channels import Channel, _mm_layers, _mm_spaces, _nm_layers, _nm_spaces, _sampling_table
 from .numeric import RATIONAL
 
 #: largest encoder count ``best_unassisted_success`` enumerates
@@ -61,6 +52,7 @@ class AssistedProtocol:
     decoder: tuple
 
     def __post_init__(self):
+        _check_message_count(self.message_count)
         if len(self.enc_box_input) != self.message_count:
             raise ValueError("enc_box_input must be total on messages")
         guesses = tuple(itertools.chain.from_iterable(rule[1] for rule in self.decoder))
@@ -73,54 +65,51 @@ class AssistedProtocol:
 
 # --- the two protocol families ---------------------------------------------
 
+def _layer_scheme(m: int, layers, messages: int, b_card: int, queries, outcome) -> AssistedProtocol:
+    """Scheme for a layered channel (``channels._layered``): ``layers[l][i]``
+    is the o2 that flat input i reaches on layer l, o2 in 0..m-1.
+
+    Message g queries box input g and sends flat input g*A + a on box outcome
+    a.  An output (l, o2) whose ``queries[l]`` is SKIP skips the box and
+    guesses the message that reaches it; otherwise it queries
+    y = ``queries[l]`` and guesses, on outcome b, the message g of an input
+    (g, a) that reaches it with ``outcome(g, y, a) == b``.  Where two do, the
+    later input's message stands; an unreached guess is 0.
+    """
+    a_card = len(layers[0]) // messages
+    inputs = [divmod(i, a_card) for i in range(len(layers[0]))]  # (g, a) of each flat input
+    decoder = []
+    for layer, y in zip(layers, queries):
+        rows = [[0] * (1 if y is SKIP else b_card) for _ in range(m)]
+        for (g, a), o2 in zip(inputs, layer):
+            rows[o2][0 if y is SKIP else outcome(g, y, a)] = g
+        decoder += [(y, tuple(row)) for row in rows]
+    return AssistedProtocol(messages, tuple(range(messages)), {ga: i for i, ga in enumerate(inputs)}, tuple(decoder))
+
+
 def make_theorem2_protocol(m: int) -> AssistedProtocol:
     """One-bit scheme for the (m+1)-layer channel with the 2-input m-outcome
-    extremal box.
+    extremal box, whose outcomes satisfy b = a + x*y mod m.
 
-    Encoder: message g sends channel input (g, a) on box outcome a.
-    Decoder: first output layer carries the message directly (box skipped);
-    layer 2 queries the box at y=1 and guesses pi_hat(o2) + b; layer l >= 3
-    queries y=0 and guesses o2 + pi_hat(pi_perm(l-3, b)).  Raw guesses >= 2,
-    layer 1 included, are stored as message 0; no input reaches them through
-    an extremal box.
+    Message g sends channel input (g, a) on box outcome a.  The first output
+    layer carries the message directly (box skipped); layer 2 queries the box
+    at y=1 and each later layer at y=0, each guess read off the layer.
     """
-    in_space, out_space = _nm_spaces(m)
-    inverses = [[pi_hat(m, u) for u in rot] for rot in _rotations(m)]
-
-    def decode(o1: int, o2: int):
-        if o1 == 1:
-            y, raw = SKIP, [o2]
-        elif o1 == 2:
-            u = pi_hat(m, o2)
-            y, raw = 1, [(u + b) % m for b in range(m)]
-        else:
-            y, raw = 0, [(o2 + u) % m for u in inverses[o1 - 3]]
-        return y, tuple(g if g < 2 else 0 for g in raw)
-
-    enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
-    return AssistedProtocol(2, (0, 1), enc_channel, tuple(itertools.starmap(decode, out_space.labels())))
+    _, _, layers = _nm_layers(m)
+    return _layer_scheme(m, layers, 2, m, [SKIP, 1] + [0] * (m - 1), lambda g, y, a: (a + g * y) % m)
 
 
 def make_theorem3_protocol(m: int) -> AssistedProtocol:
     """log(m)-bit scheme for the m-block channel with the m-input 2-outcome
-    extremal box.
+    extremal box, whose outcomes satisfy b = a xor [x = y != 0].
 
-    Encoder: message g queries x=g and sends channel input (g, a) on outcome a.
-    Decoder: the first output layer carries the message directly; an output in
-    block j queries the box at y=j and guesses
-    o2 + pi_hat(pi_perm(o1 - anchor(j), b)).
+    Message g queries x=g and sends channel input (g, a) on outcome a.  The
+    first output layer carries the message directly; an output in block j
+    queries the box at y=j, each guess read off the layer.
     """
-    in_space, out_space = _mm_spaces(m)
-    inverses = [[pi_hat(m, u) for u in rot[:2]] for rot in _rotations(m)]
-
-    def decode(o1: int, o2: int):
-        if o1 == 1:
-            return SKIP, (o2,)
-        j = mm_block_of(m, o1)
-        return j, tuple((o2 + u) % m for u in inverses[o1 - mm_block_anchor(m, j)])
-
-    enc_channel = {label: flat for flat, label in enumerate(in_space.labels())}
-    return AssistedProtocol(m, tuple(range(m)), enc_channel, tuple(itertools.starmap(decode, out_space.labels())))
+    _, _, layers = _mm_layers(m)
+    queries = [SKIP] + [j for j in range(m) for _ in range(m - 1)]
+    return _layer_scheme(m, layers, m, 2, queries, lambda g, y, a: a ^ (g == y != 0))
 
 
 #: CLI ``--scheme`` name -> (protocol, channel (input, output) index spaces,
@@ -170,17 +159,22 @@ def _check_no_signaling(box: Behavior) -> None:
                          "only no-signaling boxes belong to the model")
 
 
+def _is_index(v, n: int) -> bool:
+    """True iff ``v`` is an int (not a bool) in 0..n-1."""
+    return type(v) is int and 0 <= v < n
+
+
 def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
     _check_no_signaling(box)
     s = box.scenario
-    for g in range(p.message_count):
-        if not 0 <= p.enc_box_input[g] < s.x_card:
-            raise ValueError("encoder box input out of range")
+    for g, x in enumerate(p.enc_box_input):
+        if not _is_index(x, s.x_card):
+            raise ValueError(f"enc_box_input[{g}] = {x!r} is not a box input 0..{s.x_card - 1}")
         for a in range(s.a_card):
             if (g, a) not in p.enc_channel_input:
                 raise ValueError(f"enc_channel_input missing ({g},{a})")
-            if not 0 <= p.enc_channel_input[(g, a)] < c.n_inputs:
-                raise ValueError("encoder channel input out of range")
+            if not _is_index(cin := p.enc_channel_input[g, a], c.n_inputs):
+                raise ValueError(f"enc_channel_input[{g}, {a}] = {cin!r} is not a channel input 0..{c.n_inputs - 1}")
     if len(p.enc_channel_input) != p.message_count * s.a_card:  # every key inside is there: the rest are strays
         inside = set(itertools.product(range(p.message_count), range(s.a_card)))
         strays = [key for key in p.enc_channel_input if key not in inside]
@@ -192,8 +186,8 @@ def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
         if y is SKIP:
             if len(guesses) != 1:
                 raise ValueError(f"decoder skips the box on output {out} but holds {len(guesses)} guesses, not 1")
-        elif not 0 <= y < s.y_card:
-            raise ValueError("decoder box input out of range")
+        elif not _is_index(y, s.y_card):
+            raise ValueError(f"decoder box input {y!r} on output {out} is not a box input 0..{s.y_card - 1}")
         elif len(guesses) < s.b_card:
             raise ValueError(f"decoder holds {len(guesses)} guesses on output {out}, fewer than the box's "
                              f"{s.b_card} outcomes")
@@ -589,6 +583,7 @@ def protocol_from_json(data: dict) -> AssistedProtocol:
     output that skips the box, or an outcome past the first one it lacks),
     are refused too."""
     k = data["message_count"]
+    _check_message_count(k)
     remap = {raw: g for raw, g in data["guess_remap"]}
     if any(remap.get(g, g) != g for g in range(k)):
         raise ValueError("guess_remap must be the identity on messages")

@@ -21,9 +21,6 @@ from zecomm.channels import (
     make_channel,
     make_mm,
     make_nm,
-    mm_block_anchor,
-    mm_block_of,
-    pi_hat,
     pi_perm,
     tensor_channels,
 )
@@ -62,8 +59,7 @@ def reference_mm(m):
     def o2_of(o1, i1, i2):
         if o1 == 1:
             return i1
-        j = mm_block_of(m, o1)
-        shift = o1 - mm_block_anchor(m, j)
+        j, shift = divmod(o1 - 2, m - 1)
         flip = 1 if (j != 0 and i1 == j) else 0
         return (i1 + pi_perm(m, shift, i2 ^ flip)) % m
 
@@ -183,17 +179,6 @@ def test_pi_perm_values_and_bijection():
         pi_perm(3, 0, 3)
 
 
-def test_pi_hat():
-    assert pi_hat(3, 0) == 0
-    assert pi_hat(3, 1) == 2
-    assert pi_hat(5, 3) == 2
-    for m in range(2, 8):
-        for u in range(m):
-            assert (u + pi_hat(m, u)) % m == 0
-    with pytest.raises(ValueError):
-        pi_hat(3, 3)
-
-
 def test_nm3_matches_reference_matrix():
     c = make_nm(3)
     for out_label in c.output_space.labels():
@@ -234,14 +219,6 @@ def test_mm_column_and_row_structure(m):
     for o in range(c.n_outputs):
         hitters = [i for i in range(c.n_inputs) if c.prob(o, i)]
         assert len(hitters) == 2
-
-
-def test_block_helpers():
-    assert mm_block_anchor(3, 0) == 2
-    assert mm_block_anchor(3, 2) == 6
-    assert mm_block_of(3, 2) == 0
-    assert mm_block_of(3, 5) == 1
-    assert mm_block_of(3, 7) == 2
 
 
 def test_n2_equals_m2_up_to_output_relabeling():
@@ -321,6 +298,18 @@ def test_sparse_core_refuses_a_column_that_is_not_a_pair_or_has_non_int_outputs(
     refusal = "invalid channel: column 0 is not an (outputs, numerators) pair of tuples or lists with int outputs"
     with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
         Channel(space, space, [column0, ((1,), (1,))])
+
+
+@pytest.mark.parametrize("build, refusal", [
+    (lambda: Channel((2,), IndexSpace((2,)), [((0,), (1,)), ((1,), (1,))]),
+     "invalid channel: input_space (2,) is not an IndexSpace"),
+    (lambda: Channel(IndexSpace((2,)), IndexSpace((2,)), 5), "invalid channel: columns 5 are not a tuple or list"),
+    (lambda: IndexSpace([2]), "factors [2] and offsets (0,) must be tuples of ints"),
+    (lambda: IndexSpace((2,), [0]), "factors (2,) and offsets [0] must be tuples of ints"),
+], ids=["space-not-index-space", "columns-not-a-sequence", "factors-list", "offsets-list"])
+def test_constructors_refuse_malformed_arguments_by_name(build, refusal):
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        build()
 
 
 @st.composite

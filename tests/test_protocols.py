@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,13 +52,13 @@ def bob_copies_x(mode):
     return Behavior(Scenario(2, 2, 2, 2), mode, [[block[x]] * 2 for x in range(2)])
 
 
-@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 13))
 def test_one_bit_scheme_is_perfect(m):
     per = per_message_success(make_nm(m), make_extremal_box(m, m), make_theorem2_protocol(m))
     assert per == [Fraction(1), Fraction(1)]
 
 
-@pytest.mark.parametrize("m", range(2, 6))
+@pytest.mark.parametrize("m", range(2, 10))
 def test_log_m_scheme_is_perfect(m):
     channel, box, protocol = make_mm(m), make_rtilde_box(m), make_theorem3_protocol(m)
     assert protocol.message_count == m
@@ -106,6 +107,33 @@ def test_decoder_guesses_equal_to_a_message_but_not_int_are_refused(guess):
         protocol_from_json(data)
     with pytest.raises(ValueError, match=r"^decoder guesses \[7, True\] are not messages 0\.\.1$"):
         dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (7, True)),) + base.decoder[6:])
+
+
+@pytest.mark.parametrize("field, index, value, refusal", [
+    ("dec_box_input", 2, True, "decoder box input True on output 2 is not a box input 0..1"),
+    ("enc_box_input", 1, True, "enc_box_input[1] = True is not a box input 0..1"),
+    ("enc_channel_input", 1, [0, 1, 1.0], "enc_channel_input[0, 1] = 1.0 is not a channel input 0..3"),
+], ids=["decoder-box-input-bool", "encoder-box-input-bool", "channel-input-float"])
+def test_protocol_inputs_that_are_not_ints_are_refused_by_entry(field, index, value, refusal):
+    # True == 1 == 1.0, so only the type tells these entries from input 1
+    data = protocol_to_json(make_theorem2_protocol(2))
+    data[field][index] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        exact_success(make_nm(2), make_extremal_box(2, 2), protocol_from_json(data))
+
+
+@pytest.mark.parametrize("k, refusal", [
+    (True, "message count K must be an int, got True"),
+    (2.0, "message count K must be an int, got 2.0"),
+    (0, "message count K = 0 must be at least 1"),
+], ids=["bool", "float", "zero"])
+def test_protocol_message_counts_that_are_not_positive_ints_are_refused(k, refusal):
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        AssistedProtocol(k, (0,), {}, ())
+    data = protocol_to_json(make_theorem2_protocol(2))
+    data["message_count"] = k
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        protocol_from_json(data)
 
 
 def test_tensor_protocols_refuses_a_box_that_does_not_fit_its_factor():
