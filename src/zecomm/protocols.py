@@ -27,6 +27,10 @@ from .numeric import RATIONAL
 #: largest encoder count ``best_unassisted_success`` enumerates
 UNASSISTED_ENCODER_LIMIT = 10**7
 
+#: most encoder blocks one set of ``_window`` bitsets covers: a longer block
+#: table is decided in windows that share their leading channel inputs
+PASSING_WINDOW = 1 << 12
+
 #: decoder marker for "do not use the box on this channel output"
 SKIP = None
 
@@ -395,9 +399,14 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     walk of it iterates over a copy, so all walks share one buffer and a block
     is built when the first walk reaches it.  The first K-1 messages are
     walked depth first (``_prefixes``), each prefix carrying its accumulated
-    masks (``_extend``); each block of the last message's table then
-    completes one encoder, decided from those masks and that block alone.
-    The budget is checked before each encoder.
+    masks (``_extend``).  Each prefix then decides the whole last table at
+    once: ``_passing_bits`` combines the prefix's masks with the per-cell
+    bitsets of ``_window`` into the set of last blocks that leave every output
+    a clash-free box input, and each encoder's ``_complete_decoder`` call gets
+    its bit.  The bitsets are built once per call, for each box input whose
+    table is walked as the last message's, and only after a prefix that hits
+    an output, so never for K = 1.  The budget is checked before each
+    encoder.
     Raises ValueError for a signaling box, for a K that is not an int or is
     below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
@@ -411,19 +420,26 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     _check_no_signaling(box)
     s = box.scenario
     n_out, b_card = c.n_outputs, s.b_card  # n_outputs is recomputed on every read
-    low = _low_bits(n_out, b_card)
     # each walk reads a copy.copy: what tee() returns for a tee input differs across Python versions
     tables = [itertools.tee(_blocks(c, box, x), 1)[0] for x in range(s.x_card)]
+    windows = {}  # box input -> its _window bitsets
     empty = (0, 0, [(0, 0)] * s.y_card)
     branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
         *outer, last = [tables[x] for x in enc_box]
+        x = enc_box[-1]
         for prefix, masks in _prefixes(outer, empty):
-            for block in copy.copy(last):
+            if masks[0]:
+                if x not in windows:
+                    windows[x] = _window(c, box, x)
+                bits = _passing_bits(masks, windows[x], b_card)
+            else:  # K = 1: no other message to clash with
+                bits = itertools.repeat(1)
+            for block, passes in zip(copy.copy(last), bits):
                 if branches >= max_branches:
                     raise SearchLimitExceeded(branches, enc_box)
                 branches += 1
-                decoder = _complete_decoder(masks, prefix, block, low, n_out, b_card)
+                decoder = _complete_decoder(passes, masks, prefix, block, n_out, b_card)
                 if decoder is None:
                     continue
                 leaf = prefix + (block,)
@@ -432,12 +448,6 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
                 if is_zero_error(c, box, protocol):
                     return True, protocol
     return False, None
-
-
-def _low_bits(n_out: int, b_card: int) -> int:
-    """The B-1 low bits of every output's B-bit cell group (0 when B = 1)."""
-    group = (1 << b_card - 1) - 1
-    return sum(group << out * b_card for out in range(n_out))
 
 
 def _blocks(c: Channel, box: Behavior, x: int):
@@ -449,14 +459,21 @@ def _blocks(c: Channel, box: Behavior, x: int):
     output's cell group set for each output reached through an outcome a
     with ``alice[x][a] > 0``; ``cells[y]`` packs B bits per output, bit
     ``out * B + b`` set when such an a reaches the output and
-    ``p(a, b | x, y) > 0``.
+    ``p(a, b | x, y) > 0``.  ``_window`` holds the same bits transposed: per
+    output and per cell bit, one bitset over the block indices.
     """
+    return _blocks_over(c, box, x, box.scenario.a_card)
+
+
+def _blocks_over(c: Channel, box: Behavior, x: int, width: int):
+    """The ``_blocks`` of the first ``width`` outcomes alone: ``cins`` has
+    ``width`` entries, and ``reach`` and ``cells`` mark what they reach."""
     s = box.scenario
     spread = [sum(1 << out * s.b_card for out in support) for support in c.supports]
-    used = [a for a, pa in enumerate(box.alice[x]) if pa]
-    patterns = [[sum(1 << b for b, w in enumerate(box.weights[x][y][a]) if w) for a in range(s.a_card)]
+    used = [a for a, pa in enumerate(box.alice[x][:width]) if pa]
+    patterns = [[sum(1 << b for b, w in enumerate(box.weights[x][y][a]) if w) for a in range(width)]
                 for y in range(s.y_card)]
-    for cins in itertools.product(range(c.n_inputs), repeat=s.a_card):
+    for cins in itertools.product(range(c.n_inputs), repeat=width):
         reach = 0
         for a in used:
             reach |= spread[cins[a]]
@@ -467,6 +484,90 @@ def _blocks(c: Channel, box: Behavior, x: int):
                 packed |= spread[cins[a]] * row[a]
             cells.append(packed)
         yield cins, reach << s.b_card - 1, tuple(cells)
+
+
+def _window(c: Channel, box: Behavior, x: int):
+    """The per-cell bitsets of box input x's block table over one window:
+    the n^d blocks that share their first A-d channel inputs, with d = A when
+    all n^A blocks fit in ``PASSING_WINDOW``.  Returns ``(leads, size, reach,
+    cells)``: ``leads`` is a tee of ``_blocks_over`` the first A-d outcomes,
+    one per window of ``size`` blocks; bit j of ``reach[out]`` and of
+    ``cells[y][out * B + b]`` is set when the window's block j sets that
+    output's top bit or that cell bit through its last d outcomes (see
+    ``_blocks``).  Outcome a's channel input is the base-n digit of weight
+    w = n^(A-1-a) of the block index, so the blocks where it is i form the
+    run ``((1 << w) - 1) << i * w``, repeated every n*w blocks by one
+    multiply: no block is built.
+    """
+    s = box.scenario
+    n, a_card, b_card = c.n_inputs, s.a_card, s.b_card
+    leading = 0
+    while n ** (a_card - leading) > PASSING_WINDOW:
+        leading += 1
+    size = n ** (a_card - leading)
+    reach = [0] * c.n_outputs
+    cells = [[0] * len(reach) * b_card for _ in range(s.y_card)]
+    for a in range(leading, a_card):
+        if not box.alice[x][a]:
+            continue
+        outcomes = [(row, [b for b, p in enumerate(box.weights[x][y][a]) if p]) for y, row in enumerate(cells)]
+        w = n ** (a_card - 1 - a)
+        repeat = ((1 << size) - 1) // ((1 << n * w) - 1)
+        for i, support in enumerate(c.supports):
+            run = ((1 << w) - 1 << i * w) * repeat
+            for out in support:
+                reach[out] |= run
+                for row, bs in outcomes:
+                    for b in bs:
+                        row[out * b_card + b] |= run
+    return itertools.tee(_blocks_over(c, box, x, leading), 1)[0], size, reach, cells
+
+
+#: the bytes ``b"0"`` and ``b"1"`` of a binary numeral as the bits 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _passing_bits(masks, window, b_card: int):
+    """One bit per block of the last message's table, in order: 1 iff the
+    prefix with masks ``masks`` and that block leave every output hit by two
+    or more messages a clash-free box input.  A window's passing set,
+    ``full & ~fail``, is built when the walk reaches the window.  Its lead
+    (see ``_window``) belongs to the last message, so it is folded into the
+    prefix's multi-hit outputs and clashing cells only.  Each output the
+    prefix hits fails on the blocks that reach it (all, if multi-hit
+    already), ANDed over each y still clash-free there with the union of the
+    cell bitsets of the outcomes the prefix has seen at the output.
+    """
+    leads, size, reach, cells = window
+    hit, multi, pairs = masks
+    full = (1 << size) - 1
+    group = (1 << b_card) - 1
+
+    def passing(lead):
+        _, lead_reach, lead_cells = lead
+        multi_lead = multi | hit & lead_reach
+        clashes = [both | seen & cell for (both, seen), cell in zip(pairs, lead_cells)]
+        fail = 0
+        rest = hit
+        while rest and fail != full:
+            top = rest & -rest
+            rest ^= top
+            shift = top.bit_length() - b_card
+            failing = full if multi_lead & top else reach[shift // b_card]
+            for clash, (_, seen), row in zip(clashes, pairs, cells):
+                if clash >> shift & group:
+                    continue  # y clashes here whatever the window's block
+                outcomes = seen >> shift & group
+                union = 0
+                while outcomes:
+                    b = outcomes & -outcomes
+                    outcomes ^= b
+                    union |= row[shift + b.bit_length() - 1]
+                failing &= union
+            fail |= failing
+        return f"{full & ~fail:0{size}b}"[::-1].encode().translate(_BIT_BYTES)  # byte j is bit j
+
+    return itertools.chain.from_iterable(map(passing, copy.copy(leads)))
 
 
 def _prefixes(tables, masks):
@@ -510,32 +611,22 @@ def _extend(masks, block):
             [(both | seen & new, seen | new) for (both, seen), new in zip(pairs, cells)])
 
 
-def _complete_decoder(masks, prefix, block, low: int, n_out: int, b_card: int):
+def _complete_decoder(passes: int, masks, prefix, block, n_out: int, b_card: int):
     """The forced decoder of one encoder, as its ``(y, guesses)`` rules, or
-    None when some output admits no box input (or skip) whose outcome cells
-    are message-pure.
+    None when its ``_passing_bits`` bit ``passes`` is clear: then some
+    output admits no box input (or skip) whose outcome cells are
+    message-pure.
 
     The encoder is ``prefix`` (one ``_blocks`` block per message but the
-    last) plus ``block``, ``masks`` are the prefix's ``_extend`` masks and
-    ``low`` comes from ``_low_bits``.
-    The encoder fails iff some output hit by two or more messages has, on
-    every y, an outcome cell that two messages share.  ``bad`` holds those
-    outputs on the top bit of their cell groups; on each y, the clash mask
-    ``g`` has some bit of an output's group set iff the top bit of
-    ``((g & low) + low) | g`` is set, and no carry crosses into the next
-    group because ``(g & low) + low < 2**B`` within each group.  Otherwise
-    an output hit by at most one message skips the box and guesses that
+    last) plus ``block``, and ``masks`` are the prefix's ``_extend`` masks.
+    An output hit by at most one message skips the box and guesses that
     message (or 0); a multi-hit output takes the first clash-free y and
     guesses, per outcome b, the message whose cell is positive (or 0).
     """
+    if not passes:
+        return None
     hit, multi, pairs = masks
     _, reach, cells = block
-    bad = multi | hit & reach
-    for (both, seen), cell in zip(pairs, cells):
-        clash = both | seen & cell
-        bad &= (clash & low) + low | clash
-    if bad:
-        return None
     leaf = prefix + (block,)
     multi |= hit & reach
     shared = [both | seen & cell for (both, seen), cell in zip(pairs, cells)]

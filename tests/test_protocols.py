@@ -523,12 +523,16 @@ ASSISTED_ANSWERS = [
     ("Nm", 3, "pm", 2, True, ((0, 1), (0, 1, 2, 3, 4, 5))),
     ("Mm", 3, "i3322", 2, False, None),
     ("Nm", 2, "pr", 3, False, None),
-    pytest.param("Mm", 3, "rtilde", 3, True, ((0, 1, 2), (0, 1, 2, 3, 4, 5)), marks=pytest.mark.slow),
+    ("Mm", 3, "rtilde", 3, True, ((0, 1, 2), (0, 1, 2, 3, 4, 5))),
 ]
 
 
 @pytest.mark.parametrize("family, m, box_family, k, found, encoder", ASSISTED_ANSWERS)
 def test_exhaustive_search_answers_are_pinned(family, m, box_family, k, found, encoder):
+    check_answer(family, m, box_family, k, found, encoder)
+
+
+def check_answer(family, m, box_family, k, found, encoder):
     from zecomm.cli import BOX_FAMILIES, CHANNEL_FAMILIES
 
     channel, box = CHANNEL_FAMILIES[family](m), BOX_FAMILIES[box_family][1](m)
@@ -673,6 +677,17 @@ def draw_leaf(c, box, k, data):
     return enc_box, tuple(data.draw(st.sampled_from(list(protocols._blocks(c, box, x)))) for x in enc_box)
 
 
+def passing_bits(c, box, x, masks):
+    """The search's passing bit of each block of box input x's table, after
+    a prefix with masks ``masks``."""
+    return list(protocols._passing_bits(masks, protocols._window(c, box, x), box.scenario.b_card))
+
+
+def block_index(c, block):
+    """Index of a block in its table: its channel inputs as base-n digits."""
+    return functools.reduce(lambda rank, cin: rank * c.n_inputs + cin, block[0], 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(search_cases(), st.data())
 def test_complete_decoder_matches_reference_on_random_encoders(case, data):
@@ -681,30 +696,29 @@ def test_complete_decoder_matches_reference_on_random_encoders(case, data):
     enc_box, leaf = draw_leaf(c, box, k, data)
     *prefix, block = leaf
     masks = functools.reduce(protocols._extend, prefix, no_masks(box))
-    low = protocols._low_bits(c.n_outputs, box.scenario.b_card)
+    passes = passing_bits(c, box, enc_box[-1], masks)[block_index(c, block)]
     enc_channel_flat = tuple(cin for cins, _, _ in leaf for cin in cins)
     _, reach = reference_encoder(c, box, enc_box, enc_channel_flat)
-    assert (protocols._complete_decoder(masks, tuple(prefix), block, low, c.n_outputs, box.scenario.b_card)
+    assert (protocols._complete_decoder(passes, masks, tuple(prefix), block, c.n_outputs, box.scenario.b_card)
             == reference_complete_decoder(box, enc_box, reach, c.n_outputs))
 
 
 def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes():
-    # B = 3, which the random cases above rarely draw: a carry out of the
-    # wrong bits would mark the neighbouring output's top bit.
+    # B = 3, which the random cases above rarely draw: an outcome's cell
+    # bitset read at the wrong output or outcome would fail some encoder.
     # Every encoder of the 3-input noiseless channel with K = 2 and the 2-2-3
     # extremal box: 2,916 encoders, of which 1,032 read the box.
     c, box = identity_channel(3), make_extremal_box(3, 3)
     s = box.scenario
-    low = protocols._low_bits(c.n_outputs, s.b_card)
     reads_box = 0  # decoders that read the box on some output
     for enc_box in itertools.product(range(s.x_card), repeat=2):
         first, last = (list(protocols._blocks(c, box, x)) for x in enc_box)
         for head in first:
             masks = protocols._extend(no_masks(box), head)
-            for block in last:
+            for block, passes in zip(last, passing_bits(c, box, enc_box[-1], masks), strict=True):
                 _, reach = reference_encoder(c, box, enc_box, head[0] + block[0])
                 expected = reference_complete_decoder(box, enc_box, reach, c.n_outputs)
-                assert protocols._complete_decoder(masks, (head,), block, low, c.n_outputs, s.b_card) == expected
+                assert protocols._complete_decoder(passes, masks, (head,), block, c.n_outputs, s.b_card) == expected
                 reads_box += expected is not None and any(y is not SKIP for y, _ in expected)
     assert reads_box == 1032
 
@@ -903,22 +917,99 @@ def test_exhaustive_search_matches_the_per_encoder_reference_on_random_budgets(c
             == search_outcome(reference_assisted_search, c, box, k, budget))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda b_card: st.tuples(
-    st.just(b_card), st.lists(st.integers(0, (1 << b_card) - 1), min_size=1, max_size=8))))
-@example((1, [1, 0, 1]))
-@example((3, [0, 7]))  # the highest output full: its carry must stay inside its group
-@example((4, [15, 0, 15, 0]))
-def test_group_test_marks_the_outputs_with_a_set_cell(case):
-    # the top bit of ((g & low) + low) | g is set iff some bit of the
-    # output's B-bit group of g is set, and nothing spills past the group
-    b_card, groups = case
-    low = protocols._low_bits(len(groups), b_card)
-    mask = sum(group << out * b_card for out, group in enumerate(groups))
-    flags = (mask & low) + low | mask
-    for out, group in enumerate(groups):
-        assert flags >> out * b_card + b_card - 1 & 1 == (group != 0)
-    assert flags >> len(groups) * b_card == 0
+#: PASSING_WINDOW values the windowed tests patch in: one block, small
+#: sizes that split most tables into many windows (a window is the largest
+#: power of n that fits), and the default, under which each table is one
+WINDOW_SIZES = [1, 2, 3, 5, protocols.PASSING_WINDOW]
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.sampled_from(WINDOW_SIZES))
+@example((make_channel([[Fraction(1, 2), Fraction(1, 2)]], IndexSpace((1,)), IndexSpace((2,))),
+          make_extremal_box(2, 2), 2), 2)  # one channel input
+@example((make_nm(2), uniform_behavior(Scenario(2, 2, 1, 2)), 2), 3)  # one outcome
+@example((identity_channel(3), make_extremal_box(3, 3), 2), 5)  # three outcomes
+@example((make_nm(2), make_local_deterministic([1, 2], [0, 2], Scenario(2, 2, 3, 3)), 2), 3)  # unused outcomes
+def test_window_bitsets_match_the_built_blocks(case, window):
+    # each block is its window's lead plus the window bits set at its index
+    c, box, _ = case
+    s = box.scenario
+    digits = max(d for d in range(s.a_card + 1) if c.n_inputs**d <= window)
+    for x in range(s.x_card):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "PASSING_WINDOW", window)
+            leads, size, reach, cells = protocols._window(c, box, x)
+        leads, blocks = list(leads), list(protocols._blocks(c, box, x))
+        assert size == c.n_inputs**digits and len(leads) * size == len(blocks)
+        for index, (cins, block_reach, block_cells) in enumerate(blocks):
+            lead_cins, lead_reach, lead_cells = leads[index // size]
+            j = index % size
+            assert lead_cins == cins[:s.a_card - digits]
+            assert block_reach == lead_reach | sum(1 << out * s.b_card + s.b_card - 1
+                                                   for out, bits in enumerate(reach) if bits >> j & 1)
+            assert block_cells == tuple(lead | sum(1 << cell for cell, bits in enumerate(row) if bits >> j & 1)
+                                        for lead, row in zip(lead_cells, cells, strict=True))
+
+
+@pytest.mark.parametrize("window", WINDOW_SIZES)
+@settings(max_examples=150, deadline=None)
+@given(case=search_cases(), data=st.data())
+def test_windowed_search_matches_the_per_encoder_reference(window, case, data):
+    c, box, k = case
+    s = box.scenario
+    budget = data.draw(st.integers(1, s.x_card**k * c.n_inputs ** (k * s.a_card) + 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "PASSING_WINDOW", window)
+        assert (search_outcome(exhaustive_assisted_search, c, box, k, budget)
+                == search_outcome(reference_assisted_search, c, box, k, budget))
+
+
+@pytest.mark.parametrize("window", WINDOW_SIZES)
+@pytest.mark.parametrize("family, m, box_family, k, found, encoder", [
+    answer for answer in ASSISTED_ANSWERS if answer[:4] in {("Nm", 2, "pr", 2), ("Nm", 3, "pm", 2),
+                                                            ("Mm", 3, "i3322", 2), ("Nm", 2, "pr", 3)}])
+def test_windowed_search_answers_are_pinned(window, family, m, box_family, k, found, encoder, monkeypatch):
+    # hits whose last message shares outputs with the others, and refutations
+    monkeypatch.setattr(protocols, "PASSING_WINDOW", window)
+    check_answer(family, m, box_family, k, found, encoder)
+
+
+@pytest.fixture
+def built_windows(monkeypatch):
+    """The list that gets the box input of each ``_window`` built."""
+    built = []
+    window = protocols._window
+
+    def counting(c, box, x):
+        built.append(x)
+        return window(c, box, x)
+
+    monkeypatch.setattr(protocols, "_window", counting)
+    return built
+
+
+def test_one_message_search_builds_one_block_and_no_bitset(built_blocks, built_windows):
+    from zecomm.cli import BOX_FAMILIES
+
+    c, box = make_nm(5), BOX_FAMILIES["pm"][1](5)
+    found, protocol = exhaustive_assisted_search(c, box, 1)
+    assert found and encoder_of(protocol) == ((0,), (0, 0, 0, 0, 0))
+    assert (len(built_blocks), built_windows) == (1, [])
+
+
+def test_bitsets_are_built_once_per_box_input_walked_last(built_windows):
+    # box input 1 is not walked at all before the hit in (0, 0), nor before
+    # the budget stops inside the 16**3 encoders of (0, 0, 0)
+    found, _ = exhaustive_assisted_search(make_nm(4), make_extremal_box(2, 2), 2)
+    assert found and built_windows == [0]
+    built_windows.clear()
+    c, box = make_nm(2), make_extremal_box(2, 2)
+    with pytest.raises(SearchLimitExceeded):
+        exhaustive_assisted_search(c, box, 3, max_branches=100)
+    assert built_windows == [0]
+    built_windows.clear()
+    assert exhaustive_assisted_search(c, box, 3) == (False, None)
+    assert built_windows == [0, 1]
 
 
 def test_protocol_json_roundtrip():
