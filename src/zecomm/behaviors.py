@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .numeric import (
     FLOAT_TOL,
     RATIONAL,
+    check_index,
     check_mode,
     check_table_size,
     integer_rows,
@@ -81,7 +82,12 @@ class Behavior:
         object.__setattr__(self, "alice", tuple(tuple(map(sum, xs[0])) for xs in weights))
 
     def prob(self, x: int, y: int, a: int, b: int):
-        """p(a,b|x,y) for display, I/O and tests; evaluators read ``weights``."""
+        """p(a,b|x,y) for display, I/O and tests; evaluators read ``weights``.
+        Refuses an index that is not an int in range."""
+        s = self.scenario
+        for name, v, n in (("box input x", x, s.x_card), ("box input y", y, s.y_card),
+                           ("outcome a", a, s.a_card), ("outcome b", b, s.b_card)):
+            check_index(name, v, n)
         w = self.weights[x][y][a][b]
         return Fraction(w, self.denominator) if self.mode == RATIONAL else w
 

@@ -2,15 +2,18 @@
 families whose confusability graphs are complete yet which become useful under
 extremal no-signaling assistance.
 
-A channel is an integer table: ``weights[input][output]`` holds the numerator
-of p(o|i) over one common ``denominator`` (in lowest terms), and each column
-(fixed input) sums exactly to the denominator.  Channels are always exact;
-only boxes (:mod:`zecomm.behaviors`) may hold floats.  ``Channel(...)``, the
-one constructor, takes sparse columns: per input, its outputs in increasing
-order and their numerators.  Both families are layered: each layer is one
-list, o2 of every flat input, read off one table of the rotations ``pi_perm``;
-the theorem schemes of :mod:`zecomm.protocols` read their decoders off the
-same lists.
+A channel is one stored integer table of sparse columns:
+``columns[input]`` lists the outputs o with p(o|i) > 0 in increasing order
+and their numerators over one common ``denominator`` (in lowest terms),
+summing exactly to it.  Every zero-error question depends only on which
+entries are positive, so the package reads the columns; the dense
+``weights[input][output]`` is computed from them on first read, by
+``Channel.prob`` and ``best_unassisted_success`` only.  Channels are always
+exact; only boxes (:mod:`zecomm.behaviors`) may hold floats.
+``Channel(...)``, the one constructor, takes sparse columns.  Both families
+are layered: each layer is one list, o2 of every flat input, read off one
+table of the rotations ``pi_perm``; the theorem schemes of
+:mod:`zecomm.protocols` read their decoders off the same lists.
 Alphabets are :class:`IndexSpace` objects, whose labels are display tuples in
 flat-index order; the first output factor of the structured families carries
 a +1 display offset (labels 1..m+1 resp. 1..m(m-1)+1, stored 0-based).
@@ -22,11 +25,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, product
 from operator import lt
 from typing import Sequence
 
-from .numeric import RATIONAL, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
+from .numeric import RATIONAL, check_index, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,18 @@ class Channel:
     0..n_outputs-1 and the numerators ints or Fractions over ``denominator``,
     summing to it.  Every column given is checked, then stored canonically:
     positive entries only, in lowest terms by ``integer_rows``, as tuples, so
-    that equal channels compare and hash equal.  ``weights[input_flat]`` is
-    the same column dense and ``supports[input_flat]`` its outputs.  A dense
-    table of outside entries is built by :func:`make_channel`.
+    that equal channels compare and hash equal.  The columns are the one
+    stored table and ``supports[input_flat]`` their outputs.  ``weights`` is
+    the same table dense, computed from the columns on first read and kept;
+    graphs, exact and Monte-Carlo evaluation, the assisted search, tensor
+    products and JSON/CSV export never compute it.  A dense table of outside
+    entries is built by :func:`make_channel`.
     """
 
     input_space: IndexSpace
     output_space: IndexSpace
     columns: tuple  # columns[input_flat] = (outputs, numerators)
     denominator: int = 1
-    weights: tuple = field(init=False, repr=False, compare=False)  # weights[input_flat][output_flat]
     supports: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,22 +103,31 @@ class Channel:
         if problems:
             raise ValueError("invalid channel: " + "; ".join(problems))
         rows, denominator = integer_rows([numerators for _, numerators in columns], self.denominator)
-        canonical, weights = [], []
+        canonical = []
         for (outputs, _), row in zip(columns, rows):
             if 0 in row:  # positive entries only
                 outputs, row = compress(outputs, row), tuple(compress(row, row))
-            outputs = tuple(outputs)
-            canonical.append((outputs, row))
-            column = [0] * n_out
-            for o, w in zip(outputs, row):
-                column[o] = w
-            weights.append(tuple(column))
+            canonical.append((tuple(outputs), row))
         object.__setattr__(self, "columns", tuple(canonical))
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "supports", tuple(outputs for outputs, _ in canonical))
 
+    @cached_property
+    def weights(self) -> tuple:
+        """The dense table: ``weights[input_flat][output_flat]`` is the
+        numerator of p(output|input), 0 off the column's outputs."""
+        dense, zeros = [], [0] * self.n_outputs
+        for outputs, numerators in self.columns:
+            column = zeros.copy()
+            for o, w in zip(outputs, numerators):
+                column[o] = w
+            dense.append(tuple(column))
+        return tuple(dense)
+
     def prob(self, output_flat: int, input_flat: int) -> Fraction:
+        """p(output|input); refuses an index that is not an int in range."""
+        check_index("channel output", output_flat, self.n_outputs)
+        check_index("channel input", input_flat, self.n_inputs)
         return Fraction(self.weights[input_flat][output_flat], self.denominator)
 
     @property
@@ -289,13 +304,15 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
     return Channel(input_space, output_space, columns, c1.denominator * c2.denominator)
 
 
-def _sampling_table(column, denominator=None) -> tuple[list, list]:
-    """Threshold table ``(indices, bounds)`` of one distribution: a key k
-    draws ``indices[bisect_right(bounds, k)]``.
+def _sampling_table(indices, numerators, denominator=None) -> tuple[list, list]:
+    """Threshold table ``(kept, bounds)`` of one distribution, given as its
+    ``indices`` and their ``numerators``: a key k draws
+    ``kept[bisect_right(bounds, k)]``.
 
-    ``column`` is int numerators over ``denominator``, or floats when
-    ``denominator`` is None.  ``indices`` lists the positive entries.  For
-    an integer column, k is a 64-bit draw r and the bound of an entry with
+    ``numerators`` are ints over ``denominator``, or floats when
+    ``denominator`` is None.  ``kept`` lists the indices of the positive
+    entries, in the order given.  For an integer column, k is a 64-bit draw
+    r and the bound of an entry with
     running numerator N is ceil(N * 2**64 / denominator), so r falls below
     it exactly when r / 2**64 < N / denominator; the draw lies on a 2**-64
     grid, so each entry is sampled to within 2**-64 (1/3, say, not exactly).
@@ -306,26 +323,33 @@ def _sampling_table(column, denominator=None) -> tuple[list, list]:
     the last total (float round-off) draws the last positive entry; a column
     with no positive entry is ``([0], [inf])``.
     """
-    indices, bounds, total = [], [], 0
-    for idx, w in enumerate(column):
+    kept, bounds, total = [], [], 0
+    for idx, w in zip(indices, numerators):
         if w > 0:
             total += w
-            indices.append(idx)
+            kept.append(idx)
             bounds.append(total if denominator is None else -(-(total << 64) // denominator))
-    if not indices:
+    if not kept:
         return [0], [math.inf]
     bounds[-1] = math.inf
-    return indices, bounds
+    return kept, bounds
 
 
 # --- JSON interchange -------------------------------------------------------
 
 def channel_to_json(c: Channel) -> dict:
+    """``matrix[input][output]`` is "num/den", "0/1" off the column's outputs."""
+    matrix, zeros = [], ["0/1"] * c.n_outputs
+    for outputs, numerators in c.columns:
+        column = zeros.copy()
+        for o, w in zip(outputs, numerators):
+            column[o] = ratio_text(w, c.denominator)
+        matrix.append(column)
     return {
         "inputs": {"factors": list(c.input_space.factors), "offsets": list(c.input_space.offsets)},
         "outputs": {"factors": list(c.output_space.factors), "offsets": list(c.output_space.offsets)},
         "mode": RATIONAL,
-        "matrix": [[ratio_text(w, c.denominator) for w in column] for column in c.weights],
+        "matrix": matrix,
     }
 
 

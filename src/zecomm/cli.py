@@ -23,7 +23,7 @@ import json
 import sys
 
 from . import behaviors, channels, graphs, protocols, quantum, verify
-from .numeric import FLOAT, RATIONAL, format_value, ratio_text
+from .numeric import FLOAT, RATIONAL, format_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -103,8 +103,8 @@ def _write_csv_channel(c: channels.Channel, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["output"] + [str(l) for l in c.input_space.labels()])
-        for out_label, row in zip(c.output_space.labels(), zip(*c.weights)):
-            writer.writerow([str(out_label)] + [ratio_text(w, c.denominator) for w in row])
+        for out_label, row in zip(c.output_space.labels(), zip(*channels.channel_to_json(c)["matrix"])):
+            writer.writerow([str(out_label), *row])
 
 
 def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
@@ -197,6 +197,8 @@ def _check_scheme_alphabets(c: channels.Channel, box: behaviors.Behavior, scheme
 
 
 def cmd_success(args) -> int:
+    if args.seed is not None and args.mc is None:
+        raise CliError("--seed requires --mc: exact evaluation draws nothing")
     c = _load_channel_arg(args)
     box = _load_box_arg(args)
     _check_scheme_alphabets(c, box, args.scheme, args.m)
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_box_source(p, list(BOX_FAMILIES))
     p.add_argument("--scheme", required=True, choices=list(protocols.SCHEMES))
     p.add_argument("--mc", type=int, help="Monte-Carlo trials instead of exact evaluation")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed, required with --mc and refused without it")
     p.add_argument("--float", action="store_true", help="render values as decimals")
     p.add_argument("--json", action="store_true")
 

@@ -23,7 +23,9 @@ FLOAT_TOL = 1e-9
 #: as_prob clamps float noise this close to [0, 1]
 POS_EPS = 1e-12
 
-#: largest table, in entries, that a family builder allocates
+#: largest table, in dense entries (zeros included), that a family builder
+#: accepts: a channel stores only its positive entries, but its JSON and CSV
+#: export and its dense ``weights`` view write every entry
 MAX_TABLE_ENTRIES = 10**6
 
 
@@ -139,9 +141,20 @@ def table_problems(blocks, denominator, rational: bool) -> list[str]:
 
 
 def check_table_size(entries: int) -> None:
-    """Refuse a table of more than ``MAX_TABLE_ENTRIES`` entries, before it is built."""
+    """Refuse a table of more than ``MAX_TABLE_ENTRIES`` dense entries, before it is built."""
     if entries > MAX_TABLE_ENTRIES:
         raise ValueError(f"a table of {entries} entries exceeds the limit of {MAX_TABLE_ENTRIES}")
+
+
+def is_index(v, n: int) -> bool:
+    """True iff ``v`` is an int (not a bool) in 0..n-1."""
+    return type(v) is int and 0 <= v < n
+
+
+def check_index(name: str, v, n: int) -> None:
+    """Refuse ``v`` unless :func:`is_index` holds, naming it as ``name``."""
+    if not is_index(v, n):
+        raise ValueError(f"{name} index {v!r} is not an int in 0..{n - 1}")
 
 
 def ratio_text(numerator: int, denominator: int) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .behaviors import Behavior, Scenario, is_no_signaling
 from .channels import Channel, _mm_layers, _mm_spaces, _nm_layers, _nm_spaces, _sampling_table
-from .numeric import RATIONAL
+from .numeric import RATIONAL, is_index
 
 #: largest encoder count ``best_unassisted_success`` enumerates
 UNASSISTED_ENCODER_LIMIT = 10**7
@@ -163,21 +163,16 @@ def _check_no_signaling(box: Behavior) -> None:
                          "only no-signaling boxes belong to the model")
 
 
-def _is_index(v, n: int) -> bool:
-    """True iff ``v`` is an int (not a bool) in 0..n-1."""
-    return type(v) is int and 0 <= v < n
-
-
 def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
     _check_no_signaling(box)
     s = box.scenario
     for g, x in enumerate(p.enc_box_input):
-        if not _is_index(x, s.x_card):
+        if not is_index(x, s.x_card):
             raise ValueError(f"enc_box_input[{g}] = {x!r} is not a box input 0..{s.x_card - 1}")
         for a in range(s.a_card):
             if (g, a) not in p.enc_channel_input:
                 raise ValueError(f"enc_channel_input missing ({g},{a})")
-            if not _is_index(cin := p.enc_channel_input[g, a], c.n_inputs):
+            if not is_index(cin := p.enc_channel_input[g, a], c.n_inputs):
                 raise ValueError(f"enc_channel_input[{g}, {a}] = {cin!r} is not a channel input 0..{c.n_inputs - 1}")
     if len(p.enc_channel_input) != p.message_count * s.a_card:  # every key inside is there: the rest are strays
         inside = set(itertools.product(range(p.message_count), range(s.a_card)))
@@ -190,7 +185,7 @@ def _check_compatible(c: Channel, box: Behavior, p: AssistedProtocol) -> None:
         if y is SKIP:
             if len(guesses) != 1:
                 raise ValueError(f"decoder skips the box on output {out} but holds {len(guesses)} guesses, not 1")
-        elif not _is_index(y, s.y_card):
+        elif not is_index(y, s.y_card):
             raise ValueError(f"decoder box input {y!r} on output {out} is not a box input 0..{s.y_card - 1}")
         elif len(guesses) < s.b_card:
             raise ValueError(f"decoder holds {len(guesses)} guesses on output {out}, fewer than the box's "
@@ -213,17 +208,16 @@ def per_message_success(c: Channel, box: Behavior, p: AssistedProtocol):
         x = p.enc_box_input[g]
         total = 0
         for a, pa in enumerate(box.alice[x]):
-            cin = p.enc_channel_input[(g, a)]
-            row = c.weights[cin]
-            for out in c.supports[cin]:
+            outputs, numerators = c.columns[p.enc_channel_input[(g, a)]]
+            for out, v in zip(outputs, numerators):
                 y, guesses = p.decoder[out]
                 if y is SKIP:
                     if guesses[0] == g:
-                        total += pa * row[out]
+                        total += pa * v
                 else:
                     for w, guess in zip(box.weights[x][y][a], guesses):  # p(a,b|x,y) = p(b|a,x,y) p(a|x) for NS boxes
                         if guess == g:
-                            total += w * row[out]
+                            total += w * v
         results.append(Fraction(total, denominator) if exact else total / denominator)
     return results
 
@@ -275,16 +269,20 @@ def monte_carlo_success(c: Channel, box: Behavior, p: AssistedProtocol, trials: 
     def bob_table(cell, pa):
         if pa <= 0:  # Alice never sees this outcome
             return None
-        return _sampling_table(cell, pa) if rational else _sampling_table([w / pa for w in cell])
+        if rational:
+            return _sampling_table(range(s.b_card), cell, pa)
+        return _sampling_table(range(s.b_card), [w / pa for w in cell])
 
     bob = {x: [list(map(bob_table, box.weights[x][y], box.alice[x])) for y in range(s.y_card)]
            for x in set(p.enc_box_input)}
     plans = []
     for g, x in enumerate(p.enc_box_input):
-        alice_indices, alice_bounds = _sampling_table(box.alice[x], box.denominator if rational else None)
-        channel = [_sampling_table(c.weights[p.enc_channel_input[(g, a)]], c.denominator) for a in range(s.a_card)]
+        alice_indices, alice_bounds = _sampling_table(range(s.a_card), box.alice[x],
+                                                      box.denominator if rational else None)
+        channel = [_sampling_table(*c.columns[p.enc_channel_input[(g, a)]], c.denominator) for a in range(s.a_card)]
         plans.append((alice_indices, alice_bounds, channel, bob[x]))
-    message_indices, message_bounds = _sampling_table([1] * p.message_count, p.message_count)
+    message_indices, message_bounds = _sampling_table(range(p.message_count), [1] * p.message_count,
+                                                      p.message_count)
     decoder = p.decoder
 
     rng = random.Random(seed)

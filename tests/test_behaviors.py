@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,20 @@ def test_rtilde_entries():
     assert box.prob(2, 1, 0, 1) == 0
     assert box.prob(2, 1, 1, 1) == Fraction(1, 2)
     assert validate_behavior(box) == []
+
+
+@pytest.mark.parametrize("index, refusal", [
+    ((-1, 0, 0, 0), "box input x index -1 is not an int in 0..2"),
+    ((3, 0, 0, 0), "box input x index 3 is not an int in 0..2"),
+    ((0, True, 0, 0), "box input y index True is not an int in 0..2"),
+    ((0, 0, -1, 0), "outcome a index -1 is not an int in 0..1"),
+    ((0, 0, 0, 2), "outcome b index 2 is not an int in 0..1"),
+    ((0, 0, 0, 1.0), "outcome b index 1.0 is not an int in 0..1"),
+], ids=["x-negative", "x-past-end", "y-bool", "a-negative", "b-past-end", "b-float"])
+def test_prob_refuses_an_index_that_is_not_an_int_in_range(index, refusal):
+    # Python's negative indexing would read the x = 2 entry for x = -1
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        make_rtilde_box(3).prob(*index)
 
 
 def test_jones_box_generalizes_rtilde():

@@ -1,9 +1,12 @@
+import csv
 import json
 import math
 import random
 import re
+import tempfile
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import cumulative_table, flatten, sample_column
 from zecomm import reference
+from zecomm.behaviors import make_extremal_box, make_rtilde_box
 from zecomm.channels import (
     Channel,
     IndexSpace,
@@ -24,6 +28,9 @@ from zecomm.channels import (
     pi_perm,
     tensor_channels,
 )
+from zecomm.cli import _write_csv_channel
+from zecomm.graphs import confusability_graph, zero_error_capacity_oneshot
+from zecomm.protocols import make_theorem2_protocol, make_theorem3_protocol, monte_carlo_success, per_message_success
 
 
 # --- reference: the per-entry rule builder -------------------------------------
@@ -106,7 +113,7 @@ def unflatten(space, flat):
 def draw(c, input_flat, seed):
     """One output of ``c`` for ``input_flat``, drawn as Monte-Carlo sampling
     draws a channel output."""
-    indices, bounds = _sampling_table(c.weights[input_flat], c.denominator)
+    indices, bounds = _sampling_table(*c.columns[input_flat], c.denominator)
     return indices[bisect_right(bounds, random.Random(seed).getrandbits(64))]
 
 
@@ -312,6 +319,82 @@ def test_constructors_refuse_malformed_arguments_by_name(build, refusal):
         build()
 
 
+@pytest.mark.parametrize("output_flat, input_flat, refusal", [
+    (-1, 0, "channel output index -1 is not an int in 0..11"),
+    (12, 0, "channel output index 12 is not an int in 0..11"),
+    (True, 0, "channel output index True is not an int in 0..11"),
+    (1.0, 0, "channel output index 1.0 is not an int in 0..11"),
+    (0, -1, "channel input index -1 is not an int in 0..5"),
+    (0, 6, "channel input index 6 is not an int in 0..5"),
+    (0, False, "channel input index False is not an int in 0..5"),
+], ids=["output-negative", "output-past-end", "output-bool", "output-float", "input-negative", "input-past-end",
+        "input-bool"])
+def test_prob_refuses_an_index_that_is_not_an_int_in_range(output_flat, input_flat, refusal):
+    # Python's negative indexing would read the last output's entry for -1
+    with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+        make_nm(3).prob(output_flat, input_flat)
+
+
+def csv_cells(c) -> list[list[str]]:
+    """The probability cells of ``c``'s CSV export, as ``[output][input]``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.csv"
+        _write_csv_channel(c, str(path))
+        with open(path, newline="") as fh:
+            return [row[1:] for row in list(csv.reader(fh))[1:]]
+
+
+def test_the_package_never_builds_the_dense_view():
+    mm12, nm5 = make_mm(12), make_nm(5)
+    for c, scheme, box in ((mm12, make_theorem3_protocol(12), make_rtilde_box(12)),
+                           (nm5, make_theorem2_protocol(5), make_extremal_box(5, 5))):
+        confusability_graph(c)
+        zero_error_capacity_oneshot(c)
+        assert per_message_success(c, box, scheme) == [1] * scheme.message_count
+        assert monte_carlo_success(c, box, scheme, 50, 1) == (1.0, 0.0)
+        channel_to_json(c)
+        csv_cells(c)
+    prod = tensor_channels(mm12, nm5)
+    for c in (mm12, nm5, prod):
+        assert "weights" not in vars(c)
+    assert nm5.weights[0][0] == 1 and "weights" in vars(nm5)  # computed on first read, then kept
+
+
+@st.composite
+def sparse_channels(draw, tensor=True):
+    """``(c, reference)``: a channel built from random sparse columns over a
+    random denominator, or (when ``tensor``) the product of two, and its
+    table as ``reference[input][output]`` Fractions, written entry by entry."""
+    if tensor and draw(st.booleans()):
+        (c1, ref1), (c2, ref2) = draw(sparse_channels(tensor=False)), draw(sparse_channels(tensor=False))
+        reference = [[v1 * v2 for v1 in col1 for v2 in col2] for col1 in ref1 for col2 in ref2]
+        return tensor_channels(c1, c2), reference
+    n_in, n_out, denominator = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    columns, reference = [], []
+    for _ in range(n_in):
+        outputs = sorted(draw(st.sets(st.integers(0, n_out - 1), min_size=1)))  # one output now and then
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(outputs), max_size=len(outputs)))
+        numerators = [Fraction(w * denominator, sum(weights)) for w in weights]
+        columns.append((outputs, numerators))
+        column = [Fraction(0)] * n_out
+        for o, v in zip(outputs, numerators):
+            column[o] = v / denominator
+        reference.append(column)
+    return Channel(IndexSpace((n_in,)), IndexSpace((n_out,)), columns, denominator), reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_channels())
+def test_sparse_reads_match_a_per_entry_dense_reference(case):
+    c, reference = case
+    text = [[f"{v.numerator}/{v.denominator}" for v in column] for column in reference]
+    assert channel_to_json(c)["matrix"] == text
+    assert csv_cells(c) == [list(row) for row in zip(*text)]
+    assert "weights" not in vars(c)
+    assert [[Fraction(w, c.denominator) for w in column] for column in c.weights] == reference
+    assert table(c) == reference
+
+
 @st.composite
 def random_channels(draw):
     """A channel of small integer weights on up to 8 inputs and outputs, as
@@ -412,7 +495,7 @@ def test_threshold_draw_matches_multiply_and_compare(column, shortfall):
     # a column summing to less than its denominator checks the last entry's
     # catch-all bound against the reference's clamp
     denominator = sum(column) + shortfall
-    indices, bounds = _sampling_table(column, denominator)
+    indices, bounds = _sampling_table(range(len(column)), column, denominator)
     reference = cumulative_table(column, denominator)
     keys = {0, 2**64 - 1}
     keys.update(k for bound in bounds if bound != math.inf for k in (bound - 1, bound) if 0 <= k < 2**64)
@@ -424,11 +507,11 @@ def test_float_table_past_the_rounded_total_draws_the_last_positive_entry():
     column = [0.1] * 10 + [0.0]
     rounded_total = sum(column)
     assert rounded_total < 1.0
-    indices, bounds = _sampling_table(column)
+    indices, bounds = _sampling_table(range(len(column)), column)
     for key in (math.nextafter(rounded_total, 1.0), math.nextafter(1.0, 0.0)):
         assert indices[bisect_right(bounds, key)] == 9
-    assert _sampling_table([0, 0.0]) == ([0], [math.inf])
-    assert _sampling_table([0, 0], 5) == ([0], [math.inf])
+    assert _sampling_table(range(2), [0, 0.0]) == ([0], [math.inf])
+    assert _sampling_table(range(2), [0, 0], 5) == ([0], [math.inf])
 
 
 def test_channel_json_roundtrip():

@@ -83,6 +83,16 @@ def test_success_command_monte_carlo_requires_seed(capsys):
     assert "seed" in stderr
 
 
+def test_success_command_refuses_a_seed_without_monte_carlo(capsys):
+    code, stdout, stderr = run(
+        capsys, "success", "--family", "Nm", "--m", "3", "--box-family", "pm",
+        "--scheme", "theorem2", "--seed", "5",
+    )
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert stderr == "error: --seed requires --mc: exact evaluation draws nothing\n"
+
+
 def test_success_command_monte_carlo_refuses_a_negative_seed(capsys):
     # random.Random seeds with |seed|: -5 would print the estimate of seed 5
     code, stdout, stderr = run(

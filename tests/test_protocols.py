@@ -363,6 +363,47 @@ def test_monte_carlo_matches_the_reference_sampler(case):
             monte_carlo_reference(channel, box, protocol, 200, seed)
 
 
+def exact_reference(c, box, p):
+    """``per_message_success`` summed entry by entry over ``c.prob`` and
+    ``box.prob``, with p(a|x) as the sum of p(a,b|x,0) over b."""
+    results = []
+    for g, x in enumerate(p.enc_box_input):
+        total = 0
+        for a in range(box.scenario.a_card):
+            cin = p.enc_channel_input[(g, a)]
+            for out, (y, guesses) in enumerate(p.decoder):
+                if y is SKIP:
+                    hit = sum(box.prob(x, 0, a, b) for b in range(box.scenario.b_card)) if guesses[0] == g else 0
+                else:
+                    hit = sum(box.prob(x, y, a, b) for b, guess in enumerate(guesses) if guess == g)
+                total += c.prob(out, cin) * hit
+        results.append(total)
+    return results
+
+
+@st.composite
+def evaluation_cases(draw):
+    """``(channel, box, protocol)``: a search case's channel (numerators
+    other than 1 included) and box, with a random protocol for its K whose
+    decoder skips the box on some outputs."""
+    c, box, k = draw(search_cases())
+    s, messages = box.scenario, st.integers(0, k - 1)
+    enc_box = tuple(draw(st.integers(0, s.x_card - 1)) for _ in range(k))
+    enc_channel = {(g, a): draw(st.integers(0, c.n_inputs - 1)) for g in range(k) for a in range(s.a_card)}
+    decoder = tuple((SKIP, (draw(messages),)) if draw(st.booleans())
+                    else (draw(st.integers(0, s.y_card - 1)), tuple(draw(messages) for _ in range(s.b_card)))
+                    for _ in range(c.n_outputs))
+    return c, box, AssistedProtocol(k, enc_box, enc_channel, decoder)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases(), st.integers(0, 2**32))
+def test_exact_and_monte_carlo_evaluation_match_the_references_on_random_protocols(case, seed):
+    c, box, protocol = case
+    assert per_message_success(c, box, protocol) == exact_reference(c, box, protocol)
+    assert monte_carlo_success(c, box, protocol, 50, seed) == monte_carlo_reference(c, box, protocol, 50, seed)
+
+
 @pytest.mark.parametrize("trials, seed, refused", [
     (True, 1, "trials"), (2.5, 1, "trials"), ("10", 1, "trials"),
     (10, None, "seed"), (10, False, "seed"), (10, 1.0, "seed"), (10, "1", "seed"),

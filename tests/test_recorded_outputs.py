@@ -8,7 +8,9 @@ written by ``zecomm channel``, a protocol file or a ``search-assisted``
 answer differs from the recorded one.  The ``verify-paper`` report is pinned
 too, as text with its time column masked and as ``--json`` with every time
 set to 0, in the order printed; it was recorded before the checks became one
-table of module-level functions."""
+table of module-level functions.  The CSV file of ``zecomm channel --csv`` is
+pinned by the sha256 of its bytes, recorded before the CSV writer read the
+sparse columns."""
 
 import contextlib
 import hashlib
@@ -90,6 +92,20 @@ RECORDED = {
     "search Mm(3) rtilde K=3": "bfda6dfb82f0af25e822a65bc254237e8f49ceca17b9b326ff64f6a4e50b798b",
     "verify-paper": "1bad4695a5fe71c8dc5703840f1ea8dc776e801f4531569ee4956223fc21aca8",
     "verify-paper --json": "929e5ebf4985919df39231e1f2beec72c348014a654f82d76a717c46b4a3872d",
+}
+
+
+#: sha256 of the file ``zecomm channel --csv`` writes, per family and m
+RECORDED_CSV = {
+    "Nm(2)": "81883db4bc25ab559b610f5807dfe7f430b0a1b32696da085b71775a27dc18d9",
+    "Nm(3)": "3a93563550cc1137a2f946b25c45b4bc4c44dd790f7245cade587ae9062030d8",
+    "Nm(4)": "ff9b1cd8b2c8679d0aa2db38126e99ba4231873223fc10e74d96c3eeacb63bed",
+    "Nm(5)": "7be527643b21f01d8e4ba42a8202bbf5893881ceac228f3a7fca5a4befcd9ace",
+    "Nm(6)": "7367c2d63b6b4a30617cf0f5f3104522accd83103899b927fc878b943f2d5369",
+    "Mm(2)": "691d858cd6008f1b172ab7ff384373a1dc8d14af61cab4fda0a486e52eb739fe",
+    "Mm(3)": "4ef44620702aa5ee556621857b926cd3f40a3a9087141984a0e085b864b360d5",
+    "Mm(4)": "278034c3d18c901788f6a25a196d455535d0fe2e045dd84067fad0016f433b65",
+    "Mm(5)": "7b2e506774f47bc50b4b7603047b1d8ecda2a8ecc33c356a5628c261646d6e56",
 }
 
 
@@ -175,3 +191,13 @@ def test_every_build_has_a_recorded_digest():
 @pytest.mark.parametrize("name", list(BUILDS))
 def test_output_matches_the_recorded_digest(name):
     assert digest(BUILDS[name]()) == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", list(RECORDED_CSV))
+def test_channel_csv_matches_the_recorded_digest(name, tmp_path):
+    family, m = re.fullmatch(r"(\w+)\((\d+)\)", name).groups()
+    csv_path = tmp_path / "c.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["channel", "--family", family, "--m", m, "--out", str(tmp_path / "c.json"),
+                     "--csv", str(csv_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == RECORDED_CSV[name]
