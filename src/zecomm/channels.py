@@ -8,7 +8,7 @@ and their numerators over one common ``denominator`` (in lowest terms),
 summing exactly to it.  Every zero-error question depends only on which
 entries are positive, so the package reads the columns; the dense
 ``weights[input][output]`` is computed from them on first read, by
-``Channel.prob`` and ``best_unassisted_success`` only.  Channels are always
+``Channel.prob`` only.  Channels are always
 exact; only boxes (:mod:`zecomm.behaviors`) may hold floats.
 ``Channel(...)``, the one constructor, takes sparse columns.  Both families
 are layered: each layer is one list, o2 of every flat input, read off one
@@ -76,7 +76,7 @@ class Channel:
     that equal channels compare and hash equal.  The columns are the one
     stored table and ``supports[input_flat]`` their outputs.  ``weights`` is
     the same table dense, computed from the columns on first read and kept;
-    graphs, exact and Monte-Carlo evaluation, the assisted search, tensor
+    graphs, exact and Monte-Carlo evaluation, both searches, tensor
     products and JSON/CSV export never compute it.  A dense table of outside
     entries is built by :func:`make_channel`.
     """
@@ -362,9 +362,12 @@ def channel_from_json(data: dict) -> Channel:
     return make_channel(data["matrix"], space(data["inputs"]), space(data["outputs"]))
 
 
-def save_channel(c: Channel, path: str) -> None:
+def save_channel(c: Channel, path: str) -> dict:
+    """Write ``channel_to_json(c)`` to ``path`` and return it."""
+    data = channel_to_json(c)
     with open(path, "w") as fh:
-        json.dump(channel_to_json(c), fh, indent=1)
+        json.dump(data, fh, indent=1)
+    return data
 
 
 def load_channel(path: str) -> Channel:

@@ -86,10 +86,10 @@ def _emit(payload: dict, args, text: str) -> None:
         print(text)
 
 
-def _write(path: str, write, obj) -> None:
+def _write(path: str, write, obj):
     """``write(obj, path)``, with an unwritable path reported as an I/O error."""
     try:
-        write(obj, path)
+        return write(obj, path)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO)
 
@@ -99,11 +99,13 @@ def _write_text(text: str, path: str) -> None:
         fh.write(text)
 
 
-def _write_csv_channel(c: channels.Channel, path: str) -> None:
+def _write_csv_channel(c: channels.Channel, path: str, matrix: list) -> None:
+    """The table of ``c`` with one row per output; ``matrix`` is the
+    ``"num/den"`` text of ``channels.channel_to_json(c)``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["output"] + [str(l) for l in c.input_space.labels()])
-        for out_label, row in zip(c.output_space.labels(), zip(*channels.channel_to_json(c)["matrix"])):
+        for out_label, row in zip(c.output_space.labels(), zip(*matrix)):
             writer.writerow([str(out_label), *row])
 
 
@@ -118,9 +120,9 @@ def _write_csv_behavior(b: behaviors.Behavior, path: str) -> None:
 
 def cmd_channel(args) -> int:
     c = CHANNEL_FAMILIES[args.family](args.m)
-    _write(args.out, channels.save_channel, c)
+    data = _write(args.out, channels.save_channel, c)  # one text matrix for both files
     if args.csv:
-        _write(args.csv, _write_csv_channel, c)
+        _write(args.csv, functools.partial(_write_csv_channel, matrix=data["matrix"]), c)
     _emit(
         {"inputs": c.n_inputs, "outputs": c.n_outputs, "path": args.out},
         args,

@@ -24,7 +24,8 @@ from .behaviors import Behavior, Scenario, is_no_signaling
 from .channels import Channel, _mm_layers, _mm_spaces, _nm_layers, _nm_spaces, _sampling_table
 from .numeric import RATIONAL, is_index
 
-#: largest encoder count ``best_unassisted_success`` enumerates
+#: most nodes the walk of ``best_unassisted_success`` visits: its non-decreasing
+#: codeword tuples of every length 1..K, C(n + K, K) - 1 on n >= 2 inputs
 UNASSISTED_ENCODER_LIMIT = 10**7
 
 #: most encoder blocks one set of ``_window`` bitsets covers: a longer block
@@ -335,33 +336,75 @@ def best_unassisted_success(c: Channel, k: int):
     toward the smallest message.  Shared randomness cannot beat this value
     (a mixture of deterministic codes is bounded by the best one).
     Returns ``(success, encoder)`` with the first optimal encoder in
-    canonical order.  Encoders are compared in integers, by the sum over
-    outputs of the largest channel numerator among their codewords: the
-    column-wise maxima of each (K-1)-prefix are taken once, and each last
-    codeword is scored against them.  Raises ValueError for a K that is not
-    an int or is below 1, and beyond ``UNASSISTED_ENCODER_LIMIT`` encoders,
-    where a one-input channel's one encoder counts as 2^K: it still reads K
-    codewords.
+    canonical (``itertools.product``) order.  Encoders are compared in
+    integers, by the sum over outputs of the largest channel numerator among
+    their codewords.  That sum does not depend on the order of the
+    codewords, and sorting an encoder never makes it later in canonical
+    order, so the first optimum is non-decreasing: only the non-decreasing
+    codeword tuples, the multisets of codewords, are walked, depth first in
+    lexicographic order on an explicit stack.  The walk keeps the per-output
+    maximum ``top`` of the codewords taken and its sum; a step reads one
+    sparse column and undoes its raises on the way back, so it costs the
+    column's support.  Raises ValueError for a K that is not an int or is
+    below 1, and beyond ``UNASSISTED_ENCODER_LIMIT`` walk nodes.
     """
     _check_message_count(k)
     n = c.n_inputs
-    # from k = the limit's bit length on even 2^k exceeds it: refused without building the power
-    if k >= UNASSISTED_ENCODER_LIMIT.bit_length() or max(n, 2)**k > UNASSISTED_ENCODER_LIMIT:
-        if n == 1:
-            raise ValueError(f"K = {k} messages on a one-input channel count as 2^{k} encoders, "
-                             f"beyond limit {UNASSISTED_ENCODER_LIMIT}")
-        raise ValueError(f"encoder count {n}^{k} exceeds limit {UNASSISTED_ENCODER_LIMIT}")
-    rows = c.weights
-    zeros = [0] * len(rows[0])  # numerators are non-negative, so a zero column leaves every maximum as it is
+    _check_unassisted_walk(n, k)
+    columns = c.columns
+    top = [0] * c.n_outputs
+    score = 0  # sum(top)
     best = -1
     best_encoder = None
-    for prefix in itertools.product(range(n), repeat=k - 1):
-        top = list(map(max, zip(zeros, *(rows[cin] for cin in prefix))))
-        for cin, row in enumerate(rows):
-            success = sum(map(max, top, row))
-            if success > best:
-                best, best_encoder = success, prefix + (cin,)
-    return Fraction(best, k * c.denominator), best_encoder
+    prefix, raises = [], []  # the codewords taken, and per codeword the (output, old top) pairs it raised
+    start = 0  # the next codeword to try after the prefix; a tuple never decreases
+    while True:
+        if len(prefix) == k - 1:  # each last codeword is scored against top, which it leaves as it is
+            for cin in range(start, n):
+                success = score
+                for o, w in zip(*columns[cin]):
+                    if w > top[o]:
+                        success += w - top[o]
+                if success > best:
+                    best, best_encoder = success, (*prefix, cin)
+        elif start < n:
+            raised = []
+            for o, w in zip(*columns[start]):
+                old = top[o]
+                if w > old:
+                    raised.append((o, old))
+                    top[o] = w
+                    score += w - old
+            prefix.append(start)
+            raises.append(raised)
+            continue
+        if not prefix:
+            return Fraction(best, k * c.denominator), best_encoder
+        for o, old in raises.pop():  # a column names each output once, so the order of undoing is free
+            score -= top[o] - old
+            top[o] = old
+        start = prefix.pop() + 1
+
+
+def _check_unassisted_walk(n: int, k: int) -> None:
+    """Refuse a walk of more than ``UNASSISTED_ENCODER_LIMIT`` nodes.  The
+    walk of ``best_unassisted_success`` visits every non-decreasing tuple of
+    1..k codewords, C(n + k, k) - 1 of them, where a one-input channel counts
+    as two inputs: its one encoder still reads k codewords.  C(n + k, k) is
+    built as C(high + j, j), j = 1..low, for high and low the larger and the
+    smaller of n and k; each step at least doubles it, so it stops within
+    the limit's bit length of steps and no large count is built."""
+    wide = max(n, 2)
+    high, low = max(wide, k), min(wide, k)
+    nodes = 1
+    for j in range(1, low + 1):
+        nodes = nodes * (high + j) // j
+        if nodes - 1 > UNASSISTED_ENCODER_LIMIT:
+            count = f"C({wide} + {k}, {k}) - 1 walk nodes"
+            if n == 1:
+                raise ValueError(f"K = {k} messages on a one-input channel count as two inputs: "
+                                 f"{count}, beyond limit {UNASSISTED_ENCODER_LIMIT}")
+            raise ValueError(f"{count} exceed limit {UNASSISTED_ENCODER_LIMIT}")
 
 
 class SearchLimitExceeded(RuntimeError):

@@ -30,7 +30,13 @@ from zecomm.channels import (
 )
 from zecomm.cli import _write_csv_channel
 from zecomm.graphs import confusability_graph, zero_error_capacity_oneshot
-from zecomm.protocols import make_theorem2_protocol, make_theorem3_protocol, monte_carlo_success, per_message_success
+from zecomm.protocols import (
+    best_unassisted_success,
+    make_theorem2_protocol,
+    make_theorem3_protocol,
+    monte_carlo_success,
+    per_message_success,
+)
 
 
 # --- reference: the per-entry rule builder -------------------------------------
@@ -339,7 +345,7 @@ def csv_cells(c) -> list[list[str]]:
     """The probability cells of ``c``'s CSV export, as ``[output][input]``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.csv"
-        _write_csv_channel(c, str(path))
+        _write_csv_channel(c, str(path), channel_to_json(c)["matrix"])
         with open(path, newline="") as fh:
             return [row[1:] for row in list(csv.reader(fh))[1:]]
 
@@ -352,6 +358,7 @@ def test_the_package_never_builds_the_dense_view():
         zero_error_capacity_oneshot(c)
         assert per_message_success(c, box, scheme) == [1] * scheme.message_count
         assert monte_carlo_success(c, box, scheme, 50, 1) == (1.0, 0.0)
+        best_unassisted_success(c, 2)
         channel_to_json(c)
         csv_cells(c)
     prod = tensor_channels(mm12, nm5)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from zecomm import reference, verify
+from zecomm import channels, reference, verify
 from zecomm.behaviors import Scenario, behavior_to_json, make_extremal_box, make_local_deterministic
-from zecomm.channels import channel_to_json, identity_channel, load_channel, make_nm
-from zecomm.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from zecomm.channels import channel_to_json, identity_channel, load_channel, make_mm, make_nm, save_channel
+from zecomm.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE, _write_csv_channel, main
 
 
 def run(capsys, *argv):
@@ -31,6 +31,18 @@ def test_channel_csv_export(tmp_path, capsys):
     assert code == EXIT_OK
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("output,")
+
+
+def test_channel_command_builds_the_text_matrix_once(tmp_path, capsys, monkeypatch):
+    out, csv_path = tmp_path / "c.json", tmp_path / "c.csv"
+    save_channel(make_mm(3), str(tmp_path / "saved.json"))
+    _write_csv_channel(make_mm(3), str(tmp_path / "saved.csv"), channel_to_json(make_mm(3))["matrix"])
+    calls = []
+    monkeypatch.setattr(channels, "channel_to_json", lambda c: calls.append(c) or channel_to_json(c))
+    code, _, _ = run(capsys, "channel", "--family", "Mm", "--m", "3", "--out", str(out), "--csv", str(csv_path))
+    assert code == EXIT_OK and len(calls) == 1
+    assert out.read_bytes() == (tmp_path / "saved.json").read_bytes()
+    assert csv_path.read_bytes() == (tmp_path / "saved.csv").read_bytes()
 
 
 def test_behavior_command(tmp_path, capsys):
@@ -128,6 +140,19 @@ def test_search_classical_command(capsys):
     code, stdout, _ = run(capsys, "search-classical", "--family", "Nm", "--m", "3", "-K", "2")
     assert code == EXIT_OK
     assert "7/8" in stdout
+
+
+def test_search_classical_reaches_mm7_with_seven_messages(capsys):
+    code, stdout, _ = run(capsys, "search-classical", "--family", "Mm", "--m", "7", "-K", "7", "--json")
+    assert code == EXIT_OK
+    assert json.loads(stdout) == {"success": "265/301", "encoder": [0, 2, 4, 6, 8, 10, 12]}
+
+
+def test_search_classical_refuses_a_walk_beyond_the_limit(capsys):
+    # Mm(7) has 14 inputs: C(14 + 12, 12) - 1 = 9,657,699 nodes, C(14 + 13, 13) - 1 = 20,058,299
+    code, stdout, stderr = run(capsys, "search-classical", "--family", "Mm", "--m", "7", "-K", "13")
+    assert code == EXIT_USAGE and stdout == ""
+    assert "C(14 + 13, 13) - 1 walk nodes exceed limit 10000000" in stderr
 
 
 def test_search_assisted_command(capsys):

@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -445,22 +446,49 @@ def test_best_unassisted_identity_channel():
 
 
 def test_best_unassisted_limit():
-    with pytest.raises(ValueError, match="encoder count 6\\^12 exceeds limit"):
-        best_unassisted_success(make_mm(3), 12)
+    # the walk visits C(6 + K, K) - 1 codeword tuples on Mm(3)'s six inputs:
+    # 9,366,818 at K = 40, and K = 41 is the first beyond the limit
+    # (10,737,572); K = 12, once 6^12 ordered encoders, is 18,563
+    with pytest.raises(ValueError, match=re.escape("C(6 + 41, 41) - 1 walk nodes exceed limit 10000000")):
+        best_unassisted_success(make_mm(3), 41)
+    assert best_unassisted_success(make_mm(3), 12) == (Fraction(1, 4), (0,) * 8 + (1, 2, 3, 4))
 
 
 def test_best_unassisted_limit_refuses_a_large_k_without_building_n_to_the_k():
-    # 6**(10**7) alone takes seconds to build
-    with pytest.raises(ValueError, match="encoder count 6\\^10000000 exceeds limit"):
+    # 6**(10**7) alone takes seconds to build; the node count is built only
+    # until it passes the limit
+    with pytest.raises(ValueError, match=re.escape("C(6 + 10000000, 10000000) - 1 walk nodes exceed limit")):
         best_unassisted_success(make_mm(3), 10**7)
 
 
 def test_best_unassisted_limit_counts_a_one_input_channel_as_two_inputs():
     # one encoder, but it reads K codewords: K = 10**6 is refused before
-    # any is read, and 2**23 is still within the limit
-    with pytest.raises(ValueError, match="K = 1000000 messages on a one-input channel count as 2\\^1000000"):
+    # any is read, and C(2 + 23, 23) - 1 = 299 is within the limit
+    with pytest.raises(ValueError, match=re.escape("K = 1000000 messages on a one-input channel count as two "
+                                                   "inputs: C(2 + 1000000, 1000000) - 1 walk nodes, beyond")):
         best_unassisted_success(identity_channel(1), 10**6)
     assert best_unassisted_success(identity_channel(1), 23) == (Fraction(1, 23), (0,) * 23)
+
+
+def test_best_unassisted_walks_deeper_than_the_recursion_limit():
+    # C(2 + 1100, 1100) - 1 = 606,650 nodes on two noiseless inputs: two
+    # messages decode, and the first such encoder sends input 1 last
+    k = 1100
+    assert k > sys.getrecursionlimit()
+    assert best_unassisted_success(identity_channel(2), k) == (Fraction(2, k), (0,) * (k - 1) + (1,))
+
+
+@pytest.mark.parametrize("m, value, encoder", [
+    (6, Fraction(161, 186), (0, 2, 4, 6, 8, 10)),
+    (7, Fraction(265, 301), (0, 2, 4, 6, 8, 10, 12)),
+])
+def test_best_unassisted_reaches_mm_m_with_m_messages(m, value, encoder):
+    # m^(2m) ordered encoders, beyond the reach of a walk over all of them
+    c = make_mm(m)
+    assert best_unassisted_success(c, m) == (value, encoder)
+    assert list(encoder) == sorted(encoder)
+    score = sum(map(max, zip(*(c.weights[cin] for cin in encoder))))
+    assert Fraction(score, m * c.denominator) == value
 
 
 def prior_scaled_unassisted(c, k):
@@ -484,10 +512,16 @@ def test_best_unassisted_matches_prior_scaled_reference(family, k):
     assert best_unassisted_success(c, k) == prior_scaled_unassisted(c, k)
 
 
+@pytest.mark.parametrize("family, m", [(make_mm, 4), (make_nm, 4), (make_nm, 5)])
+def test_best_unassisted_matches_prior_scaled_reference_beyond_m_3(family, m):
+    c = family(m)
+    assert best_unassisted_success(c, 4) == prior_scaled_unassisted(c, 4)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_best_unassisted_matches_prior_scaled_reference_on_random_channels(data):
-    n_in, n_out, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    n_in, n_out, k = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
     columns = [data.draw(st.lists(st.integers(0, 3), min_size=n_out, max_size=n_out).filter(any))
                for _ in range(n_in)]
     c = make_channel([[Fraction(w, sum(column)) for w in column] for column in columns],
