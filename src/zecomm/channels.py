@@ -6,10 +6,9 @@ A channel is one stored integer table of sparse columns:
 ``columns[input]`` lists the outputs o with p(o|i) > 0 in increasing order
 and their numerators over one common ``denominator`` (in lowest terms),
 summing exactly to it.  Every zero-error question depends only on which
-entries are positive, so the package reads the columns; the dense
-``weights[input][output]`` is computed from them on first read, by
-``Channel.prob`` only.  Channels are always
-exact; only boxes (:mod:`zecomm.behaviors`) may hold floats.
+entries are positive, so the package reads the columns; no dense table is
+kept, and ``Channel.prob`` finds one entry in its column.  Channels are
+always exact; only boxes (:mod:`zecomm.behaviors`) may hold floats.
 ``Channel(...)``, the one constructor, takes sparse columns.  Both families
 are layered: each layer is one list, o2 of every flat input, read off one
 table of the rotations ``pi_perm``; the theorem schemes of
@@ -23,9 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, product
 from operator import lt
 from typing import Sequence
@@ -74,11 +73,9 @@ class Channel:
     summing to it.  Every column given is checked, then stored canonically:
     positive entries only, in lowest terms by ``integer_rows``, as tuples, so
     that equal channels compare and hash equal.  The columns are the one
-    stored table and ``supports[input_flat]`` their outputs.  ``weights`` is
-    the same table dense, computed from the columns on first read and kept;
-    graphs, exact and Monte-Carlo evaluation, both searches, tensor
-    products and JSON/CSV export never compute it.  A dense table of outside
-    entries is built by :func:`make_channel`.
+    stored table and ``supports[input_flat]`` their outputs; no dense view
+    of it is kept.  A dense table of outside entries is built by
+    :func:`make_channel`.
     """
 
     input_space: IndexSpace
@@ -112,23 +109,15 @@ class Channel:
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "supports", tuple(outputs for outputs, _ in canonical))
 
-    @cached_property
-    def weights(self) -> tuple:
-        """The dense table: ``weights[input_flat][output_flat]`` is the
-        numerator of p(output|input), 0 off the column's outputs."""
-        dense, zeros = [], [0] * self.n_outputs
-        for outputs, numerators in self.columns:
-            column = zeros.copy()
-            for o, w in zip(outputs, numerators):
-                column[o] = w
-            dense.append(tuple(column))
-        return tuple(dense)
-
     def prob(self, output_flat: int, input_flat: int) -> Fraction:
-        """p(output|input); refuses an index that is not an int in range."""
+        """p(output|input), found by bisection in the input's sorted column
+        (0 off it); refuses an index that is not an int in range."""
         check_index("channel output", output_flat, self.n_outputs)
         check_index("channel input", input_flat, self.n_inputs)
-        return Fraction(self.weights[input_flat][output_flat], self.denominator)
+        outputs, numerators = self.columns[input_flat]
+        i = bisect_left(outputs, output_flat)
+        on_column = i < len(outputs) and outputs[i] == output_flat
+        return Fraction(numerators[i] if on_column else 0, self.denominator)
 
     @property
     def n_inputs(self) -> int:

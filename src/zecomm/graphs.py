@@ -241,16 +241,18 @@ def _max_independent_set_size(n: int, adj: Sequence[int]) -> int:
 
 
 def independence_number(g: ConfusabilityGraph, limit: int = DEFAULT_VERTEX_LIMIT) -> int:
-    """Exact independence number via branch and bound with clique-cover
-    bounds."""
+    """Exact independence number: read off the edge count for a complete or
+    an edgeless graph of any size, else by branch and bound with
+    clique-cover bounds, which refuses a graph of more than ``limit``
+    vertices."""
     n = g.vertex_count
-    if n > limit:
-        raise ValueError(f"graph has {n} vertices, limit is {limit}")
     edges = g.edge_count()
     if edges == n * (n - 1) // 2:  # complete, the empty graph and K_1 included
         return min(n, 1)
     if edges == 0:
         return n
+    if n > limit:
+        raise ValueError(f"graph has {n} vertices, limit is {limit}")
     # Relabel along a greedy clique partition, in reverse, so that the
     # solver's highest-vertex-first covers start from its cliques: new vertex
     # v is order[v], the first clique on top.  With the rows joined in
@@ -285,7 +287,8 @@ def zero_error_capacity_oneshot(c: Channel):
 
     Returns ``(alpha, capacity_bits, exact_bits)`` where ``exact_bits`` is the
     integer bit count when alpha is a power of two, else None.  Raises
-    ValueError above ``DEFAULT_VERTEX_LIMIT`` inputs.
+    ValueError above ``DEFAULT_VERTEX_LIMIT`` inputs unless the graph is
+    complete or edgeless.
     """
     g = confusability_graph(c)
     alpha = independence_number(g)

@@ -25,7 +25,7 @@ POS_EPS = 1e-12
 
 #: largest table, in dense entries (zeros included), that a family builder
 #: accepts: a channel stores only its positive entries, but its JSON and CSV
-#: export and its dense ``weights`` view write every entry
+#: export write every entry
 MAX_TABLE_ENTRIES = 10**6
 
 

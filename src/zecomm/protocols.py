@@ -12,7 +12,6 @@ directly and refuse signaling boxes, which are outside the model.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import random
@@ -434,20 +433,19 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
 
     Message g's channel inputs ``enc_channel_input[(g, a)]``, a = 0..A-1, are
     one encoder block, at flat positions g*A .. g*A+A-1.  So the search is the
-    product, over the messages, of one block table per box input, built once
-    per call and only as far as the enumeration reaches: a table is an
-    ``itertools.tee`` of ``_blocks`` that is never advanced itself, and each
-    walk of it iterates over a copy, so all walks share one buffer and a block
-    is built when the first walk reaches it.  The first K-1 messages are
+    product, over the messages, of one block table per box input, whose block
+    j is built by index (``_block_builder``).  The first K-1 messages are
     walked depth first (``_prefixes``), each prefix carrying its accumulated
-    masks (``_extend``).  Each prefix then decides the whole last table at
-    once: ``_passing_bits`` combines the prefix's masks with the per-cell
-    bitsets of ``_window`` into the set of last blocks that leave every output
-    a clash-free box input, and each encoder's ``_complete_decoder`` call gets
-    its bit.  The bitsets are built once per call, for each box input whose
-    table is walked as the last message's, and only after a prefix that hits
-    an output, so never for K = 1.  The budget is checked before each
-    encoder.
+    masks (``_extend``); their blocks are read through one cache per box
+    input, made when that input is first walked, so a block is built once
+    whichever prefix positions share its table.  Each prefix then decides the
+    whole last table at once: ``_passing_bits`` combines the prefix's masks
+    with the per-cell bitsets of ``_window`` into the set of last blocks that
+    leave every output a clash-free box input, and each encoder's
+    ``_complete_decoder`` call gets its bit; a last block is built only where
+    its bit is set.  The bitsets are built once per call, for each box input
+    walked as the last message's, and only after a prefix that hits an
+    output, so never for K = 1.  The budget is checked before each encoder.
     Raises ValueError for a signaling box, for a K that is not an int or is
     below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
@@ -461,25 +459,25 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     _check_no_signaling(box)
     s = box.scenario
     n_out, b_card = c.n_outputs, s.b_card  # n_outputs is recomputed on every read
-    # each walk reads a copy.copy: what tee() returns for a tee input differs across Python versions
-    tables = [itertools.tee(_blocks(c, box, x), 1)[0] for x in range(s.x_card)]
-    windows = {}  # box input -> its _window bitsets
+    table = c.n_inputs ** s.a_card  # blocks per box input
+    # box input -> its cached _block_builder, and its _window bitsets, each made when first needed
+    builder = functools.cache(lambda x: functools.cache(_block_builder(c, box, x, s.a_card)))
+    window = functools.cache(lambda x: _window(c, box, x))
     empty = (0, 0, [(0, 0)] * s.y_card)
     branches = 0
     for enc_box in itertools.product(range(s.x_card), repeat=k):
-        *outer, last = [tables[x] for x in enc_box]
-        x = enc_box[-1]
-        for prefix, masks in _prefixes(outer, empty):
+        *outer, x = enc_box
+        build = builder(x)
+        for prefix, masks in _prefixes(list(map(builder, outer)), table, empty):
             if masks[0]:
-                if x not in windows:
-                    windows[x] = _window(c, box, x)
-                bits = _passing_bits(masks, windows[x], b_card)
+                bits = _passing_bits(masks, window(x), b_card)
             else:  # K = 1: no other message to clash with
                 bits = itertools.repeat(1)
-            for block, passes in zip(copy.copy(last), bits):
+            for j, passes in zip(range(table), bits):
                 if branches >= max_branches:
                     raise SearchLimitExceeded(branches, enc_box)
                 branches += 1
+                block = passes and build(j)
                 decoder = _complete_decoder(passes, masks, prefix, block, n_out, b_card)
                 if decoder is None:
                     continue
@@ -491,9 +489,11 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     return False, None
 
 
-def _blocks(c: Channel, box: Behavior, x: int):
-    """Every encoder block of one message sent with box input x, in
-    ``itertools.product`` order.
+def _block_builder(c: Channel, box: Behavior, x: int, width: int):
+    """The encoder blocks of one message sent with box input x, over its
+    first ``width`` outcomes, by index: the returned ``build(j)`` is the
+    block whose channel inputs are the ``width`` base-n digits of j, most
+    significant first, so j is its rank in ``itertools.product`` order.
 
     A block is ``(cins, reach, cells)``: ``cins[a]`` is the channel input
     sent on outcome a; ``reach`` has the top bit ``out * B + B - 1`` of an
@@ -503,18 +503,16 @@ def _blocks(c: Channel, box: Behavior, x: int):
     ``p(a, b | x, y) > 0``.  ``_window`` holds the same bits transposed: per
     output and per cell bit, one bitset over the block indices.
     """
-    return _blocks_over(c, box, x, box.scenario.a_card)
-
-
-def _blocks_over(c: Channel, box: Behavior, x: int, width: int):
-    """The ``_blocks`` of the first ``width`` outcomes alone: ``cins`` has
-    ``width`` entries, and ``reach`` and ``cells`` mark what they reach."""
     s = box.scenario
+    n = c.n_inputs
     spread = [sum(1 << out * s.b_card for out in support) for support in c.supports]
     used = [a for a, pa in enumerate(box.alice[x][:width]) if pa]
     patterns = [[sum(1 << b for b, w in enumerate(box.weights[x][y][a]) if w) for a in range(width)]
                 for y in range(s.y_card)]
-    for cins in itertools.product(range(c.n_inputs), repeat=width):
+    places = [n ** (width - 1 - a) for a in range(width)]
+
+    def build(j: int):
+        cins = tuple(j // place % n for place in places)
         reach = 0
         for a in used:
             reach |= spread[cins[a]]
@@ -524,21 +522,24 @@ def _blocks_over(c: Channel, box: Behavior, x: int, width: int):
             for a in used:
                 packed |= spread[cins[a]] * row[a]
             cells.append(packed)
-        yield cins, reach << s.b_card - 1, tuple(cells)
+        return cins, reach << s.b_card - 1, tuple(cells)
+
+    return build
 
 
 def _window(c: Channel, box: Behavior, x: int):
     """The per-cell bitsets of box input x's block table over one window:
     the n^d blocks that share their first A-d channel inputs, with d = A when
-    all n^A blocks fit in ``PASSING_WINDOW``.  Returns ``(leads, size, reach,
-    cells)``: ``leads`` is a tee of ``_blocks_over`` the first A-d outcomes,
-    one per window of ``size`` blocks; bit j of ``reach[out]`` and of
-    ``cells[y][out * B + b]`` is set when the window's block j sets that
-    output's top bit or that cell bit through its last d outcomes (see
-    ``_blocks``).  Outcome a's channel input is the base-n digit of weight
-    w = n^(A-1-a) of the block index, so the blocks where it is i form the
-    run ``((1 << w) - 1) << i * w``, repeated every n*w blocks by one
-    multiply: no block is built.
+    all n^A blocks fit in ``PASSING_WINDOW``.  Returns ``(leads, count, size,
+    reach, cells)``: ``leads`` is a cached ``_block_builder`` of the first
+    A-d outcomes, whose ``count`` blocks each lead one window of ``size``
+    blocks; bit j of ``reach[out]`` and of ``cells[y][out * B + b]`` is set
+    when the window's block j sets that output's top bit or that cell bit
+    through its last d outcomes (see ``_block_builder``).  Outcome a's
+    channel input is the base-n digit of weight w = n^(A-1-a) of the block
+    index, so the blocks where it is i form the run
+    ``((1 << w) - 1) << i * w``, repeated every n*w blocks by one multiply:
+    no block is built.
     """
     s = box.scenario
     n, a_card, b_card = c.n_inputs, s.a_card, s.b_card
@@ -561,7 +562,7 @@ def _window(c: Channel, box: Behavior, x: int):
                 for row, bs in outcomes:
                     for b in bs:
                         row[out * b_card + b] |= run
-    return itertools.tee(_blocks_over(c, box, x, leading), 1)[0], size, reach, cells
+    return functools.cache(_block_builder(c, box, x, leading)), n**leading, size, reach, cells
 
 
 #: the bytes ``b"0"`` and ``b"1"`` of a binary numeral as the bits 0 and 1
@@ -579,13 +580,13 @@ def _passing_bits(masks, window, b_card: int):
     already), ANDed over each y still clash-free there with the union of the
     cell bitsets of the outcomes the prefix has seen at the output.
     """
-    leads, size, reach, cells = window
+    leads, count, size, reach, cells = window
     hit, multi, pairs = masks
     full = (1 << size) - 1
     group = (1 << b_card) - 1
 
     def passing(lead):
-        _, lead_reach, lead_cells = lead
+        _, lead_reach, lead_cells = leads(lead)
         multi_lead = multi | hit & lead_reach
         clashes = [both | seen & cell for (both, seen), cell in zip(pairs, lead_cells)]
         fail = 0
@@ -608,19 +609,20 @@ def _passing_bits(masks, window, b_card: int):
             fail |= failing
         return f"{full & ~fail:0{size}b}"[::-1].encode().translate(_BIT_BYTES)  # byte j is bit j
 
-    return itertools.chain.from_iterable(map(passing, copy.copy(leads)))
+    return itertools.chain.from_iterable(map(passing, range(count)))
 
 
-def _prefixes(tables, masks):
-    """Every tuple of one block per table, in ``itertools.product`` order,
-    each with ``masks`` extended by its blocks.  The tables are walked on an
-    explicit stack, one copy per table entered, with the blocks taken and
-    their masks, so that no K is bounded by the recursion limit."""
-    if not tables:
+def _prefixes(builders, table: int, masks):
+    """Every tuple of one block per builder, blocks 0..table-1 of each, in
+    ``itertools.product`` order, each with ``masks`` extended by its blocks.
+    The builders are walked on an explicit stack, one walk per builder
+    entered, with the blocks taken and their masks, so that no K is bounded
+    by the recursion limit."""
+    if not builders:
         yield (), masks
         return
-    last = len(tables) - 1
-    prefix, stack, walks = [], [masks], [copy.copy(tables[0])]
+    last = len(builders) - 1
+    prefix, stack, walks = [], [masks], [map(builders[0], range(table))]
     while walks:
         depth = len(walks) - 1
         block = next(walks[depth], None)
@@ -634,7 +636,7 @@ def _prefixes(tables, masks):
         else:
             prefix.append(block)
             stack.append(_extend(stack[depth], block))
-            walks.append(copy.copy(tables[depth + 1]))
+            walks.append(map(builders[depth + 1], range(table)))
 
 
 def _extend(masks, block):
@@ -658,19 +660,16 @@ def _complete_decoder(passes: int, masks, prefix, block, n_out: int, b_card: int
     output admits no box input (or skip) whose outcome cells are
     message-pure.
 
-    The encoder is ``prefix`` (one ``_blocks`` block per message but the
-    last) plus ``block``, and ``masks`` are the prefix's ``_extend`` masks.
-    An output hit by at most one message skips the box and guesses that
-    message (or 0); a multi-hit output takes the first clash-free y and
+    The encoder is ``prefix`` (one ``_block_builder`` block per message but
+    the last) plus ``block``, and ``masks`` are the prefix's ``_extend``
+    masks.  An output hit by at most one message skips the box and guesses
+    that message (or 0); a multi-hit output takes the first clash-free y and
     guesses, per outcome b, the message whose cell is positive (or 0).
     """
     if not passes:
         return None
-    hit, multi, pairs = masks
-    _, reach, cells = block
+    _, multi, pairs = _extend(masks, block)
     leaf = prefix + (block,)
-    multi |= hit & reach
-    shared = [both | seen & cell for (both, seen), cell in zip(pairs, cells)]
     cell_bits = (1 << b_card) - 1
     rules = []
     for out in range(n_out):
@@ -679,7 +678,7 @@ def _complete_decoder(passes: int, masks, prefix, block, n_out: int, b_card: int
         if not multi & top:
             rules.append((SKIP, (next((g for g, (_, reach, _) in enumerate(leaf) if reach & top), 0),)))
             continue
-        y = next(y for y, both in enumerate(shared) if not both >> out * b_card & cell_bits)
+        y = next(y for y, (both, _) in enumerate(pairs) if not both >> out * b_card & cell_bits)
         rules.append((y, tuple(next((g for g, (_, _, cells) in enumerate(leaf) if cells[y] & bit << b), 0)
                                for b in range(b_card))))
     return tuple(rules)

@@ -45,6 +45,18 @@ def independence_number_bruteforce(g) -> int:
     return best
 
 
+def dense_numerators(c) -> list:
+    """The numerators of the channel ``c`` as a dense ``[input][output]``
+    table over ``c.denominator``, 0 off each sparse column."""
+    dense = []
+    for outputs, numerators in c.columns:
+        column = [0] * c.n_outputs
+        for o, w in zip(outputs, numerators):
+            column[o] = w
+        dense.append(column)
+    return dense
+
+
 def cumulative_table(column, denominator=None) -> tuple:
     """Reference sampling table of one distribution for ``sample_column``:
     the indices of the positive entries, their running totals (shifted left

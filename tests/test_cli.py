@@ -62,6 +62,14 @@ def test_capacity_command_json(capsys):
     assert payload["complete_graph"] is True
 
 
+def test_capacity_of_a_complete_graph_past_the_vertex_limit(capsys):
+    # Mm(21) has 42 inputs and a complete graph, so alpha = 1 needs no branch and bound
+    code, stdout, _ = run(capsys, "capacity", "--family", "Mm", "--m", "21", "--json")
+    assert code == EXIT_OK and json.loads(stdout)["alpha"] == 1
+    code, _, stderr = run(capsys, "capacity", "--family", "Nm", "--m", "21")
+    assert code == EXIT_USAGE and stderr == "error: graph has 42 vertices, limit is 40\n"
+
+
 def test_graph_command_dimacs(capsys):
     code, stdout, _ = run(capsys, "graph", "--family", "Nm", "--m", "2")
     assert code == EXIT_OK
@@ -287,6 +295,16 @@ def test_capped_search_assisted_reports_budget(capsys):
     assert stdout == ""
     assert stderr.count("\n") == 1 and "--max-branches 10" in stderr
     assert stderr.endswith("it stopped in box-input tuple 1 of 27, (0, 0, 0)\n")
+
+
+def test_capped_search_assisted_on_a_large_table_reports_budget(capsys):
+    # Nm(6) with the 2-2-6 box: 12**6 blocks per box input, none of them built
+    # unless its passing bit is set
+    code, stdout, stderr = run(capsys, "search-assisted", "--family", "Nm", "--m", "6", "--box-family", "pm",
+                               "-K", "2", "--max-branches", "300000")
+    assert code == 4 and stdout == ""
+    assert stderr.count("\n") == 1 and "--max-branches 300000" in stderr
+    assert stderr.endswith("it stopped in box-input tuple 1 of 4, (0, 0)\n")
 
 
 def test_capped_search_assisted_names_the_box_inputs_it_stopped_in(capsys):

@@ -457,9 +457,11 @@ def test_alpha_of_complete_and_edgeless_graphs_is_read_off_the_edge_count(monkey
         assert independence_number(confusability_graph(make_mm(m))) == 1
     assert ordered == []
     assert independence_number(nm_graph(4)) == 2 and ordered == [8]
-    # the limit still comes first
+    # the limit guards branch and bound only: past it, the two shortcuts still answer
+    assert independence_number(complete_graph(41)) == 1
+    assert independence_number(graph_from_edges(41, [])) == 41
     with pytest.raises(ValueError, match="^graph has 41 vertices, limit is 40$"):
-        independence_number(complete_graph(41))
+        independence_number(cycle_graph(41))
 
 
 def test_confusability_identity_channel():
@@ -606,7 +608,7 @@ def test_capacity_oneshot():
 
 
 def test_vertex_limits():
-    big = graph_from_edges(41, [])
+    big = cycle_graph(41)  # neither complete nor edgeless, so it needs branch and bound
     with pytest.raises(ValueError):
         independence_number(big)
     with pytest.raises(ValueError):

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import functools
 import itertools
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import cumulative_table, sample_column
+from oracles import cumulative_table, dense_numerators, sample_column
 from zecomm import protocols
 from zecomm.behaviors import (
     Behavior,
@@ -318,6 +317,7 @@ def monte_carlo_reference(c, box, p, trials, seed):
     """``monte_carlo_success`` on the reference sampler: the same draws in
     the same order, each by multiply and compare on a cumulative table."""
     rational = box.mode == RATIONAL
+    dense = dense_numerators(c)
     rng = random.Random(seed)
     hits = 0
     for _ in range(trials):
@@ -325,7 +325,7 @@ def monte_carlo_reference(c, box, p, trials, seed):
         x = p.enc_box_input[g]
         a = sample_column(cumulative_table(box.alice[x], box.denominator if rational else None), rng)
         cin = p.enc_channel_input[(g, a)]
-        y, guesses = p.decoder[sample_column(cumulative_table(c.weights[cin], c.denominator), rng)]
+        y, guesses = p.decoder[sample_column(cumulative_table(dense[cin], c.denominator), rng)]
         if y is SKIP:
             guess = guesses[0]
         else:
@@ -487,7 +487,7 @@ def test_best_unassisted_reaches_mm_m_with_m_messages(m, value, encoder):
     c = make_mm(m)
     assert best_unassisted_success(c, m) == (value, encoder)
     assert list(encoder) == sorted(encoder)
-    score = sum(map(max, zip(*(c.weights[cin] for cin in encoder))))
+    score = sum(map(max, zip(*(dense_numerators(c)[cin] for cin in encoder))))
     assert Fraction(score, m * c.denominator) == value
 
 
@@ -496,7 +496,7 @@ def prior_scaled_unassisted(c, k):
     at the uniform prior.  The prior is scaled to int weights, which multiply
     the channel numerators."""
     (weights,), scale = integer_rows([[Fraction(1, k)] * k], 1)
-    scaled = [[[w * v for v in row] for row in c.weights] for w in weights]
+    scaled = [[[w * v for v in row] for row in dense_numerators(c)] for w in weights]
     best = best_encoder = None
     for encoder in itertools.product(range(c.n_inputs), repeat=k):
         success = sum(map(max, zip(*(scaled[g][encoder[g]] for g in range(k)))))
@@ -746,10 +746,17 @@ def whole_leaf_masks(leaf, y_card):
     return either(reaches), twice(reaches), list(zip(map(twice, cells), map(either, cells)))
 
 
+def block_table(c, box, x):
+    """Every block of box input x's table, built by index."""
+    a_card = box.scenario.a_card
+    return list(map(protocols._block_builder(c, box, x, a_card), range(c.n_inputs**a_card)))
+
+
 def draw_leaf(c, box, k, data):
     s = box.scenario
     enc_box = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
-    return enc_box, tuple(data.draw(st.sampled_from(list(protocols._blocks(c, box, x)))) for x in enc_box)
+    indices = [data.draw(st.integers(0, c.n_inputs**s.a_card - 1)) for _ in enc_box]
+    return enc_box, tuple(protocols._block_builder(c, box, x, s.a_card)(j) for x, j in zip(enc_box, indices))
 
 
 def passing_bits(c, box, x, masks):
@@ -787,7 +794,7 @@ def test_complete_decoder_matches_reference_on_every_encoder_with_three_outcomes
     s = box.scenario
     reads_box = 0  # decoders that read the box on some output
     for enc_box in itertools.product(range(s.x_card), repeat=2):
-        first, last = (list(protocols._blocks(c, box, x)) for x in enc_box)
+        first, last = (block_table(c, box, x) for x in enc_box)
         for head in first:
             masks = protocols._extend(no_masks(box), head)
             for block, passes in zip(last, passing_bits(c, box, enc_box[-1], masks), strict=True):
@@ -817,13 +824,13 @@ def test_prefix_walk_then_last_table_walk_is_the_product(case, data):
     s = box.scenario
     drawn = tuple(data.draw(st.integers(0, s.x_card - 1)) for _ in range(k))
     for enc_box in (drawn, (0,) * k):
-        tables = [itertools.tee(protocols._blocks(c, box, x), 1)[0] for x in range(s.x_card)]
-        *outer, last = [tables[x] for x in enc_box]
+        builders = [functools.cache(protocols._block_builder(c, box, x, s.a_card)) for x in range(s.x_card)]
+        *outer, last = enc_box
         walked = []
-        for prefix, masks in protocols._prefixes(outer, no_masks(box)):
+        for prefix, masks in protocols._prefixes([builders[x] for x in outer], c.n_inputs**s.a_card, no_masks(box)):
             assert masks == whole_leaf_masks(prefix, s.y_card)
-            walked.extend(prefix + (block,) for block in copy.copy(last))
-        assert walked == list(itertools.product(*(list(protocols._blocks(c, box, x)) for x in enc_box)))
+            walked.extend(prefix + (block,) for block in block_table(c, box, last))
+        assert walked == list(itertools.product(*(block_table(c, box, x) for x in enc_box)))
 
 
 @pytest.fixture
@@ -860,16 +867,18 @@ def test_exhaustive_search_decides_each_encoder_once(decoder_calls):
 
 @pytest.fixture
 def built_blocks(monkeypatch):
-    """The list that gets each block ``_blocks`` yields."""
+    """The list that gets ``(x, j)`` for each call of a ``_block_builder``
+    of a whole block (width A): block j of box input x built."""
     built = []
-    blocks = protocols._blocks
+    block_builder = protocols._block_builder
 
-    def counting(*args):
-        for block in blocks(*args):
-            built.append(block)
-            yield block
+    def counting(c, box, x, width):
+        build = block_builder(c, box, x, width)
+        if width < box.scenario.a_card:  # a window's leads
+            return build
+        return lambda j: built.append((x, j)) or build(j)
 
-    monkeypatch.setattr(protocols, "_blocks", counting)
+    monkeypatch.setattr(protocols, "_block_builder", counting)
     return built
 
 
@@ -879,20 +888,27 @@ def test_exhaustive_search_builds_only_the_blocks_it_reaches(built_blocks):
     assert found and encoder_of(protocol) == ((0,), (0, 0, 0, 0, 0))
     assert len(built_blocks) == 1
     built_blocks.clear()
+    # the prefix's block 0 alone: no last block of the first 100 encoders
+    # passes, so none is built
     with pytest.raises(SearchLimitExceeded):
         exhaustive_assisted_search(c, box, 2, max_branches=100)
-    assert len(built_blocks) == 101  # the encoders (block 0, block j) for j = 0..100
+    assert built_blocks == [(0, 0)]
+    built_blocks.clear()
+    with pytest.raises(SearchLimitExceeded):  # 12**6 blocks per box input
+        exhaustive_assisted_search(make_nm(6), make_extremal_box(6, 6), 2, max_branches=300_000)
+    assert built_blocks == [(0, 0)]
 
 
 def test_exhaustive_search_builds_each_table_once_whichever_positions_share_it(built_blocks):
     # a refutation walks every box-input tuple, so each box input's table is
-    # read at every position, by prefix walks and last-table walks at once;
-    # it is still built once: x_card tables of n_in**A blocks each
+    # read at every prefix position; each block is still built once, through
+    # the box input's cache, and no last block passes: x_card tables of
+    # n_in**A blocks each
     assert exhaustive_assisted_search(make_mm(3), make_i3322_rational_table(), 2) == (False, None)
-    assert len(built_blocks) == 3 * 6**2
+    assert sorted(built_blocks) == list(itertools.product(range(3), range(6**2)))
     built_blocks.clear()
     assert exhaustive_assisted_search(make_nm(2), make_extremal_box(2, 2), 3) == (False, None)
-    assert len(built_blocks) == 2 * 4**2
+    assert sorted(built_blocks) == list(itertools.product(range(2), range(4**2)))
 
 
 def test_exhaustive_search_budget_counts_encoders():
@@ -1006,18 +1022,21 @@ WINDOW_SIZES = [1, 2, 3, 5, protocols.PASSING_WINDOW]
 @example((identity_channel(3), make_extremal_box(3, 3), 2), 5)  # three outcomes
 @example((make_nm(2), make_local_deterministic([1, 2], [0, 2], Scenario(2, 2, 3, 3)), 2), 3)  # unused outcomes
 def test_window_bitsets_match_the_built_blocks(case, window):
-    # each block is its window's lead plus the window bits set at its index
+    # each block j is the lead of window j // size plus the window bits set
+    # at j % size, and its channel inputs are the j-th product tuple
     c, box, _ = case
     s = box.scenario
     digits = max(d for d in range(s.a_card + 1) if c.n_inputs**d <= window)
+    products = list(itertools.product(range(c.n_inputs), repeat=s.a_card))
     for x in range(s.x_card):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocols, "PASSING_WINDOW", window)
-            leads, size, reach, cells = protocols._window(c, box, x)
-        leads, blocks = list(leads), list(protocols._blocks(c, box, x))
-        assert size == c.n_inputs**digits and len(leads) * size == len(blocks)
+            leads, count, size, reach, cells = protocols._window(c, box, x)
+        blocks = block_table(c, box, x)
+        assert size == c.n_inputs**digits and count * size == len(blocks)
         for index, (cins, block_reach, block_cells) in enumerate(blocks):
-            lead_cins, lead_reach, lead_cells = leads[index // size]
+            assert cins == products[index]
+            lead_cins, lead_reach, lead_cells = leads(index // size)
             j = index % size
             assert lead_cins == cins[:s.a_card - digits]
             assert block_reach == lead_reach | sum(1 << out * s.b_card + s.b_card - 1
