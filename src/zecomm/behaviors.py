@@ -137,12 +137,20 @@ def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
     return worst <= tol, float(worst)
 
 
+def _check_size(name: str, value) -> None:
+    """Refuse a box size that is not an int, a bool included, naming it as ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def make_extremal_box(m: int, k: int) -> Behavior:
     """Extremal no-signaling box of the 2-input, m-outcome scenario.
 
     p(a,b|x,y) = 1/k when a,b < k and (b - a) mod k = x*y, else 0.  k = m gives
     the full-output vertex; k = 2 = m is the PR box.
     """
+    _check_size("m", m)
+    _check_size("k", k)
     if not 2 <= k <= m:
         raise ValueError("require 2 <= k <= m")
     check_table_size(4 * m * m)
@@ -165,6 +173,7 @@ def make_rtilde_box(m: int) -> Behavior:
 
     p(a,b|x,y) = 1/2 when a xor b equals [x == y and x != 0], else 0.
     """
+    _check_size("m", m)
     if m < 2:
         raise ValueError("require m >= 2")
     check_table_size(4 * m * m)
@@ -177,6 +186,8 @@ def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Beha
 
     Q must avoid (1,1) and stay within {1..m1-1} x {1..m2-1}.
     """
+    _check_size("m1", m1)
+    _check_size("m2", m2)
     q = set(tuple(p) for p in q_pairs)
     for i, j in q:
         if (i, j) == (1, 1) or not (1 <= i < m1 and 1 <= j < m2):

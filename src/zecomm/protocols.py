@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -310,7 +311,15 @@ def wilson_interval(estimate: float, trials: int) -> tuple[float, float]:
     """95 % Wilson score interval (Wilson 1927) of a success frequency
     ``estimate`` over ``trials``.  Unlike estimate +/- stderr it keeps a width
     at 0 and 1: every trial a success gives (trials / (trials + z**2), 1).
-    The endpoint at 0 or 1 is set exactly, since the formula may round past it."""
+    The endpoint at 0 or 1 is set exactly, since the formula may round past it.
+    Raises ValueError for an estimate outside [0, 1] (NaN included) and for a
+    ``trials`` that is not an int or is below 1."""
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"trials must be an int, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 0 <= estimate <= 1:
+        raise ValueError(f"estimate must lie in [0, 1], got {estimate!r}")
     z2 = WILSON_Z * WILSON_Z
     scale = 1 + z2 / trials
     center = (estimate + z2 / (2 * trials)) / scale
@@ -429,7 +438,8 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     channel-input tuple, each in ``itertools.product`` order), decides each
     one with one ``_complete_decoder`` call, and returns the first hit, which
     ``is_zero_error`` rechecks.  ``max_branches`` caps the encoders visited;
-    SearchLimitExceeded is raised on the first encoder beyond it.
+    SearchLimitExceeded is raised where the walk reaches the first encoder
+    beyond it, with ``branches`` equal to the cap.
 
     Message g's channel inputs ``enc_channel_input[(g, a)]``, a = 0..A-1, are
     one encoder block, at flat positions g*A .. g*A+A-1.  So the search is the
@@ -440,12 +450,15 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
     input, made when that input is first walked, so a block is built once
     whichever prefix positions share its table.  Each prefix then decides the
     whole last table at once: ``_passing_bits`` combines the prefix's masks
-    with the per-cell bitsets of ``_window`` into the set of last blocks that
+    with the outcome-pattern unions of ``_window``'s per-cell bitsets, one
+    lookup per hit output and box input, into the set of last blocks that
     leave every output a clash-free box input, and each encoder's
     ``_complete_decoder`` call gets its bit; a last block is built only where
     its bit is set.  The bitsets are built once per call, for each box input
     walked as the last message's, and only after a prefix that hits an
-    output, so never for K = 1.  The budget is checked before each encoder.
+    output, so never for K = 1.  The budget is checked once per prefix: the
+    prefix walks the ``min(room, n^A)`` encoders the budget leaves room for,
+    and the search stops after a walk that the budget cut short.
     Raises ValueError for a signaling box, for a K that is not an int or is
     below 1, and for a ``max_branches`` that is not an int or is below 1.
     """
@@ -469,14 +482,13 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
         *outer, x = enc_box
         build = builder(x)
         for prefix, masks in _prefixes(list(map(builder, outer)), table, empty):
+            room = max_branches - branches
+            walk = room if room < table else table  # the encoders of this prefix within the budget
             if masks[0]:
                 bits = _passing_bits(masks, window(x), b_card)
             else:  # K = 1: no other message to clash with
                 bits = itertools.repeat(1)
-            for j, passes in zip(range(table), bits):
-                if branches >= max_branches:
-                    raise SearchLimitExceeded(branches, enc_box)
-                branches += 1
+            for j, passes in zip(range(walk), bits):
                 block = passes and build(j)
                 decoder = _complete_decoder(passes, masks, prefix, block, n_out, b_card)
                 if decoder is None:
@@ -486,6 +498,9 @@ def exhaustive_assisted_search(c: Channel, box: Behavior, k: int,
                 protocol = AssistedProtocol(k, enc_box, enc_channel, decoder)
                 if is_zero_error(c, box, protocol):
                     return True, protocol
+            branches += walk
+            if walk < table:
+                raise SearchLimitExceeded(branches, enc_box)
     return False, None
 
 
@@ -531,15 +546,17 @@ def _window(c: Channel, box: Behavior, x: int):
     """The per-cell bitsets of box input x's block table over one window:
     the n^d blocks that share their first A-d channel inputs, with d = A when
     all n^A blocks fit in ``PASSING_WINDOW``.  Returns ``(leads, count, size,
-    reach, cells)``: ``leads`` is a cached ``_block_builder`` of the first
-    A-d outcomes, whose ``count`` blocks each lead one window of ``size``
-    blocks; bit j of ``reach[out]`` and of ``cells[y][out * B + b]`` is set
-    when the window's block j sets that output's top bit or that cell bit
-    through its last d outcomes (see ``_block_builder``).  Outcome a's
+    reach, cells, unions)``: ``leads`` is a cached ``_block_builder`` of the
+    first A-d outcomes, whose ``count`` blocks each lead one window of
+    ``size`` blocks; bit j of ``reach[out]`` and of ``cells[y][out * B + b]``
+    is set when the window's block j sets that output's top bit or that cell
+    bit through its last d outcomes (see ``_block_builder``).  Outcome a's
     channel input is the base-n digit of weight w = n^(A-1-a) of the block
     index, so the blocks where it is i form the run
     ``((1 << w) - 1) << i * w``, repeated every n*w blocks by one multiply:
-    no block is built.
+    no block is built.  ``unions[y]`` is the ``_OutcomeUnions`` of
+    ``cells[y]``: ``unions[y][p][out]`` is the OR of the output's cell
+    bitsets of the outcomes in the B-bit pattern p.
     """
     s = box.scenario
     n, a_card, b_card = c.n_inputs, s.a_card, s.b_card
@@ -562,7 +579,32 @@ def _window(c: Channel, box: Behavior, x: int):
                 for row, bs in outcomes:
                     for b in bs:
                         row[out * b_card + b] |= run
-    return functools.cache(_block_builder(c, box, x, leading)), n**leading, size, reach, cells
+    unions = [_OutcomeUnions([row[b::b_card] for b in range(b_card)]) for row in cells]
+    return functools.cache(_block_builder(c, box, x, leading)), n**leading, size, reach, cells, unions
+
+
+class _OutcomeUnions(dict):
+    """The unions of one box input y's per-outcome cell bitsets, by outcome
+    pattern: entry p lists, per output, the OR of ``rows[b][out]`` over the
+    bits b of p.  Entry 0 and the one-outcome entries ``1 << b`` (the rows
+    themselves) are given; any other entry is made when first read, one list
+    of ORs per further outcome.  Of the 2^B patterns, only those the
+    prefixes show are made and kept."""
+
+    def __init__(self, rows):
+        super().__init__({1 << b: row for b, row in enumerate(rows)})
+        self[0] = [0] * len(rows[0])
+
+    def __missing__(self, pattern):
+        low = pattern & -pattern
+        unions = self[low]
+        rest = pattern ^ low
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            unions = list(map(operator.or_, unions, self[low]))
+        self[pattern] = unions
+        return unions
 
 
 #: the bytes ``b"0"`` and ``b"1"`` of a binary numeral as the bits 0 and 1
@@ -572,44 +614,45 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 def _passing_bits(masks, window, b_card: int):
     """One bit per block of the last message's table, in order: 1 iff the
     prefix with masks ``masks`` and that block leave every output hit by two
-    or more messages a clash-free box input.  A window's passing set,
-    ``full & ~fail``, is built when the walk reaches the window.  Its lead
-    (see ``_window``) belongs to the last message, so it is folded into the
-    prefix's multi-hit outputs and clashing cells only.  Each output the
-    prefix hits fails on the blocks that reach it (all, if multi-hit
-    already), ANDed over each y still clash-free there with the union of the
-    cell bitsets of the outcomes the prefix has seen at the output.
-    """
-    leads, count, size, reach, cells = window
+    or more messages a clash-free box input.  A one-window table's bits are
+    built at once, as one bytes object; a longer table's are built window by
+    window as the walk reaches each.  A window's lead (see ``_window``)
+    belongs to the last message, so it is folded into the prefix's multi-hit
+    outputs and clashing cells only (``_window_bits``)."""
+    leads, count, size, reach, _, unions = window
+    if count == 1:  # the one lead has no outcome, so it adds nothing
+        return _window_bits(masks, size, reach, unions, b_card)
+    hit, multi, pairs = masks
+    return itertools.chain.from_iterable(
+        _window_bits((hit, multi | hit & lead_reach,
+                      [(both | seen & cell, seen) for (both, seen), cell in zip(pairs, lead_cells)]),
+                     size, reach, unions, b_card)
+        for _, lead_reach, lead_cells in map(leads, range(count)))
+
+
+def _window_bits(masks, size: int, reach, unions, b_card: int) -> bytes:
+    """The passing set ``full & ~fail`` of one window, byte j its block j's
+    bit, after a prefix (and lead) with masks ``masks``.  Each output the
+    prefix hits fails on the window's blocks that reach it (all, if multi-hit
+    already), ANDed over each y still clash-free there with
+    ``unions[y][out]`` at the pattern of the outcomes the prefix has seen at
+    the output; the walk over outputs stops once every block fails."""
     hit, multi, pairs = masks
     full = (1 << size) - 1
     group = (1 << b_card) - 1
-
-    def passing(lead):
-        _, lead_reach, lead_cells = leads(lead)
-        multi_lead = multi | hit & lead_reach
-        clashes = [both | seen & cell for (both, seen), cell in zip(pairs, lead_cells)]
-        fail = 0
-        rest = hit
-        while rest and fail != full:
-            top = rest & -rest
-            rest ^= top
-            shift = top.bit_length() - b_card
-            failing = full if multi_lead & top else reach[shift // b_card]
-            for clash, (_, seen), row in zip(clashes, pairs, cells):
-                if clash >> shift & group:
-                    continue  # y clashes here whatever the window's block
-                outcomes = seen >> shift & group
-                union = 0
-                while outcomes:
-                    b = outcomes & -outcomes
-                    outcomes ^= b
-                    union |= row[shift + b.bit_length() - 1]
-                failing &= union
-            fail |= failing
-        return f"{full & ~fail:0{size}b}"[::-1].encode().translate(_BIT_BYTES)  # byte j is bit j
-
-    return itertools.chain.from_iterable(map(passing, range(count)))
+    fail = 0
+    rest = hit
+    while rest and fail != full:
+        top = rest & -rest
+        rest ^= top
+        shift = top.bit_length() - b_card
+        out = shift // b_card
+        failing = full if multi & top else reach[out]
+        for (clash, seen), by_pattern in zip(pairs, unions):
+            if not clash >> shift & group:  # else y clashes here whatever the window's block
+                failing &= by_pattern[seen >> shift & group][out]
+        fail |= failing
+    return f"{full & ~fail:0{size}b}"[::-1].encode().translate(_BIT_BYTES)
 
 
 def _prefixes(builders, table: int, masks):

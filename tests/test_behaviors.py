@@ -208,6 +208,22 @@ def test_extremal_box_bad_params():
         make_extremal_box(2, 1)
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (lambda v: make_extremal_box(3, v), "k", 2.0),
+    (lambda v: make_extremal_box(3, v), "k", True),
+    (lambda v: make_extremal_box(v, 3), "m", 3.0),
+    (lambda v: make_extremal_box(v, 2), "m", "3"),
+    (lambda v: make_rtilde_box(v), "m", 3.0),
+    (lambda v: make_rtilde_box(v), "m", True),
+    (lambda v: make_jones_box(v, 3, []), "m1", 3.0),
+    (lambda v: make_jones_box(3, v, [(2, 1)]), "m2", True),
+])
+def test_box_builders_refuse_a_size_that_is_not_an_int(build, name, value):
+    # as the channel builders do: a float, a string or a bool is not a size
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        build(value)
+
+
 def test_rtilde_entries():
     box = make_rtilde_box(3)
     # correlated except on equal nonzero inputs

@@ -431,6 +431,18 @@ def test_wilson_interval_solves_the_score_equation(hits, trials):
         assert lo == 0.0 and hi == pytest.approx(z * z / (trials + z * z), abs=1e-15)
 
 
+@pytest.mark.parametrize("estimate, trials, problem", [
+    (1.5, 10, "estimate must lie in [0, 1], got 1.5"), (-0.1, 10, "estimate must lie in [0, 1], got -0.1"),
+    (float("nan"), 10, "estimate must lie in [0, 1], got nan"), (0.5, 0, "trials must be at least 1, got 0"),
+    (0.5, -4, "trials must be at least 1, got -4"), (0.5, True, "trials must be an int, got True"),
+    (0.5, 10.0, "trials must be an int, got 10.0"), (0.5, "10", "trials must be an int, got '10'"),
+])
+def test_wilson_interval_refuses_inputs_outside_its_domain(estimate, trials, problem):
+    # outside its domain the formula returns complex or NaN endpoints, or divides by zero
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        wilson_interval(estimate, trials)
+
+
 def test_best_unassisted_optima():
     value, encoder = best_unassisted_success(make_nm(3), 2)
     assert value == Fraction(7, 8)
@@ -692,12 +704,14 @@ REFERENCE_LEAF_LIMIT = 4096
 @st.composite
 def search_cases(draw):
     """(channel, box, K) with K = 1..3, at most 4 channel inputs and at most 6
-    outputs, sparse columns, and an extremal, rtilde, uniform or local
-    deterministic box; a local deterministic box has ``alice[x][a] = 0`` for
-    every a but one."""
+    outputs, sparse columns, and an extremal (2-2-m, m up to 4, so up to 16
+    outcome patterns per box input), rtilde, uniform or local deterministic
+    box; a local deterministic box has ``alice[x][a] = 0`` for every a but
+    one.  The channel input count is drawn from 1 up to the most that
+    ``REFERENCE_LEAF_LIMIT`` allows."""
     kind = draw(st.sampled_from(["extremal", "rtilde", "uniform", "local"]))
     if kind == "extremal":
-        m = draw(st.integers(2, 3))
+        m = draw(st.integers(2, 4))
         box = make_extremal_box(m, draw(st.integers(2, m)))
     elif kind == "rtilde":
         box = make_rtilde_box(draw(st.integers(2, 3)))
@@ -1031,7 +1045,7 @@ def test_window_bitsets_match_the_built_blocks(case, window):
     for x in range(s.x_card):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocols, "PASSING_WINDOW", window)
-            leads, count, size, reach, cells = protocols._window(c, box, x)
+            leads, count, size, reach, cells, _ = protocols._window(c, box, x)
         blocks = block_table(c, box, x)
         assert size == c.n_inputs**digits and count * size == len(blocks)
         for index, (cins, block_reach, block_cells) in enumerate(blocks):
@@ -1043,6 +1057,61 @@ def test_window_bitsets_match_the_built_blocks(case, window):
                                                    for out, bits in enumerate(reach) if bits >> j & 1)
             assert block_cells == tuple(lead | sum(1 << cell for cell, bits in enumerate(row) if bits >> j & 1)
                                         for lead, row in zip(lead_cells, cells, strict=True))
+
+
+def reference_passing_bits(masks, window, b_card):
+    """Reference: the passing bits of ``_passing_bits``, window by window,
+    with each union of cell bitsets ORed outcome by outcome from ``cells``
+    and no early stop over the outputs."""
+    leads, count, size, reach, cells, _ = window
+    hit, multi, pairs = masks
+    full = (1 << size) - 1
+    group = (1 << b_card) - 1
+    bits = []
+    for lead in range(count):
+        _, lead_reach, lead_cells = leads(lead)
+        multi_lead = multi | hit & lead_reach
+        clashes = [both | seen & cell for (both, seen), cell in zip(pairs, lead_cells)]
+        fail = 0
+        for out in range(len(reach)):
+            shift = out * b_card
+            if not hit >> shift + b_card - 1 & 1:
+                continue
+            failing = full if multi_lead >> shift + b_card - 1 & 1 else reach[out]
+            for clash, (_, seen), row in zip(clashes, pairs, cells):
+                if clash >> shift & group:
+                    continue
+                union = 0
+                for b in range(b_card):
+                    if seen >> shift + b & 1:
+                        union |= row[shift + b]
+                failing &= union
+            fail |= failing
+        bits += [(full & ~fail) >> j & 1 for j in range(size)]
+    return bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases(), st.sampled_from(WINDOW_SIZES), st.data())
+def test_outcome_unions_and_passing_bits_match_the_per_outcome_or(case, window, data):
+    # the passing bits of a random prefix first, while the unions are fresh,
+    # then every union entry, read in a drawn order, since an entry is made
+    # when first read
+    c, box, k = case
+    s = box.scenario
+    enc_box, leaf = draw_leaf(c, box, max(k, 2), data)
+    masks = functools.reduce(protocols._extend, leaf[:-1], no_masks(box))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocols, "PASSING_WINDOW", window)
+        built = protocols._window(c, box, enc_box[-1])
+    assert list(protocols._passing_bits(masks, built, s.b_card)) == reference_passing_bits(masks, built, s.b_card)
+    *_, cells, unions = built
+    assert len(unions) == s.y_card
+    for pattern in data.draw(st.permutations(range(1 << s.b_card))):
+        for row, by_pattern in zip(cells, unions):
+            assert by_pattern[pattern] == [
+                functools.reduce(operator.or_, (row[out * s.b_card + b] for b in range(s.b_card) if pattern >> b & 1), 0)
+                for out in range(c.n_outputs)]
 
 
 @pytest.mark.parametrize("window", WINDOW_SIZES)
