@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .numeric import (
     FLOAT_TOL,
     RATIONAL,
+    Frozen,
     check_index,
     check_mode,
     check_table_size,
@@ -32,26 +32,21 @@ from .numeric import (
 )
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """Cardinalities of a two-party correlation experiment."""
 
-    x_card: int
-    y_card: int
-    a_card: int
-    b_card: int
+    _fields = ("x_card", "y_card", "a_card", "b_card")
 
-    def __post_init__(self):
-        for name in ("x_card", "y_card", "a_card", "b_card"):
-            value = getattr(self, name)
+    def __init__(self, x_card: int, y_card: int, a_card: int, b_card: int):
+        for name, value in zip(self._fields, (x_card, y_card, a_card, b_card)):
             if type(value) is not int:  # a JSON true is a bool, which is not a cardinality
                 raise ValueError(f"{name} {value!r} is not an int")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class Behavior:
+class Behavior(Frozen):
     """Joint conditional distribution over a two-party scenario.
 
     ``weights[x][y][a][b]`` holds p(a,b|x,y) as an int numerator over
@@ -61,13 +56,13 @@ class Behavior:
     numerator of p(a|x) at y = 0, is computed once.
     """
 
-    scenario: Scenario
-    mode: str
-    weights: tuple  # weights[x][y][a][b]
-    denominator: int = 1
-    alice: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("scenario", "mode", "weights", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, scenario: Scenario, mode: str, weights: tuple, denominator: int = 1):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "weights", weights)  # weights[x][y][a][b]
+        object.__setattr__(self, "denominator", denominator)
         check_mode(self.mode)
         problems = validate_behavior(self)
         if problems:
@@ -184,10 +179,14 @@ def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Beha
     """General extremal two-outcome box with parity rule
     a xor b = [x=1][y=1] + sum_{(i,j) in Q} [x=i][y=j]  (mod 2).
 
-    Q must avoid (1,1) and stay within {1..m1-1} x {1..m2-1}.
+    Q must avoid (1,1) and stay within {1..m1-1} x {1..m2-1}.  The rule
+    reads inputs x = 1 and y = 1, so both sizes are at least 2.
     """
-    _check_size("m1", m1)
-    _check_size("m2", m2)
+    for name, value in (("m1", m1), ("m2", m2)):
+        _check_size(name, value)
+        if value < 2:
+            raise ValueError(f"require {name} >= 2")
+    check_table_size(4 * m1 * m2)
     q = set(tuple(p) for p in q_pairs)
     for i, j in q:
         if (i, j) == (1, 1) or not (1 <= i < m1 and 1 <= j < m2):

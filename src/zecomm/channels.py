@@ -23,29 +23,28 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import compress, product
 from operator import lt
-from typing import Sequence
 
-from .numeric import RATIONAL, check_index, check_table_size, integer_rows, prob_parser, ratio_text, table_problems
+from .numeric import (
+    RATIONAL, Frozen, check_index, check_table_size, integer_rows, prob_parser, ratio_text, table_problems,
+)
 
 
-@dataclass(frozen=True)
-class IndexSpace:
+class IndexSpace(Frozen):
     """Product alphabet; ``labels()`` enumerates the labels in flat-index order.
 
     Flat indices are row-major with the first factor most significant.  Offsets
     shift the displayed labels only (e.g. an output factor labeled 1..m+1).
     """
 
-    factors: tuple[int, ...]
-    offsets: tuple[int, ...] = None
+    _fields = ("factors", "offsets")
 
-    def __post_init__(self):
-        if self.offsets is None:
-            object.__setattr__(self, "offsets", (0,) * len(self.factors))
+    def __init__(self, factors: tuple[int, ...], offsets: tuple[int, ...] | None = None):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "offsets", (0,) * len(factors) if offsets is None else offsets)
         if not (type(self.factors) is tuple and type(self.offsets) is tuple
                 and all(type(v) is int for v in self.factors + self.offsets)):
             raise ValueError(f"factors {self.factors!r} and offsets {self.offsets!r} must be tuples of ints")
@@ -63,8 +62,7 @@ class IndexSpace:
         return product(*(range(offset, offset + factor) for factor, offset in zip(self.factors, self.offsets)))
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(Frozen):
     """Column-stochastic table with structured input/output alphabets.
 
     The one constructor takes sparse columns: ``columns[input_flat]`` is an
@@ -78,13 +76,13 @@ class Channel:
     :func:`make_channel`.
     """
 
-    input_space: IndexSpace
-    output_space: IndexSpace
-    columns: tuple  # columns[input_flat] = (outputs, numerators)
-    denominator: int = 1
-    supports: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("input_space", "output_space", "columns", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, input_space: IndexSpace, output_space: IndexSpace, columns: tuple, denominator: int = 1):
+        object.__setattr__(self, "input_space", input_space)
+        object.__setattr__(self, "output_space", output_space)
+        object.__setattr__(self, "columns", columns)  # columns[input_flat] = (outputs, numerators)
+        object.__setattr__(self, "denominator", denominator)
         for name in ("input_space", "output_space"):
             if not isinstance(getattr(self, name), IndexSpace):
                 raise ValueError(f"invalid channel: {name} {getattr(self, name)!r} is not an IndexSpace")

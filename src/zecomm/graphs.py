@@ -36,24 +36,24 @@ search starts from depend on the input labelling only through ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .channels import Channel
+from .numeric import Frozen
 
 #: exact-solver vertex limit (branch and bound)
 DEFAULT_VERTEX_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class ConfusabilityGraph:
+class ConfusabilityGraph(Frozen):
     """Undirected graph on channel inputs with bitset adjacency rows."""
 
-    vertex_count: int
-    adjacency: tuple[int, ...]  # adjacency[v] = bitmask of neighbors
-    labels: Optional[tuple] = None  # vertex labels carried from the input space
+    _fields = ("vertex_count", "adjacency", "labels")
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, adjacency: tuple[int, ...], labels: tuple | None = None):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "adjacency", adjacency)  # adjacency[v] = bitmask of neighbors
+        object.__setattr__(self, "labels", labels)  # vertex labels carried from the input space
         n = self.vertex_count
         _check_vertex_count(n)
         if len(self.adjacency) != n:
@@ -85,7 +85,7 @@ def _check_vertex_count(n) -> None:
         raise ValueError(f"vertex count {n} is negative")
 
 
-def _built(n: int, adjacency: tuple[int, ...], labels: Optional[tuple] = None) -> ConfusabilityGraph:
+def _built(n: int, adjacency: tuple[int, ...], labels: tuple | None = None) -> ConfusabilityGraph:
     """The graph with these rows, which a builder made symmetric, loop-free
     and within range, constructed without the check."""
     g = object.__new__(ConfusabilityGraph)

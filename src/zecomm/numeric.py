@@ -6,6 +6,14 @@ over one denominator in lowest terms (:func:`integer_rows`).  A box may
 instead be tagged float mode and hold floats over denominator 1.  Both kinds
 are checked by :func:`table_problems`, one block per distribution, written as
 "num/den" by :func:`ratio_text`, and capped at ``MAX_TABLE_ENTRIES`` entries.
+
+The package's value types (alphabets, channels, scenarios, behaviors, graphs,
+protocols and quantum models) derive from :class:`Frozen`, one plain base
+class: importing ``dataclasses`` and generating each type's methods from it
+would cost every process about 10 ms at start-up.  Each type sets
+its fields in its own ``__init__`` and keeps them in the instance
+``__dict__``; ``Frozen`` compares and hashes the fields named in ``_fields``,
+prints them dataclass-style and refuses assignment and deletion.
 """
 
 from __future__ import annotations
@@ -31,6 +39,36 @@ MAX_TABLE_ENTRIES = 10**6
 
 #: the entry types of a rational table
 RATIONAL_TYPES = frozenset((int, Fraction))
+
+
+class Frozen:
+    """Immutable value: equal to another of its class, and hashed, by the
+    fields named in ``_fields``; printed as ``Name(field=value, ...)`` over
+    them.  A subclass ``__init__`` stores every field, derived views
+    included, with ``object.__setattr__``."""
+
+    _fields = ()
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ModeMismatchError(ValueError):

@@ -17,12 +17,11 @@ import itertools
 import operator
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .behaviors import Behavior, Scenario, is_no_signaling
 from .channels import Channel, _mm_layers, _mm_spaces, _nm_layers, _nm_spaces, _sampling_table
-from .numeric import RATIONAL, is_index
+from .numeric import RATIONAL, Frozen, is_index
 
 #: most nodes the walk of ``best_unassisted_success`` visits: its non-decreasing
 #: codeword tuples of every length 1..K, C(n + K, K) - 1 on n >= 2 inputs
@@ -39,8 +38,7 @@ SKIP = None
 WILSON_Z = 1.959963984540054
 
 
-@dataclass(frozen=True)
-class AssistedProtocol:
+class AssistedProtocol(Frozen):
     """Deterministic maps defining one assisted-coding scheme.
 
     ``enc_box_input[message]`` is the sender's box input; the channel input is
@@ -51,12 +49,13 @@ class AssistedProtocol:
     ``guesses`` holds the one message guessed.
     """
 
-    message_count: int
-    enc_box_input: tuple[int, ...]
-    enc_channel_input: dict
-    decoder: tuple
+    _fields = ("message_count", "enc_box_input", "enc_channel_input", "decoder")
 
-    def __post_init__(self):
+    def __init__(self, message_count: int, enc_box_input: tuple[int, ...], enc_channel_input: dict, decoder: tuple):
+        object.__setattr__(self, "message_count", message_count)
+        object.__setattr__(self, "enc_box_input", enc_box_input)
+        object.__setattr__(self, "enc_channel_input", enc_channel_input)
+        object.__setattr__(self, "decoder", decoder)
         _check_message_count(self.message_count)
         if len(self.enc_box_input) != self.message_count:
             raise ValueError("enc_box_input must be total on messages")

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .behaviors import Behavior, Scenario, make_behavior
-from .numeric import FLOAT, RATIONAL
+from .numeric import FLOAT, RATIONAL, Frozen
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -99,19 +97,16 @@ def check_measurement(elements) -> tuple:
     return mats
 
 
-@dataclass(frozen=True)
-class QuantumModel:
+class QuantumModel(Frozen):
     """Bipartite state with per-input measurement collections for each party,
     each matrix stored as a tuple of complex rows once it is validated."""
 
-    state: tuple  # density matrix on d_A * d_B
-    alice_meas: tuple  # alice_meas[x][a] on d_A
-    bob_meas: tuple  # bob_meas[y][b] on d_B
+    _fields = ("state", "alice_meas", "bob_meas")
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", check_density_matrix(self.state))
-        object.__setattr__(self, "alice_meas", tuple(map(check_measurement, self.alice_meas)))
-        object.__setattr__(self, "bob_meas", tuple(map(check_measurement, self.bob_meas)))
+    def __init__(self, state: tuple, alice_meas: tuple, bob_meas: tuple):
+        object.__setattr__(self, "state", check_density_matrix(state))  # density matrix on d_A * d_B
+        object.__setattr__(self, "alice_meas", tuple(map(check_measurement, alice_meas)))  # alice_meas[x][a] on d_A
+        object.__setattr__(self, "bob_meas", tuple(map(check_measurement, bob_meas)))  # bob_meas[y][b] on d_B
         da = len(self.alice_meas[0][0])
         db = len(self.bob_meas[0][0])
         if len(self.state) != da * db:
@@ -187,13 +182,8 @@ def make_i3322_rational_table() -> Behavior:
     (1,1) and (2,0), which the table breaks).  The transcription keeps the
     published values, which are the ones the exact 6/7 success rests on.
     """
-    p00 = (
-        (Fraction(3, 8), Fraction(3, 8), Fraction(1, 2)),
-        (Fraction(1, 2), Fraction(1, 8), Fraction(3, 8)),
-        (Fraction(3, 8), Fraction(1, 2), Fraction(1, 8)),
-    )
-    return make_behavior(Scenario(3, 3, 2, 2), RATIONAL,
-                         [[((p, Fraction(1, 2) - p), (Fraction(1, 2) - p, p)) for p in row] for row in p00])
+    p00 = ((3, 3, 4), (4, 1, 3), (3, 4, 1))  # numerators of p(0,0|x,y) = p(1,1|x,y) over 8
+    return Behavior(Scenario(3, 3, 2, 2), RATIONAL, [[((p, 4 - p), (4 - p, p)) for p in row] for row in p00], 8)
 
 
 #: cosecant-squared angle pattern of the optimal two-qutrit correlation,

@@ -8,7 +8,7 @@ computed value, the numeric mode, a pass flag and the elapsed time.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import reference
@@ -34,15 +34,8 @@ from .quantum import (
 )
 
 
-@dataclass
-class Check:
-    name: str
-    provenance: str
-    expected: str
-    computed: str
-    mode: str
-    passed: bool
-    elapsed: float
+#: one check's record, its fields in the order ``verify-paper --json`` writes them
+Check = namedtuple("Check", "name provenance expected computed mode passed elapsed")
 
 
 def _run(name: str, provenance: str, mode: str, check) -> Check:
@@ -210,7 +203,7 @@ def run_verification() -> list[Check]:
 def report_json(checks: list[Check]) -> dict:
     """The ``verify-paper --json`` object: ``all_passed`` and each check's
     fields in order, its time as ``elapsed_seconds`` rounded to 4 places."""
-    records = [asdict(c) for c in checks]
+    records = [c._asdict() for c in checks]
     for record in records:
         record["elapsed_seconds"] = round(record.pop("elapsed"), 4)
     return {"all_passed": all(c.passed for c in checks), "checks": records}

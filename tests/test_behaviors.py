@@ -263,6 +263,20 @@ def test_jones_box_invalid_q():
         make_jones_box(3, 3, [(0, 2)])
 
 
+@pytest.mark.parametrize("m1, m2, refusal", [
+    (0, 2, "require m1 >= 2"),
+    (-1, 3, "require m1 >= 2"),
+    (1, 3, "require m1 >= 2"),
+    (2, 0, "require m2 >= 2"),
+    (3, 1, "require m2 >= 2"),
+    (1000, 1000, "a table of 4000000 entries exceeds the limit of 1000000"),
+], ids=["m1-zero", "m1-negative", "m1-one", "m2-zero", "m2-one", "oversize"])
+def test_jones_box_refuses_sizes_its_rule_cannot_read(m1, m2, refusal):
+    # the rule reads inputs x = 1 and y = 1, as make_rtilde_box's does
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        make_jones_box(m1, m2, [])
+
+
 def test_local_deterministic_and_marginals():
     box = make_local_deterministic([0, 1], [1, 0], Scenario(2, 2, 2, 2))
     assert box.prob(0, 0, 0, 1) == 1

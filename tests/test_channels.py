@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import random
@@ -351,8 +350,8 @@ def csv_cells(c) -> list[list[str]]:
             return [row[1:] for row in list(csv.reader(fh))[1:]]
 
 
-#: what a channel keeps: its dataclass fields, and no derived view of them
-CHANNEL_FIELDS = {f.name for f in dataclasses.fields(Channel)}
+#: what a channel keeps: its fields and its supports, and no dense view
+CHANNEL_FIELDS = {"input_space", "output_space", "columns", "denominator", "supports"}
 
 
 def test_the_package_never_builds_the_dense_view():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import operator
@@ -76,13 +75,18 @@ def test_protocol_validation():
         protocol_from_json(data)
 
 
+def with_decoder(base, decoder):
+    """``base`` with its decoder replaced, through the constructor's checks."""
+    return AssistedProtocol(base.message_count, base.enc_box_input, base.enc_channel_input, decoder)
+
+
 def test_decoder_guesses_that_are_not_messages_are_refused():
     base = make_theorem2_protocol(2)
     y, guesses = base.decoder[5]
     assert y is not SKIP and len(guesses) == 2
     refusal = r"^decoder guesses \[7\] are not messages 0\.\.1$"
     with pytest.raises(ValueError, match=refusal):
-        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (7, 7)),) + base.decoder[6:])
+        with_decoder(base, base.decoder[:5] + ((y, (7, 7)),) + base.decoder[6:])
     data = protocol_to_json(base)
     for entry in data["dec_guess"]:
         if entry[0] == 5:
@@ -98,7 +102,7 @@ def test_decoder_guesses_equal_to_a_message_but_not_int_are_refused(guess):
     y, _ = base.decoder[5]
     refusal = rf"^decoder guesses \[{guess!r}\] are not messages 0\.\.1$"
     with pytest.raises(ValueError, match=refusal):
-        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (0, guess)),) + base.decoder[6:])
+        with_decoder(base, base.decoder[:5] + ((y, (0, guess)),) + base.decoder[6:])
     data = protocol_to_json(base)
     for entry in data["dec_guess"]:
         if entry[:2] == [5, 1]:
@@ -106,7 +110,7 @@ def test_decoder_guesses_equal_to_a_message_but_not_int_are_refused(guess):
     with pytest.raises(ValueError, match=refusal):
         protocol_from_json(data)
     with pytest.raises(ValueError, match=r"^decoder guesses \[7, True\] are not messages 0\.\.1$"):
-        dataclasses.replace(base, decoder=base.decoder[:5] + ((y, (7, True)),) + base.decoder[6:])
+        with_decoder(base, base.decoder[:5] + ((y, (7, True)),) + base.decoder[6:])
 
 
 @pytest.mark.parametrize("field, index, value, refusal", [
@@ -169,7 +173,7 @@ def test_decoder_with_too_few_guesses_is_refused_at_every_entry_point():
 @pytest.mark.parametrize("guesses", [(), (0, 1)])
 def test_skip_rule_without_exactly_one_guess_is_refused_at_every_entry_point(guesses):
     channel, box, base = make_nm(2), make_extremal_box(2, 2), make_theorem2_protocol(2)
-    protocol = dataclasses.replace(base, decoder=((SKIP, guesses),) + base.decoder[1:])
+    protocol = with_decoder(base, ((SKIP, guesses),) + base.decoder[1:])
     refusal = f"decoder skips the box on output 0 but holds {len(guesses)} guesses, not 1"
     for evaluate in (per_message_success, exact_success, is_zero_error):
         with pytest.raises(ValueError, match=refusal):

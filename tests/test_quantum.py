@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zecomm import reference
-from zecomm.behaviors import is_no_signaling, validate_behavior
+from zecomm.behaviors import Scenario, behavior_to_json, is_no_signaling, make_behavior, validate_behavior
+from zecomm.numeric import RATIONAL
 from zecomm.quantum import (
     I3322_ALICE_ANGLES,
     I3322_BOB_ANGLES,
@@ -93,6 +95,25 @@ def test_i3322_rational_table_matches_reference():
     assert validate_behavior(table) == []
     ok, violation = is_no_signaling(table)
     assert ok and violation == 0
+
+
+def reference_i3322_table():
+    """The published table built from Fractions through ``make_behavior``,
+    as ``make_i3322_rational_table`` built it before its integer table."""
+    p00 = (
+        (Fraction(3, 8), Fraction(3, 8), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 8), Fraction(3, 8)),
+        (Fraction(3, 8), Fraction(1, 2), Fraction(1, 8)),
+    )
+    return make_behavior(Scenario(3, 3, 2, 2), RATIONAL,
+                         [[((p, Fraction(1, 2) - p), (Fraction(1, 2) - p, p)) for p in row] for row in p00])
+
+
+def test_i3322_integer_table_equals_the_fraction_route():
+    table, reference_table = make_i3322_rational_table(), reference_i3322_table()
+    assert table == reference_table and table.denominator == reference_table.denominator == 8
+    assert table.weights == reference_table.weights and table.alice == reference_table.alice
+    assert behavior_to_json(table) == behavior_to_json(reference_table)
 
 
 def test_i3322_kernel_vs_table_single_column_discrepancy():
