@@ -4,8 +4,14 @@ families used by the assisted-coding protocols.
 Conventions: inputs x, y and outputs a, b are 0-based.  A behavior is one
 table (see :class:`Behavior`): int numerators over one denominator, as a
 channel is, or floats for the quantum correlations.  Evaluators read that
-table and Alice's marginal numerators ``Behavior.alice`` directly.  The
-families are built from their support rule.  Tensor products flatten indices
+table and Alice's marginal numerators ``Behavior.alice`` directly.
+``Behavior(...)``, the checked constructor, and :func:`make_behavior`, which
+parses outside entries, check every entry they are given.  The families are
+built from their support rule.  Every rational builder (the extremal,
+parity, local deterministic and uniform boxes, rational tensor products and
+the published i3322 table of :mod:`zecomm.quantum`) makes tuples of int
+numerators in lowest terms by construction, so its behaviors skip the
+check; float tables are always checked.  Tensor products flatten indices
 row-major with the first factor most significant.  Signaling tables are valid
 behaviors, which the protocol entry points refuse.
 """
@@ -23,8 +29,10 @@ from .numeric import (
     Frozen,
     check_index,
     check_mode,
+    check_size,
     check_table_size,
     integer_rows,
+    is_index,
     prob_parser,
     ratio_text,
     require_same_mode,
@@ -53,7 +61,8 @@ class Behavior(Frozen):
     ``denominator`` (rational mode; brought to lowest terms by
     ``integer_rows``, so equal behaviors compare equal) or as a float over
     denominator 1.  Validated on construction, where ``alice[x][a]``, the
-    numerator of p(a|x) at y = 0, is computed once.
+    numerator of p(a|x) at y = 0, is computed once; a builder's canonical
+    rational table is stored unchecked by ``_built``.
     """
 
     _fields = ("scenario", "mode", "weights", "denominator")
@@ -91,6 +100,16 @@ class Behavior(Frozen):
 
     def outputs(self):
         return itertools.product(range(self.scenario.a_card), range(self.scenario.b_card))
+
+
+def _built(scenario: Scenario, weights: tuple, denominator: int) -> Behavior:
+    """The rational behavior with these numerators, which a builder made
+    canonical (nested tuples of ints in lowest terms), constructed without
+    the check."""
+    b = object.__new__(Behavior)
+    b.__dict__.update(scenario=scenario, mode=RATIONAL, weights=weights, denominator=denominator,
+                      alice=tuple(tuple(map(sum, xs[0])) for xs in weights))
+    return b
 
 
 def make_behavior(scenario: Scenario, mode: str, values) -> Behavior:
@@ -132,25 +151,20 @@ def is_no_signaling(b: Behavior, tol: float = FLOAT_TOL):
     return worst <= tol, float(worst)
 
 
-def _check_size(name: str, value) -> None:
-    """Refuse a box size that is not an int, a bool included, naming it as ``name``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
 def make_extremal_box(m: int, k: int) -> Behavior:
     """Extremal no-signaling box of the 2-input, m-outcome scenario.
 
     p(a,b|x,y) = 1/k when a,b < k and (b - a) mod k = x*y, else 0.  k = m gives
     the full-output vertex; k = 2 = m is the PR box.
     """
-    _check_size("m", m)
-    _check_size("k", k)
+    check_size("m", m)
+    check_size("k", k)
     if not 2 <= k <= m:
         raise ValueError("require 2 <= k <= m")
     check_table_size(4 * m * m)
-    blocks = [[[int(a < k and b == (a + xy) % k) for b in range(m)] for a in range(m)] for xy in (0, 1)]
-    return Behavior(Scenario(2, 2, m, m), RATIONAL, [blocks[:1] * 2, blocks], k)
+    blocks = tuple(tuple(tuple(int(a < k and b == (a + xy) % k) for b in range(m)) for a in range(m))
+                   for xy in (0, 1))
+    return _built(Scenario(2, 2, m, m), (blocks[:1] * 2, blocks), k)
 
 
 #: the (a, b) block of numerators over 2 with a xor b = parity, for parity 0, 1
@@ -159,8 +173,8 @@ _PARITY_BLOCKS = (((1, 0), (0, 1)), ((0, 1), (1, 0)))
 
 def _parity_box(parity) -> Behavior:
     """Two-outcome box with p(a,b|x,y) = 1/2 when a xor b = parity[x][y]."""
-    return Behavior(Scenario(len(parity), len(parity[0]), 2, 2), RATIONAL,
-                    [[_PARITY_BLOCKS[t] for t in row] for row in parity], 2)
+    return _built(Scenario(len(parity), len(parity[0]), 2, 2),
+                  tuple(tuple(_PARITY_BLOCKS[t] for t in row) for row in parity), 2)
 
 
 def make_rtilde_box(m: int) -> Behavior:
@@ -168,7 +182,7 @@ def make_rtilde_box(m: int) -> Behavior:
 
     p(a,b|x,y) = 1/2 when a xor b equals [x == y and x != 0], else 0.
     """
-    _check_size("m", m)
+    check_size("m", m)
     if m < 2:
         raise ValueError("require m >= 2")
     check_table_size(4 * m * m)
@@ -179,55 +193,69 @@ def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Beha
     """General extremal two-outcome box with parity rule
     a xor b = [x=1][y=1] + sum_{(i,j) in Q} [x=i][y=j]  (mod 2).
 
-    Q must avoid (1,1) and stay within {1..m1-1} x {1..m2-1}.  The rule
-    reads inputs x = 1 and y = 1, so both sizes are at least 2.
+    Q is an iterable of pairs of ints, which must avoid (1,1) and stay
+    within {1..m1-1} x {1..m2-1}.  The rule reads inputs x = 1 and y = 1, so
+    both sizes are at least 2.
     """
     for name, value in (("m1", m1), ("m2", m2)):
-        _check_size(name, value)
+        check_size(name, value)
         if value < 2:
             raise ValueError(f"require {name} >= 2")
     check_table_size(4 * m1 * m2)
-    q = set(tuple(p) for p in q_pairs)
-    for i, j in q:
+    q = set()
+    for pair in q_pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(v) is int for v in pair)):
+            raise ValueError(f"Q entry {pair!r} is not a pair of ints")
+        i, j = pair
         if (i, j) == (1, 1) or not (1 <= i < m1 and 1 <= j < m2):
             raise ValueError(f"invalid Q pair {(i, j)}")
+        q.add((i, j))
     return _parity_box([[int(x == y == 1 or (x, y) in q) for y in range(m2)] for x in range(m1)])
 
 
 def make_local_deterministic(
     f_alice: Sequence[int], f_bob: Sequence[int], scenario: Scenario
 ) -> Behavior:
-    """Product behavior of two deterministic single-party strategies."""
+    """Product behavior of two deterministic single-party strategies:
+    ``f_alice[x]`` is Alice's outcome on input x, ``f_bob[y]`` Bob's."""
     if len(f_alice) != scenario.x_card or len(f_bob) != scenario.y_card:
         raise ValueError("strategy maps must be total on the input sets")
+    for name, f, n in (("f_alice", f_alice, scenario.a_card), ("f_bob", f_bob, scenario.b_card)):
+        for i, v in enumerate(f):
+            if not is_index(v, n):
+                raise ValueError(f"strategy entry {name}[{i}] = {v!r} is not an int in 0..{n - 1}")
     a_range, b_range = range(scenario.a_card), range(scenario.b_card)
-    return Behavior(scenario, RATIONAL, [
-        [[[int(a == fa and b == fb) for b in b_range] for a in a_range] for fb in f_bob] for fa in f_alice
-    ])
+    return _built(scenario, tuple(
+        tuple(tuple(tuple(int(a == fa and b == fb) for b in b_range) for a in a_range) for fb in f_bob)
+        for fa in f_alice
+    ), 1)
 
 
 def uniform_behavior(scenario: Scenario) -> Behavior:
     """Rational behavior with every (a, b) equally likely for every (x, y)."""
-    block = [[1] * scenario.b_card] * scenario.a_card
-    return Behavior(scenario, RATIONAL, [[block] * scenario.y_card] * scenario.x_card,
-                    scenario.a_card * scenario.b_card)
+    block = ((1,) * scenario.b_card,) * scenario.a_card
+    return _built(scenario, ((block,) * scenario.y_card,) * scenario.x_card, scenario.a_card * scenario.b_card)
 
 
 def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:
     """Product behavior on the product scenario; indices flatten row-major
     with the first factor most significant, and numerators and denominators
-    multiply.
+    multiply.  A rational product is canonical as built, for the reason a
+    channel product is (:func:`~zecomm.channels.tensor_channels`); a float
+    product is checked.
     """
     mode = require_same_mode(b1.mode, b2.mode)
     s1, s2 = b1.scenario, b2.scenario
     s = Scenario(s1.x_card * s2.x_card, s1.y_card * s2.y_card, s1.a_card * s2.a_card, s1.b_card * s2.b_card)
-    weights = [
-        [
-            [[p * q for p in row1 for q in row2] for row1 in block1 for row2 in block2]
+    weights = tuple(
+        tuple(
+            tuple(tuple([p * q for p in row1 for q in row2]) for row1 in block1 for row2 in block2)
             for block1 in xs1 for block2 in xs2
-        ]
+        )
         for xs1 in b1.weights for xs2 in b2.weights
-    ]
+    )
+    if mode == RATIONAL:
+        return _built(s, weights, b1.denominator * b2.denominator)
     return Behavior(s, mode, weights, b1.denominator * b2.denominator)
 
 

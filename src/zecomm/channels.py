@@ -9,7 +9,11 @@ summing exactly to it.  Every zero-error question depends only on which
 entries are positive, so the package reads the columns; no dense table is
 kept, and ``Channel.prob`` finds one entry in its column.  Channels are
 always exact; only boxes (:mod:`zecomm.behaviors`) may hold floats.
-``Channel(...)``, the one constructor, takes sparse columns.  Both families
+``Channel(...)``, the checked constructor, takes sparse columns; it and
+:func:`make_channel`, which builds them from a dense matrix, check every
+entry they are given.  Every builder (the layered families, the identity
+channel and tensor products) makes tuples of positive numerators in lowest
+terms by construction, so its channels skip the check.  Both families
 are layered: each layer is one list, o2 of every flat input, read off one
 table of the rotations ``pi_perm``; the theorem schemes of
 :mod:`zecomm.protocols` read their decoders off the same lists.
@@ -29,7 +33,8 @@ from itertools import compress, product
 from operator import lt
 
 from .numeric import (
-    RATIONAL, Frozen, check_index, check_table_size, integer_rows, prob_parser, ratio_text, table_problems,
+    RATIONAL, Frozen, check_index, check_size, check_table_size, integer_rows, prob_parser, ratio_text,
+    table_problems,
 )
 
 
@@ -65,7 +70,7 @@ class IndexSpace(Frozen):
 class Channel(Frozen):
     """Column-stochastic table with structured input/output alphabets.
 
-    The one constructor takes sparse columns: ``columns[input_flat]`` is an
+    The checked constructor takes sparse columns: ``columns[input_flat]`` is an
     ``(outputs, numerators)`` pair, the outputs ints strictly increasing in
     0..n_outputs-1 and the numerators ints or Fractions over ``denominator``,
     summing to it.  Every column given is checked, then stored canonically:
@@ -73,7 +78,8 @@ class Channel(Frozen):
     that equal channels compare and hash equal.  The columns are the one
     stored table and ``supports[input_flat]`` their outputs; no dense view
     of it is kept.  A dense table of outside entries is built by
-    :func:`make_channel`.
+    :func:`make_channel`; a builder's canonical table is stored unchecked
+    by ``_built``.
     """
 
     _fields = ("input_space", "output_space", "columns", "denominator")
@@ -126,6 +132,16 @@ class Channel(Frozen):
         return self.output_space.size
 
 
+def _built(input_space: IndexSpace, output_space: IndexSpace, columns: tuple, denominator: int) -> Channel:
+    """The channel with these sparse columns, which a builder made canonical
+    (tuples, positive entries only, in lowest terms), constructed without
+    the check."""
+    c = object.__new__(Channel)
+    c.__dict__.update(input_space=input_space, output_space=output_space, columns=columns,
+                      denominator=denominator, supports=tuple(outputs for outputs, _ in columns))
+    return c
+
+
 def _shape_problem(i: int, column, n_out: int):
     """What is wrong with the shape of sparse column ``i``, or None."""
     if not (isinstance(column, (tuple, list)) and len(column) == 2 and isinstance(column[0], (tuple, list))
@@ -167,7 +183,7 @@ def _layered(input_space: IndexSpace, output_space: IndexSpace, layers) -> Chann
     n_layers, m = output_space.factors
     flat = [[base + o2 for o2 in layer] for base, layer in zip(range(0, n_layers * m, m), layers)]
     ones = (1,) * len(layers)
-    return Channel(input_space, output_space, [(outputs, ones) for outputs in zip(*flat)], n_layers)
+    return _built(input_space, output_space, tuple((outputs, ones) for outputs in zip(*flat)), n_layers)
 
 
 # --- permutation algebra ----------------------------------------------------
@@ -194,6 +210,7 @@ def _rotations(m: int) -> list[list[int]]:
 
 def _nm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
     """Input and output alphabets of ``make_nm(m)``."""
+    check_size("m", m)
     if m < 2:
         raise ValueError("require m >= 2")
     check_table_size(2 * m * (m + 1) * m)
@@ -227,6 +244,7 @@ def _nm_layers(m: int) -> tuple[IndexSpace, IndexSpace, list[list[int]]]:
 
 def _mm_spaces(m: int) -> tuple[IndexSpace, IndexSpace]:
     """Input and output alphabets of ``make_mm(m)``."""
+    check_size("m", m)
     if m < 2:
         raise ValueError("require m >= 2")
     check_table_size(m * 2 * (m * (m - 1) + 1) * m)
@@ -266,14 +284,19 @@ def _mm_layers(m: int) -> tuple[IndexSpace, IndexSpace, list[list[int]]]:
 
 
 def identity_channel(n: int) -> Channel:
+    check_size("n", n)
     space = IndexSpace((n,))
     check_table_size(n * n)
-    return Channel(space, space, [((i,), (1,)) for i in range(n)])
+    return _built(space, space, tuple(((i,), (1,)) for i in range(n)), 1)
 
 
 def tensor_channels(c1: Channel, c2: Channel) -> Channel:
     """Independent parallel use; numerators multiply over the product
-    alphabets, and so do denominators."""
+    alphabets, and so do denominators.
+
+    The product is canonical as built: a prime dividing d1 * d2 and every
+    product numerator would divide every numerator of one factor, so also
+    that factor's denominator, the sum of a column."""
     input_space = IndexSpace(
         c1.input_space.factors + c2.input_space.factors,
         c1.input_space.offsets + c2.input_space.offsets,
@@ -286,9 +309,10 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
     columns = []
     for support1, weights1 in c1.columns:
         bases = [o1 * n_out2 for o1 in support1]
-        columns += [([base + o2 for base in bases for o2 in support2], [w1 * w2 for w1 in weights1 for w2 in weights2])
+        columns += [(tuple([base + o2 for base in bases for o2 in support2]),
+                     tuple([w1 * w2 for w1 in weights1 for w2 in weights2]))
                     for support2, weights2 in c2.columns]
-    return Channel(input_space, output_space, columns, c1.denominator * c2.denominator)
+    return _built(input_space, output_space, tuple(columns), c1.denominator * c2.denominator)
 
 
 def _sampling_table(indices, numerators, denominator=None) -> tuple[list, list]:

@@ -178,6 +178,12 @@ def table_problems(blocks, denominator, rational: bool) -> list[str]:
     return report
 
 
+def check_size(name: str, value) -> None:
+    """Refuse a family size that is not an int, a bool included, naming it as ``name``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_table_size(entries: int) -> None:
     """Refuse a table of more than ``MAX_TABLE_ENTRIES`` dense entries, before it is built."""
     if entries > MAX_TABLE_ENTRIES:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 
-from .behaviors import Behavior, Scenario, make_behavior
-from .numeric import FLOAT, RATIONAL, Frozen
+from .behaviors import Behavior, Scenario, _built, make_behavior
+from .numeric import FLOAT, Frozen
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -182,8 +182,9 @@ def make_i3322_rational_table() -> Behavior:
     (1,1) and (2,0), which the table breaks).  The transcription keeps the
     published values, which are the ones the exact 6/7 success rests on.
     """
-    p00 = ((3, 3, 4), (4, 1, 3), (3, 4, 1))  # numerators of p(0,0|x,y) = p(1,1|x,y) over 8
-    return Behavior(Scenario(3, 3, 2, 2), RATIONAL, [[((p, 4 - p), (4 - p, p)) for p in row] for row in p00], 8)
+    # numerators of p(0,0|x,y) = p(1,1|x,y) over 8, some odd, so in lowest terms as built
+    p00 = ((3, 3, 4), (4, 1, 3), (3, 4, 1))
+    return _built(Scenario(3, 3, 2, 2), tuple(tuple(((p, 4 - p), (4 - p, p)) for p in row) for row in p00), 8)
 
 
 #: cosecant-squared angle pattern of the optimal two-qutrit correlation,

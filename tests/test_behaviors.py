@@ -277,6 +277,26 @@ def test_jones_box_refuses_sizes_its_rule_cannot_read(m1, m2, refusal):
         make_jones_box(m1, m2, [])
 
 
+@pytest.mark.parametrize("pair", [(1.0, 2), (True, 2), (1, 2, 3), (2,), 5, "12"],
+                         ids=["float", "bool", "triple", "single", "int", "string"])
+def test_jones_box_refuses_a_q_entry_that_is_not_a_pair_of_ints(pair):
+    with pytest.raises(ValueError, match=f"^Q entry {re.escape(repr(pair))} is not a pair of ints$"):
+        make_jones_box(3, 3, [(2, 1), pair])
+    assert make_jones_box(3, 3, [[1, 2], (2, 1)]) == make_jones_box(3, 3, [(2, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("f_alice, f_bob, refusal", [
+    ([0, True], [0, 0], "f_alice[1] = True is not an int in 0..1"),
+    ([0, 1.0], [0, 0], "f_alice[1] = 1.0 is not an int in 0..1"),
+    ([0, 2], [0, 0], "f_alice[1] = 2 is not an int in 0..1"),
+    ([0, 1], [-1, 0], "f_bob[0] = -1 is not an int in 0..2"),
+    ([0, 1], [1, 3], "f_bob[1] = 3 is not an int in 0..2"),
+], ids=["bool", "float", "past-end", "negative", "bob-past-end"])
+def test_local_deterministic_refuses_a_strategy_value_that_is_not_an_outcome(f_alice, f_bob, refusal):
+    with pytest.raises(ValueError, match=f"^strategy entry {re.escape(refusal)}$"):
+        make_local_deterministic(f_alice, f_bob, Scenario(2, 2, 2, 3))
+
+
 def test_local_deterministic_and_marginals():
     box = make_local_deterministic([0, 1], [1, 0], Scenario(2, 2, 2, 2))
     assert box.prob(0, 0, 0, 1) == 1

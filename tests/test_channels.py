@@ -325,6 +325,20 @@ def test_constructors_refuse_malformed_arguments_by_name(build, refusal):
         build()
 
 
+@pytest.mark.parametrize("build, name, value", [
+    (make_nm, "m", True),
+    (make_nm, "m", 2.0),
+    (make_mm, "m", 3.0),
+    (make_mm, "m", "3"),
+    (identity_channel, "n", True),
+    (identity_channel, "n", 2.0),
+], ids=["nm-bool", "nm-float", "mm-float", "mm-string", "identity-bool", "identity-float"])
+def test_family_builders_refuse_a_size_that_is_not_an_int(build, name, value):
+    # as the box builders do; True would pass for 1 and 2.0 reach the alphabet
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+        build(value)
+
+
 @pytest.mark.parametrize("output_flat, input_flat, refusal", [
     (-1, 0, "channel output index -1 is not an int in 0..11"),
     (12, 0, "channel output index 12 is not an int in 0..11"),
