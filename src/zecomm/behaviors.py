@@ -213,6 +213,11 @@ def make_jones_box(m1: int, m2: int, q_pairs: Iterable[tuple[int, int]]) -> Beha
     return _parity_box([[int(x == y == 1 or (x, y) in q) for y in range(m2)] for x in range(m1)])
 
 
+def _entries(s: Scenario) -> int:
+    """Dense entry count of a table over scenario ``s``."""
+    return s.x_card * s.y_card * s.a_card * s.b_card
+
+
 def make_local_deterministic(
     f_alice: Sequence[int], f_bob: Sequence[int], scenario: Scenario
 ) -> Behavior:
@@ -224,6 +229,7 @@ def make_local_deterministic(
         for i, v in enumerate(f):
             if not is_index(v, n):
                 raise ValueError(f"strategy entry {name}[{i}] = {v!r} is not an int in 0..{n - 1}")
+    check_table_size(_entries(scenario))
     a_range, b_range = range(scenario.a_card), range(scenario.b_card)
     return _built(scenario, tuple(
         tuple(tuple(tuple(int(a == fa and b == fb) for b in b_range) for a in a_range) for fb in f_bob)
@@ -233,6 +239,7 @@ def make_local_deterministic(
 
 def uniform_behavior(scenario: Scenario) -> Behavior:
     """Rational behavior with every (a, b) equally likely for every (x, y)."""
+    check_table_size(_entries(scenario))
     block = ((1,) * scenario.b_card,) * scenario.a_card
     return _built(scenario, ((block,) * scenario.y_card,) * scenario.x_card, scenario.a_card * scenario.b_card)
 
@@ -247,6 +254,7 @@ def tensor_behaviors(b1: Behavior, b2: Behavior) -> Behavior:
     mode = require_same_mode(b1.mode, b2.mode)
     s1, s2 = b1.scenario, b2.scenario
     s = Scenario(s1.x_card * s2.x_card, s1.y_card * s2.y_card, s1.a_card * s2.a_card, s1.b_card * s2.b_card)
+    check_table_size(_entries(s))
     weights = tuple(
         tuple(
             tuple(tuple([p * q for p in row1 for q in row2]) for row1 in block1 for row2 in block2)

@@ -296,7 +296,9 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
 
     The product is canonical as built: a prime dividing d1 * d2 and every
     product numerator would divide every numerator of one factor, so also
-    that factor's denominator, the sum of a column."""
+    that factor's denominator, the sum of a column.  Its columns hold the
+    products of the factors' positive entries, so it is capped on their
+    count; its dense table may pass the cap, and is never built."""
     input_space = IndexSpace(
         c1.input_space.factors + c2.input_space.factors,
         c1.input_space.offsets + c2.input_space.offsets,
@@ -305,6 +307,7 @@ def tensor_channels(c1: Channel, c2: Channel) -> Channel:
         c1.output_space.factors + c2.output_space.factors,
         c1.output_space.offsets + c2.output_space.offsets,
     )
+    check_table_size(sum(len(s) for s, _ in c1.columns) * sum(len(s) for s, _ in c2.columns))
     n_out2 = c2.n_outputs
     columns = []
     for support1, weights1 in c1.columns:

@@ -4,23 +4,36 @@ assisted success probabilities, run searches, and verify the published claims.
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 I/O error,
 4 search budget exhausted (``search-assisted`` reached ``--max-branches``).
 
-The argument parser is built once, on the first ``main`` call, and reused by
-later calls in the same process.  It holds no handler: ``main`` resolves
+Each command's options are declared once, as rows of ``COMMANDS``: option
+strings, ``add_argument`` keywords, and whether the row belongs to the
+required one-of ``--channel``/``--family`` group.  ``main`` reads a
+well-formed line straight off that table: a command name, then only that
+command's option strings spelled in full, each value-taking one followed by
+a value that does not start with ``-``; ``int`` values that ``int()`` reads,
+allowed choices, every required option and exactly one channel source.  It
+gets the attributes argparse would set, defaults included.  Every other line
+(``--help``, abbreviations, ``--opt=value``, ``-K2``, negative values and
+every error) goes to the argparse parser that ``build_parser`` derives from
+the same table, so help and messages are argparse's own.  ``argparse`` is
+imported and the parser built only for such a line, once per process; later
+calls reuse it.
+
+Neither the table nor the parser holds a handler: ``main`` resolves
 ``cmd_<command>`` by name in this module when it runs, so a handler rebound
 on the module is the one called.  Each channel family, box family and scheme
 is declared once, in ``CHANNEL_FAMILIES``, ``BOX_FAMILIES`` and
-``protocols.SCHEMES``; the ``choices`` of the parser, the commands and the
+``protocols.SCHEMES``; the ``choices`` of the table, the commands and the
 scheme check all read those tables.  Their entries look each builder up on
 its module when called, so a rebound builder is the one used there too.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from . import behaviors, channels, graphs, protocols, quantum, verify
 from .numeric import FLOAT, RATIONAL, format_value
@@ -267,84 +280,162 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECK_FAILED
 
 
-def _add_channel_source(sub):
-    source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--channel", help="channel JSON file")
-    source.add_argument("--family", choices=list(CHANNEL_FAMILIES))
-    sub.add_argument("--m", type=int, default=3, help="family size parameter")
+def _option(*strings, one_of=False, **keywords):
+    """One row of ``COMMANDS``: option strings, long one first; whether the
+    option belongs to the required one-of ``--channel``/``--family`` group;
+    and its ``add_argument`` keywords, of which ``_read_argv`` knows
+    ``action="store_true"``, ``type=int``, ``choices``, ``default`` and
+    ``required``."""
+    return strings, one_of, keywords
 
 
-def _add_box_source(sub, families: list):
-    sub.add_argument("--box", help="behavior JSON file (overrides --box-family)")
-    sub.add_argument("--box-family", default=families[0], choices=families)
+_JSON = _option("--json", action="store_true")
+_CHANNEL_SOURCE = (
+    _option("--channel", one_of=True, help="channel JSON file"),
+    _option("--family", one_of=True, choices=list(CHANNEL_FAMILIES)),
+    _option("--m", type=int, default=3, help="family size parameter"),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # --help shows the module docstring without its last paragraph, which is about the code
-    parser = argparse.ArgumentParser(prog="zecomm", description=__doc__.rsplit("\n\n", 1)[0])
+def _box_source(families: list) -> tuple:
+    return (_option("--box", help="behavior JSON file (overrides --box-family)"),
+            _option("--box-family", default=families[0], choices=families))
+
+
+#: command -> (its line in ``zecomm --help``, its option rows in the order
+#: its ``--help`` lists them)
+COMMANDS = {
+    "channel": ("construct a channel and write its JSON file", (
+        _option("--family", required=True, choices=list(CHANNEL_FAMILIES)),
+        _option("--m", type=int, required=True),
+        _option("--out", required=True),
+        _option("--csv", help="also export the stochastic matrix as CSV"),
+        _JSON,
+    )),
+    "behavior": ("construct a behavior and write its JSON file", (
+        _option("--family", required=True, choices=list(BOX_FAMILIES)),
+        _option("--m", type=int, default=3),
+        _option("--out", required=True),
+        _option("--csv", help="also export the table as CSV"),
+        _JSON,
+    )),
+    "capacity": ("one-shot zero-error capacity of a channel", (*_CHANNEL_SOURCE, _JSON)),
+    "graph": ("export the confusability graph", (
+        *_CHANNEL_SOURCE,
+        _option("--format", choices=["dimacs", "json"], default="dimacs"),
+        _option("--out"),
+    )),
+    "success": ("success probability of an assisted scheme", (
+        *_CHANNEL_SOURCE,
+        *_box_source(list(BOX_FAMILIES)),
+        _option("--scheme", required=True, choices=list(protocols.SCHEMES)),
+        _option("--mc", type=int, help="Monte-Carlo trials instead of exact evaluation"),
+        _option("--seed", type=int, help="Monte-Carlo seed, required with --mc and refused without it"),
+        _option("--float", action="store_true", help="render values as decimals"),
+        _JSON,
+    )),
+    "search-classical": ("optimal deterministic unassisted encoder", (
+        *_CHANNEL_SOURCE,
+        _option("--messages", "-K", type=int, required=True),
+        _option("--float", action="store_true"),
+        _JSON,
+    )),
+    "search-assisted": ("exhaustive search for a zero-error assisted protocol", (
+        *_CHANNEL_SOURCE,
+        *_box_source([name for name, (mode, _) in BOX_FAMILIES.items() if mode == RATIONAL]),
+        _option("--messages", "-K", type=int, required=True),
+        _option("--max-branches", type=int, default=10**9),
+        _JSON,
+    )),
+    "verify-paper": ("recompute and check every published value", (_JSON,)),
+}
+
+
+def _reading(rows) -> tuple:
+    """What ``_read_argv`` needs of one command's rows: option string ->
+    (dest, type, choices), with type ``bool`` for a flag; the defaults of
+    every dest; the required dests; and the dests of the one-of group."""
+    options, defaults, required, one_of = {}, {}, set(), set()
+    for strings, member, keywords in rows:
+        dest = strings[0][2:].replace("-", "_")  # as argparse names it, from the long option string
+        kind = bool if keywords.get("action") == "store_true" else keywords.get("type", str)
+        defaults[dest] = keywords.get("default", False if kind is bool else None)
+        for string in strings:
+            options[string] = dest, kind, keywords.get("choices")
+        if keywords.get("required"):
+            required.add(dest)
+        if member:
+            one_of.add(dest)
+    return options, defaults, required, one_of
+
+
+_READINGS = {name: _reading(rows) for name, (_, rows) in COMMANDS.items()}
+
+
+def _read_argv(argv):
+    """The attributes argparse sets for a well-formed ``argv``, defaults
+    included, read straight off ``COMMANDS``; None for any other line."""
+    reading = _READINGS.get(argv[0]) if argv else None
+    if reading is None:
+        return None
+    options, defaults, required, one_of = reading
+    values = {"command": argv[0], **defaults}
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = options.get(token)
+        if option is None:  # an abbreviation, an ``=`` form, ``-K2``, help or an unknown token
+            return None
+        dest, kind, choices = option
+        value = True
+        if kind is not bool:
+            value = next(tokens, "-")
+            if value.startswith("-"):  # no value, or one argparse may read as an option
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        given.add(dest)
+    if required - given or (one_of and len(one_of & given) != 1):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``."""
+    import argparse
+
+    # --help shows the first two paragraphs of the module docstring; the rest is about the code
+    parser = argparse.ArgumentParser(prog="zecomm", description="\n\n".join(__doc__.split("\n\n", 2)[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("channel", help="construct a channel and write its JSON file")
-    p.add_argument("--family", required=True, choices=list(CHANNEL_FAMILIES))
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv", help="also export the stochastic matrix as CSV")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("behavior", help="construct a behavior and write its JSON file")
-    p.add_argument("--family", required=True, choices=list(BOX_FAMILIES))
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv", help="also export the table as CSV")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("capacity", help="one-shot zero-error capacity of a channel")
-    _add_channel_source(p)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("graph", help="export the confusability graph")
-    _add_channel_source(p)
-    p.add_argument("--format", choices=["dimacs", "json"], default="dimacs")
-    p.add_argument("--out")
-
-    p = sub.add_parser("success", help="success probability of an assisted scheme")
-    _add_channel_source(p)
-    _add_box_source(p, list(BOX_FAMILIES))
-    p.add_argument("--scheme", required=True, choices=list(protocols.SCHEMES))
-    p.add_argument("--mc", type=int, help="Monte-Carlo trials instead of exact evaluation")
-    p.add_argument("--seed", type=int, help="Monte-Carlo seed, required with --mc and refused without it")
-    p.add_argument("--float", action="store_true", help="render values as decimals")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("search-classical", help="optimal deterministic unassisted encoder")
-    _add_channel_source(p)
-    p.add_argument("--messages", "-K", type=int, required=True)
-    p.add_argument("--float", action="store_true")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("search-assisted", help="exhaustive search for a zero-error assisted protocol")
-    _add_channel_source(p)
-    _add_box_source(p, [name for name, (mode, _) in BOX_FAMILIES.items() if mode == RATIONAL])
-    p.add_argument("--messages", "-K", type=int, required=True)
-    p.add_argument("--max-branches", type=int, default=10**9)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify-paper", help="recompute and check every published value")
-    p.add_argument("--json", action="store_true")
-
+    for name, (help_text, rows) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        group = None
+        for strings, member, keywords in rows:
+            if member and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            (group if member else p).add_argument(*strings, **keywords)
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     return build_parser()
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)

@@ -31,9 +31,9 @@ FLOAT_TOL = 1e-9
 #: as_prob clamps float noise this close to [0, 1]
 POS_EPS = 1e-12
 
-#: largest table, in dense entries (zeros included), that a family builder
-#: accepts: a channel stores only its positive entries, but its JSON and CSV
-#: export write every entry
+#: largest table, in dense entries (zeros included), that a builder accepts,
+#: products included: a channel stores only its positive entries, but its
+#: JSON and CSV export write every entry
 MAX_TABLE_ENTRIES = 10**6
 
 

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from zecomm import numeric
-from zecomm.behaviors import Behavior, Scenario, make_extremal_box, make_rtilde_box, validate_behavior
-from zecomm.channels import Channel, IndexSpace, identity_channel, make_mm, make_nm
+from zecomm.behaviors import (
+    Behavior,
+    Scenario,
+    make_extremal_box,
+    make_local_deterministic,
+    make_rtilde_box,
+    tensor_behaviors,
+    uniform_behavior,
+    validate_behavior,
+)
+from zecomm.channels import Channel, IndexSpace, identity_channel, make_mm, make_nm, tensor_channels
 from zecomm.numeric import (
     FLOAT,
     FLOAT_TOL,
@@ -167,11 +176,31 @@ def _entries(table):
     return s.x_card * s.y_card * s.a_card * s.b_card
 
 
-@pytest.mark.parametrize("build", [make_nm, make_mm, identity_channel, lambda m: make_extremal_box(m, 2),
-                                   make_rtilde_box], ids=["Nm", "Mm", "identity", "extremal", "rtilde"])
+@pytest.mark.parametrize("build", [
+    make_nm, make_mm, identity_channel, lambda m: make_extremal_box(m, 2), make_rtilde_box,
+    lambda m: uniform_behavior(Scenario(m, 2, 2, 2)),
+    lambda m: make_local_deterministic([0] * m, [1, 0], Scenario(m, 2, 2, 2)),
+    lambda m: tensor_behaviors(make_extremal_box(2, 2), uniform_behavior(Scenario(m, 1, 2, 1))),
+], ids=["Nm", "Mm", "identity", "extremal", "rtilde", "uniform", "local-deterministic", "box-product"])
 def test_builders_refuse_a_table_beyond_the_cap(monkeypatch, build):
     entries = _entries(build(3))
     monkeypatch.setattr(numeric, "MAX_TABLE_ENTRIES", entries)
     assert _entries(build(3)) == entries
     with pytest.raises(ValueError, match=f"exceeds the limit of {entries}"):
         build(4)
+
+
+def test_a_channel_product_is_capped_on_the_entries_it_stores(monkeypatch):
+    monkeypatch.setattr(numeric, "MAX_TABLE_ENTRIES", 9)
+    i2, i3 = identity_channel(2), identity_channel(3)
+    assert _entries(tensor_channels(i3, i3)) == 81  # 9 stored entries; the dense table is never built
+    with pytest.raises(ValueError, match="a table of 12 entries exceeds the limit of 9"):
+        tensor_channels(i3, tensor_channels(i2, i2))
+
+
+def test_boxes_of_a_given_scenario_are_refused_beyond_the_cap():
+    s = Scenario(1100, 1000, 1, 1)
+    with pytest.raises(ValueError, match="a table of 1100000 entries exceeds the limit of 1000000"):
+        uniform_behavior(s)
+    with pytest.raises(ValueError, match="a table of 1100000 entries exceeds the limit of 1000000"):
+        make_local_deterministic([0] * 1100, [0] * 1000, s)
